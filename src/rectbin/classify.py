@@ -10,9 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionViolated
-from .geometry import Instance
-
-HALF = Fraction(1, 2)
+from .geometry import HALF, Instance
 
 # fixed constant of the area guarantee
 XI = Fraction(3, 40)

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .config import SolveConfig, config_from_env
-from .errors import GuessFailed, InstanceTooLarge, ParseError
+from .errors import GuessFailed, InstanceTooLarge, PackingStuck, ParseError
 from .fileio import (
     parse_instance,
     parse_packing,
@@ -27,7 +27,8 @@ def shelf_pack(instance: Instance) -> Packing:
     """First-fit decreasing height onto shelves, shelves first-fit into bins.
 
     Unconditional: any item obeys the unit bounds, so a fresh shelf in a
-    fresh bin always accepts it.
+    fresh bin always accepts it.  The result is validated before it is
+    returned; a failure raises PackingStuck.
     """
     order = sorted(instance.items, key=lambda it: (-it.height, it.id))
     bins = []  # per bin: (layout, shelves as [x_used, y_base, height], y_used)
@@ -53,12 +54,17 @@ def shelf_pack(instance: Instance) -> Packing:
             layout = BinLayout(1, 1)
             layout.add(it.id, 0, 0)
             bins.append([layout, [[it.width, Fraction(0), it.height]], it.height])
-    return Packing([entry[0] for entry in bins])
+    packing = Packing([entry[0] for entry in bins])
+    report = validate_packing(packing, instance)
+    if not report.ok:
+        raise PackingStuck(f"shelf packing failed validation: {report.violations[:3]}")
+    return packing
 
 
 def pack_auto(instance: Instance, config: SolveConfig):
     """Best validated packing available: the single-bin solver, then the
-    constant-bin solver for each guess, then the shelf fallback.
+    constant-bin solver for each guess, then the shelf fallback.  Each of
+    them validates the packing it returns.
 
     Returns (packing, provenance, guaranteed).  The fallback never fails,
     so neither does this.
@@ -66,8 +72,7 @@ def pack_auto(instance: Instance, config: SolveConfig):
     try:
         packing = pack_opt1(instance, config.eps_opt1,
                             exact_limit=config.exact_limit)
-        if validate_packing(packing, instance).ok:
-            return packing, "opt1", True
+        return packing, "opt1", True
     except (GuessFailed, InstanceTooLarge):
         pass
     for ell in range(2, config.k):
@@ -77,8 +82,7 @@ def pack_auto(instance: Instance, config: SolveConfig):
                 exact_limit=config.exact_limit,
                 enumeration_limit=config.enumeration_limit,
             )
-            if validate_packing(packing, instance).ok:
-                return packing, f"const{ell}", True
+            return packing, f"const{ell}", True
         except (GuessFailed, InstanceTooLarge):
             continue
     return shelf_pack(instance), "shelf", False

@@ -4,9 +4,6 @@ import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-# override names are the uppercase field names; kept deliberately undecorated
-ENV_FIELDS = ("k", "eps_opt1", "exact_limit", "enumeration_limit", "oracle_limit")
-
 
 @dataclass
 class SolveConfig:

@@ -8,7 +8,9 @@ decision.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-Scalar = Fraction
+ZERO = Fraction(0)
+HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 def scalar(value) -> Fraction:
@@ -92,14 +94,6 @@ class Packing:
         for b in self.bins:
             out.extend(b.item_ids())
         return out
-
-    def coverage(self) -> dict:
-        """Map item_id -> index of the bin holding it (last wins if invalid)."""
-        cov = {}
-        for i, b in enumerate(self.bins):
-            for p in b.placements:
-                cov[p.item_id] = i
-        return cov
 
 
 @dataclass

@@ -19,10 +19,7 @@ from fractions import Fraction
 
 from .classify import vol
 from .errors import InstanceTooLarge
-from .geometry import BinLayout, Placement, scalar
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .geometry import ONE, ZERO, BinLayout, Placement, scalar
 
 
 @dataclass(frozen=True)
@@ -220,3 +217,46 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     if rec(0, None):
         return BinLayout(a, b, [Placement(it.id, x, y) for it, x, y in placed])
     return None
+
+
+def unit_bin_layout(items, cache, limit):
+    """exact_pack_single_region's unit-bin layout of items, or None when
+    they do not fit; memoized in cache by the set of item ids."""
+    key = frozenset(it.id for it in items)
+    if key not in cache:
+        if vol(items) > 1:
+            cache[key] = None
+        else:
+            cache[key] = exact_pack_single_region(items, 1, 1, exact_limit=limit)
+    return cache[key]
+
+
+def canonical_partitions(items, bins, cache, limit, labeled=0):
+    """Yield each split of items into bins parts that each fit a unit bin.
+
+    Items are assigned in the given order, each to the parts in index
+    order, so splits come out in lexicographic order of that assignment.
+    The first `labeled` parts are distinct bins; the rest are
+    interchangeable, so an empty one opens only after the one before it
+    holds an item.  A part grows only while unit_bin_layout accepts it,
+    so no split extends a part that does not fit.
+    """
+    parts = [[] for _ in range(bins)]
+
+    def rec(i):
+        if i == len(items):
+            yield tuple(tuple(p) for p in parts)
+            return
+        it = items[i]
+        opened = False
+        for j, part in enumerate(parts):
+            if j >= labeled and not part:
+                if opened:
+                    break  # every later unlabeled part is empty as well
+                opened = True
+            part.append(it)
+            if unit_bin_layout(part, cache, limit) is not None:
+                yield from rec(i + 1)
+            part.pop()
+
+    yield from rec(0)

@@ -19,6 +19,7 @@ from .classify import (
 )
 from .errors import ConditionViolated, GuessFailed, InstanceTooLarge, PreconditionViolated
 from .geometry import (
+    HALF,
     BinLayout,
     Instance,
     Packing,
@@ -31,8 +32,6 @@ from .geometry import (
 )
 from .knapsack import max_area_pack
 from .steinberg import steinberg_pack
-
-HALF = Fraction(1, 2)
 
 
 def _merge(target: BinLayout, sub: BinLayout, dx, dy):
@@ -395,11 +394,13 @@ def pack_opt1(instance: Instance, eps, exact_limit=10, trace=None) -> Packing:
     delta = find_feasible_delta(instance, eps, axis="height")
     if delta is not None:
         try:
+            # pack_small_height validated the transposed packing, and
+            # transposing back keeps it valid
             packing = transpose_packing(pack_small_height(flipped, delta, eps,
                                                           exact_limit=exact_limit))
             t["branch"] = "delta_height"
             t["delta"] = delta
-            return _checked(packing, instance, "height cutoff branch")
+            return packing
         except GuessFailed:
             pass
         except InstanceTooLarge as exc:
@@ -431,4 +432,4 @@ def pack_opt1(instance: Instance, eps, exact_limit=10, trace=None) -> Packing:
     if flip:
         packing = transpose_packing(packing)
         t["transposed"] = True
-    return _checked(packing, instance, "area branch")
+    return packing

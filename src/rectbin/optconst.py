@@ -19,6 +19,9 @@ from .errors import (
     PreconditionViolated,
 )
 from .geometry import (
+    HALF,
+    ONE,
+    ZERO,
     BinLayout,
     Instance,
     Packing,
@@ -27,12 +30,8 @@ from .geometry import (
     transpose_packing,
     validate_packing,
 )
-from .knapsack import ProfitItem, exact_pack_single_region, max_profit_pack
+from .knapsack import ProfitItem, canonical_partitions, max_profit_pack, unit_bin_layout
 from .steinberg import pack_no_high_half_area, pack_no_wide_half_area, steinberg_pack
-
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 def const_eps(k):
@@ -58,10 +57,7 @@ class ConstContext:
     c_bins: list = field(default_factory=list)
     t_prime: list = field(default_factory=list)
     b1_layout: BinLayout = None
-    whole_bin: int = None
     special: dict = field(default_factory=dict)
-    h_prime: Fraction = None
-    r_star = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -95,17 +91,6 @@ def _is_big(it):
     return it.width > HALF and it.height > HALF
 
 
-def _feasible_layout(items, cache, limit):
-    """Unit-bin layout for a candidate bin content, memoized by id set."""
-    key = frozenset(it.id for it in items)
-    if key not in cache:
-        if vol(items) > 1:
-            cache[key] = None
-        else:
-            cache[key] = exact_pack_single_region(items, 1, 1, exact_limit=limit)
-    return cache[key]
-
-
 def enumerate_large_assignments(large, ell, enumeration_limit=12, cache=None):
     """Yield every way to split the large items into ell labeled bins.
 
@@ -121,27 +106,8 @@ def enumerate_large_assignments(large, ell, enumeration_limit=12, cache=None):
         )
     if ell < 1:
         raise ValueError("ell must be positive")
-    if cache is None:
-        cache = {}
-    parts = [[] for _ in range(ell)]
-
-    def rec(idx):
-        if idx == len(items):
-            yield tuple(tuple(p) for p in parts)
-            return
-        it = items[idx]
-        opened = False
-        for j in range(ell):
-            if j >= 1 and not parts[j]:
-                if opened:
-                    continue
-                opened = True
-            parts[j].append(it)
-            if _feasible_layout(parts[j], cache, enumeration_limit) is not None:
-                yield from rec(idx + 1)
-            parts[j].pop()
-
-    yield from rec(0)
+    yield from canonical_partitions(items, ell, {} if cache is None else cache,
+                                    enumeration_limit, labeled=1)
 
 
 def _fail(msg):
@@ -189,7 +155,7 @@ def _layout_high_side(items, cache, limit):
         return _stack_of_highs(items)
     if vol(items) <= HALF and sum(1 for it in items if _is_wide(it) and not _is_big(it)) == 0:
         return _half_area_high(items)
-    layout = _feasible_layout(items, cache, limit)
+    layout = unit_bin_layout(items, cache, limit)
     if layout is None:
         _fail("mixed high-side bin does not fit")
     return layout
@@ -198,7 +164,7 @@ def _layout_high_side(items, cache, limit):
 def _layout_wide_side(items, cache, limit):
     if vol(items) <= HALF and sum(1 for it in items if _is_high(it) and not _is_big(it)) == 0:
         return _half_area_wide(items)
-    layout = _feasible_layout(items, cache, limit)
+    layout = unit_bin_layout(items, cache, limit)
     if layout is None:
         _fail("wide-side bin does not fit")
     return layout
@@ -258,12 +224,11 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     ctx.b_bins = [list(result.selected)] + [[] for _ in range(ell - 1)]
     ctx.c_bins = [[] for _ in range(ell)]
     ctx.b1_layout = result.layout
-    ctx.whole_bin = whole_bin
 
     for i in range(1, ell):
         part = ctx.assignment[i]
         if whole_bin == i:
-            layout = _feasible_layout(part, cache, max(exact_limit, len(part)))
+            layout = unit_bin_layout(part, cache, max(exact_limit, len(part)))
             if layout is None:
                 _fail("guessed bin content does not fit in one piece")
             ctx.b_bins[i] = list(part)
@@ -439,7 +404,6 @@ def _finish_rebuilt(ctx, cache, limit):
         return _realize(ctx, cache, limit)
     overflow = ctx.c_bins[0]
     h_prime = max((it.height for it in overflow), default=ZERO)
-    ctx.h_prime = h_prime
     if total_width(overflow) > 1 - 8 * ell * eps:
         _fail("tiny high overflow leaves no side strip")
     r1w, r1h = ctx.r1
@@ -506,7 +470,6 @@ def _thin_high_repack(ctx, cache, limit):
     keep = [it for it in ctx.t_prime if not _is_high(it)]
     ctx.t_prime = sorted(keep + spilled, key=lambda it: it.id)
     h_prime = min((it.height for it in stacks[ell - 1]), default=ZERO)
-    ctx.h_prime = h_prime
     if ctx.t_prime:
         bound = 1 - h_prime - 10 * ell * ell * eps
         for i in range(1, ell):
@@ -594,7 +557,6 @@ def _case_wide_heavy(ctx, cache, limit, trace=None):
         _, leftover_after = regreedy(extra_bin=i, extra_item=it)
         if leftover_after:
             # moving this item would strand a tiny high item
-            ctx.r_star = it
             ctx.b_bins[i] = [r for r in ctx.b_bins[i] if r.id != it.id]
             for j in range(1, ell):
                 ctx.c_bins[j] = ctx.c_bins[j] + adds[j]

@@ -10,10 +10,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import classify, find_feasible_delta, total_height, total_width, vol
+from .classify import classify, total_height, total_width, vol
 from .errors import InstanceTooLarge
-from .geometry import BinLayout, Instance, Item, Packing, Placement, validate_packing
-from .knapsack import exact_pack_single_region
+from .geometry import BinLayout, Instance, Item, Packing, validate_packing
+from .knapsack import canonical_partitions, unit_bin_layout
 
 GRID = 64  # guillotine cut granularity (denominator of all raw coordinates)
 
@@ -99,41 +99,11 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     if not items:
         return 0, Packing([])
     cache = {}
-
-    def feasible(part):
-        key = frozenset(it.id for it in part)
-        if key not in cache:
-            if vol(part) > 1:
-                cache[key] = None
-            else:
-                cache[key] = exact_pack_single_region(part, 1, 1, exact_limit=oracle_limit)
-        return cache[key] is not None
-
     for b in range(1, max_bins + 1):
-        parts = [[] for _ in range(b)]
-
-        def assign(i):
-            if i == len(items):
-                return True
-            it = items[i]
-            opened = False
-            for part in parts:
-                if not part:
-                    if opened:
-                        break  # all empty parts are interchangeable
-                    opened = True
-                part.append(it)
-                if feasible(part) and assign(i + 1):
-                    return True
-                part.pop()
-            return False
-
-        if assign(0):
-            bins = []
-            for part in parts:
-                if part:
-                    bins.append(cache[frozenset(it.id for it in part)])
-            return b, Packing(bins)
+        split = next(canonical_partitions(items, b, cache, oracle_limit), None)
+        if split is not None:
+            return b, Packing([unit_bin_layout(part, cache, oracle_limit)
+                               for part in split if part])
     return None
 
 

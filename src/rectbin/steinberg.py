@@ -26,13 +26,9 @@ pack_no_wide_half_area covers the companion guarantee: total area at most
 stacked bottom-left directly and the hanger argument absorbs the rest.
 """
 
-from fractions import Fraction
-
-from .classify import HALF, h_max, vol, w_max
+from .classify import h_max, vol, w_max
 from .errors import ConditionViolated, PackingStuck, PreconditionViolated
-from .geometry import BinLayout, Placement, ValidationReport, scalar, validate_bin
-
-ZERO = Fraction(0)
+from .geometry import HALF, ZERO, BinLayout, Placement, scalar, transpose_layout, validate_bin
 
 
 def steinberg_condition(items, a, b) -> bool:
@@ -80,8 +76,8 @@ def _pack(items, u, v):
     if any(2 * r.width > u for r in items):
         return _pack_wide_anchored(items, u, v)
     if any(2 * r.height > v for r in items):
-        flipped = _pack([r.transposed() for r in items], v, u)
-        return [Placement(p.item_id, p.y, p.x) for p in flipped]
+        flipped = BinLayout(v, u, _pack([r.transposed() for r in items], v, u))
+        return transpose_layout(flipped).placements
     return _pack_all_small(items, u, v)
 
 
@@ -275,8 +271,4 @@ def pack_no_wide_half_area(items) -> BinLayout:
 def pack_no_high_half_area(items) -> BinLayout:
     """Transposed companion: Vol <= 1/2, no item taller than 1/2 except at
     most one big."""
-    flipped = pack_no_wide_half_area([r.transposed() for r in items])
-    out = BinLayout(1, 1)
-    for p in flipped.placements:
-        out.placements.append(Placement(p.item_id, p.y, p.x))
-    return out
+    return transpose_layout(pack_no_wide_half_area([r.transposed() for r in items]))

@@ -188,3 +188,29 @@ def brute_min_bins(items, max_bins=4):
             if all(naive_fits(part, 1, 1) for part in parts):
                 return b
     return None
+
+
+def brute_canonical_splits(items, bins, labeled=0):
+    """Every split of items into bins parts that each fit, in lexicographic
+    order of the item -> part assignment.  Parts past the first `labeled`
+    are interchangeable, so part j may take its first item only after part
+    j - 1 has one."""
+    import itertools as _it
+
+    out = []
+    for combo in _it.product(range(bins), repeat=len(items)):
+        highest = labeled - 1
+        canonical = True
+        for j in combo:
+            if j > highest + 1 and j >= labeled:
+                canonical = False
+                break
+            highest = max(highest, j)
+        if not canonical:
+            continue
+        parts = [[] for _ in range(bins)]
+        for it, j in zip(items, combo):
+            parts[j].append(it)
+        if all(naive_fits(part, 1, 1) for part in parts):
+            out.append(tuple(tuple(it.id for it in part) for part in parts))
+    return out

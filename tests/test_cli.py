@@ -7,8 +7,9 @@ import pytest
 
 from rectbin.cli import main, pack_auto, shelf_pack
 from rectbin.config import SolveConfig, config_from_env
+from rectbin.errors import PackingStuck
 from rectbin.fileio import parse_instance, parse_packing, serialize_instance
-from rectbin.geometry import Instance, Item, validate_packing
+from rectbin.geometry import Instance, Item, ValidationReport, validate_packing
 from rectbin.oracle import GeneratorSpec, certify_opt, gen_instance
 from rectbin.render_svg import render_bin
 
@@ -99,6 +100,15 @@ class TestShelf:
     def test_full_squares_one_per_bin(self):
         inst = Instance([Item(i, F(1), F(1)) for i in range(3)])
         assert len(shelf_pack(inst).bins) == 3
+
+    def test_failed_validation_raises(self, monkeypatch):
+        import rectbin.cli
+
+        broken = ValidationReport()
+        broken.add("overlap", (0, 1), "forced for the test")
+        monkeypatch.setattr(rectbin.cli, "validate_packing", lambda packing, instance: broken)
+        with pytest.raises(PackingStuck):
+            shelf_pack(Instance([Item(0, F(1, 2), F(1, 2))]))
 
 
 class TestCommands:

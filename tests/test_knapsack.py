@@ -9,11 +9,13 @@ from rectbin.geometry import Item, validate_bin
 from rectbin.knapsack import (
     KnapsackResult,
     ProfitItem,
+    canonical_partitions,
     exact_pack_single_region,
     max_area_pack,
     max_profit_pack,
+    unit_bin_layout,
 )
-from support import naive_fits, rand_frac
+from support import brute_canonical_splits, naive_fits, rand_frac
 
 
 def brute_force_profit(pitems, a, b):
@@ -156,3 +158,28 @@ def test_best_effort_certifies_or_raises():
     crowd = [Item(i, Fraction(33, 64), Fraction(33, 64)) for i in range(12)]
     with pytest.raises(InstanceTooLarge):
         max_area_pack(crowd, 1, 1, Fraction(1, 10), exact_limit=10)
+
+
+def test_canonical_partitions_match_brute_force():
+    # the same cache serves every bin count, as in the oracle's search
+    rng = random.Random(11)
+    for trial in range(60):
+        n = rng.randint(0, 6)
+        items = []
+        for i in range(n):
+            den = rng.choice([2, 3, 4, 8])
+            items.append(Item(i, rand_frac(rng, Fraction(1, 8), 1, den),
+                              rand_frac(rng, Fraction(1, 8), 1, den)))
+        rng.shuffle(items)  # splits follow the caller's order, not the ids
+        cache = {}
+        for labeled in (0, 1):
+            for bins in (1, 2, 3):
+                got = [tuple(tuple(it.id for it in part) for part in split)
+                       for split in canonical_partitions(items, bins, cache, 6, labeled)]
+                assert got == brute_canonical_splits(items, bins, labeled), (trial, items)
+        by_id = {it.id: it for it in items}
+        for key, layout in cache.items():
+            assert (layout is not None) == naive_fits([by_id[i] for i in key], 1, 1)
+            if layout is not None:
+                assert validate_bin(layout, by_id).ok and sorted(layout.item_ids()) == sorted(key)
+                assert unit_bin_layout([by_id[i] for i in key], cache, 6) is layout

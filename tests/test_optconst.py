@@ -7,6 +7,7 @@ import pytest
 
 from rectbin.classify import total_width, vol
 from rectbin.errors import GuessFailed, InstanceTooLarge, PreconditionViolated
+from rectbin.fileio import serialize_packing
 from rectbin.geometry import BinLayout, Instance, Item, Packing, validate_packing
 from rectbin.optconst import (
     ConstContext,
@@ -403,3 +404,21 @@ class TestEdgesAndDeterminism:
         first = snap(pack_opt_const(inst, 2))
         second = snap(pack_opt_const(inst, 2))
         assert first == second
+
+
+# Byte-exact packings: they pin the assignment enumeration order and every
+# step that lays out the guessed bins.
+CONST_GOLDEN = [
+    (plant_const_case1, 0,
+     "bins 2\nbin 0\n0 0 0\n1 0 1/2\n2 1/2 0\n3 1/2 1/2\nbin 1\n4 0 0\n5 39/100 0\n"
+     "6 0 1521/2500\n7 39/100 1521/2500\n8 947/2300 1521/2500\n"),
+    (plant_const_case4, 1,
+     "bins 3\nbin 0\n0 0 0\n1 0 1/2\n2 1/2 0\n3 1/2 1/2\nbin 1\n6 0 0\n7 0 1/600\n"
+     "8 0 1/300\n9 0 1/200\nbin 2\n4 0 0\n5 0 7/25\n"),
+]
+
+
+@pytest.mark.parametrize("plant, seed, expected", CONST_GOLDEN)
+def test_pack_opt_const_golden_output(plant, seed, expected):
+    inst, _ = plant(seed)
+    assert serialize_packing(pack_opt_const(inst, 2)) == expected

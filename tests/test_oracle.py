@@ -2,6 +2,7 @@ import pytest
 
 from rectbin.classify import classify, find_feasible_delta, total_height, total_width
 from rectbin.errors import InstanceTooLarge
+from rectbin.fileio import serialize_packing
 from rectbin.geometry import Instance, Item, validate_packing
 from rectbin.oracle import (
     GeneratorSpec,
@@ -173,3 +174,24 @@ def test_plant_small_w_family():
             assert classes.wide and classes.high
             assert total_width(classes.high) <= Fraction(1, 2)
             assert total_height(classes.wide) >= total_width(classes.high)
+
+
+# The search order decides which witness comes out first, so these bytes
+# pin the order of the canonical partition search.
+ORACLE_GOLDEN = [
+    (GeneratorSpec(3, 6, 1),
+     "bins 1\nbin 0\n0 0 0\n2 0 9/16\n1 0 51/64\n3 23/32 9/16\n5 59/64 0\n4 31/32 0\n"),
+    (GeneratorSpec(8, 8, 2, "shrink"),
+     "bins 2\nbin 0\n4 0 0\n2 0 7/16\n0 55/64 0\n3 0 11/16\n6 0 3/4\n1 31/32 0\n"
+     "bin 1\n7 0 0\n5 21/64 0\n"),
+    (GeneratorSpec(5, 8, 3),
+     "bins 3\nbin 0\n0 0 0\nbin 1\n1 0 0\n2 21/32 0\n3 27/32 0\n"
+     "bin 2\n6 0 0\n7 0 35/64\n4 7/8 0\n5 7/8 7/8\n"),
+]
+
+
+@pytest.mark.parametrize("spec, expected", ORACLE_GOLDEN)
+def test_exact_min_bins_golden_output(spec, expected):
+    inst, _ = gen_instance(spec)
+    opt, witness = exact_min_bins(inst)
+    assert serialize_packing(witness) == expected
