@@ -6,6 +6,7 @@ a cutoff so that the near-full-width items stack into a short strip; its
 threshold gamma = (delta - eps) / (1 + 2 delta) never exceeds 1/4.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,17 @@ def w_max(items) -> Fraction:
 
 def h_max(items) -> Fraction:
     return max((it.height for it in items), default=Fraction(0))
+
+
+def lower_bound(items) -> int:
+    """Bins that every packing of items needs: the ceiling of the largest
+    of the total area, h(W) (wide items cross the vertical midline, so
+    they stack), w(H) (likewise side by side) and the number of big
+    items (no two share a bin)."""
+    wide = [it for it in items if it.width > HALF]
+    high = [it for it in items if it.height > HALF]
+    big = sum(1 for it in wide if it.height > HALF)
+    return math.ceil(max(vol(items), total_height(wide), total_width(high), big))
 
 
 @dataclass

@@ -3,16 +3,27 @@
 Both formats are line oriented and bit exact: every number is a rational
 written as `p/q` (or a plain integer), and decimals in input are read as
 p/10^d without rounding.  parse(serialize(x)) returns x unchanged.
+Decimal exponents are bounded: 1e-N builds 10**N, so a large N would
+stall the parser.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .geometry import BinLayout, Instance, Item, Packing
 
+# largest decimal exponent magnitude accepted; the interpreter's own limit
+# on the digits of an int converted from or to a string
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+
 
 def _rational(tok, lineno):
+    exponent = _EXPONENT.search(tok)
     try:
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ParseError(lineno, f"exponent of {tok!r} exceeds {MAX_EXPONENT} in magnitude")
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {tok!r}") from None

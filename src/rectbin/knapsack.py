@@ -6,16 +6,31 @@ packing can be normalized by pushing items left and then down until each is
 blocked, which lands every corner on such a sum, so restricting the search
 to these positions loses nothing.
 
+Both exact searches scale the region and the item sides by the least
+common multiple d of their denominators once at entry, search on ints, and
+turn each coordinate x back into Fraction(x, d) at exit.  Multiplying by a
+positive constant keeps every sum and comparison as it was, so the search
+is as exact as over Fractions, visits positions in the same order and
+returns the same first solution.  Profit and area bookkeeping stays in
+Fraction.  A placed box is the tuple (left, bottom, right, top).
+
 The profit solver is branch and bound: items in non-increasing area order,
 include (at each feasible normal position, x before y) or exclude, with the
 upper bound achieved + min(remaining profit, ratio * free area).  At desk
 scale this is exact; beyond exact_limit a greedy fallback runs and the
 result is kept only when it provably meets the (1 - eps) * OPT - eps
 contract.
+
+The region packer first tries three exact refutations: two items that can
+sit neither side by side nor one above the other, items wider than half
+the region whose heights add up past it, and the transposed stack.
 """
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .classify import vol
 from .errors import InstanceTooLarge
@@ -41,9 +56,21 @@ class KnapsackResult:
     exact: bool
 
 
+def _lattice(items, a, b):
+    """(d, a * d, b * d, [(w * d, h * d) per item]): the region and the item
+    sides on the integer lattice of their common denominator d."""
+    d = math.lcm(a.denominator, b.denominator,
+                 *(side.denominator for it in items for side in (it.width, it.height)))
+
+    def scale(q):
+        return q.numerator * (d // q.denominator)
+
+    return d, scale(a), scale(b), [(scale(it.width), scale(it.height)) for it in items]
+
+
 def _axis_positions(lengths, limit):
     """Sorted subset sums below limit; the complete candidate coordinate set."""
-    sums = {ZERO}
+    sums = {0}
     for w in sorted(lengths):
         sums |= {s + w for s in sums if s + w < limit}
     return sorted(sums)
@@ -52,34 +79,39 @@ def _axis_positions(lengths, limit):
 def _feasible_positions(width, height, xs, ys, placed, a, b, floor=None):
     """Yield normal positions (lex order) where a width x height box fits.
 
-    placed is a list of (item, x, y).  floor, when given, restricts output
-    to positions strictly beyond it in lex order (symmetry breaking for
-    identical items).  Inner loop jumps past the tallest conflict, which
-    skips every y candidate that provably also conflicts.
+    placed is a list of (left, bottom, right, top) boxes; all numbers are
+    of one kind, ints on a lattice or Fractions.  floor, when given,
+    restricts output to positions strictly beyond it in lex order
+    (symmetry breaking for identical items).  Per column the boxes that
+    overlap [x, x + width) are filtered once, which is valid because every
+    caller restores placed (append, recurse, pop) before it resumes the
+    generator.  Within a column the scan jumps past the tallest conflict,
+    which skips every y candidate that provably also conflicts.
     """
+    y_end = bisect_right(ys, b - height)  # ys[:y_end] keep the box below b
     for x in xs:
-        if x + width > a:
+        right = x + width
+        if right > a:
             break  # xs sorted ascending
         yi = 0
-        while yi < len(ys):
-            y = ys[yi]
-            if y + height > b:
-                break
-            if floor is not None and (x, y) <= floor:
-                yi += 1
+        if floor is not None:
+            if x < floor[0]:
                 continue
+            if x == floor[0]:
+                yi = bisect_right(ys, floor[1], 0, y_end)
+        column = [(bottom, top) for left, bottom, r, top in placed if left < right and x < r]
+        while yi < y_end:
+            y = ys[yi]
+            up = y + height
             jump = None
-            for it, px, py in placed:
-                if x < px + it.width and px < x + width and y < py + it.height and py < y + height:
-                    top = py + it.height
-                    if jump is None or top > jump:
-                        jump = top
+            for bottom, top in column:
+                if y < top and bottom < up and (jump is None or top > jump):
+                    jump = top
             if jump is None:
                 yield (x, y)
                 yi += 1
             else:
-                while yi < len(ys) and ys[yi] < jump:
-                    yi += 1
+                yi = bisect_left(ys, jump, yi + 1)
 
 
 def _order_key(pi):
@@ -88,43 +120,49 @@ def _order_key(pi):
 
 def _solve_exact(pitems, a, b):
     order = sorted(pitems, key=_order_key)
-    xs = _axis_positions([pi.item.width for pi in order], a)
-    ys = _axis_positions([pi.item.height for pi in order], b)
+    d, a_d, b_d, sides = _lattice([pi.item for pi in order], a, b)
+    xs = _axis_positions([w for w, _ in sides], a_d)
+    ys = _axis_positions([h for _, h in sides], b_d)
     ratio = max((pi.profit / pi.item.volume for pi in order), default=ONE)
+    area = a * b
+    volumes = [pi.item.volume for pi in order]
     suffix = [ZERO] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + order[i].profit
     best = {"profit": Fraction(-1), "sel": [], "pl": []}
-    placed = []
+    placed = []  # boxes on the lattice
+    chosen = []  # the item of each box
 
-    def twin(i):
-        # previous item same shape and profit: decisions can be canonicalized
-        if i == 0:
-            return False
-        p, q = order[i - 1], order[i]
-        return (p.item.width, p.item.height, p.profit) == (q.item.width, q.item.height, q.profit)
+    # previous item same shape and profit: decisions can be canonicalized
+    twins = [i > 0 and (sides[i - 1], order[i - 1].profit) == (sides[i], order[i].profit)
+             for i in range(len(order))]
 
     def rec(i, achieved, used, last_excluded, last_pos):
         if i == len(order):
             if achieved > best["profit"]:
                 best["profit"] = achieved
-                best["sel"] = [it for it, _, _ in placed]
-                best["pl"] = [Placement(it.id, x, y) for it, x, y in placed]
+                best["sel"] = list(chosen)
+                best["pl"] = [Placement(it.id, Fraction(x, d), Fraction(y, d))
+                              for it, (x, y, _, _) in zip(chosen, placed)]
             return
-        free = a * b - used
-        if achieved + min(suffix[i], ratio * free) <= best["profit"]:
+        free = area - used
+        bound = achieved + min(suffix[i], ratio * free)
+        if bound <= best["profit"]:
             return
         pi = order[i]
         it = pi.item
-        same = twin(i)
+        w, h = sides[i]
+        same = twins[i]
         if not (same and last_excluded):
             floor = last_pos if same else None
-            if it.volume <= free:
-                for x, y in _feasible_positions(it.width, it.height, xs, ys, placed, a, b, floor):
-                    if achieved + min(suffix[i], ratio * free) <= best["profit"]:
+            if volumes[i] <= free:
+                for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+                    if bound <= best["profit"]:
                         break
-                    placed.append((it, x, y))
-                    rec(i + 1, achieved + pi.profit, used + it.volume, False, (x, y))
+                    placed.append((x, y, x + w, y + h))
+                    chosen.append(it)
+                    rec(i + 1, achieved + pi.profit, used + volumes[i], False, (x, y))
+                    chosen.pop()
                     placed.pop()
         rec(i + 1, achieved, used, True, None)
 
@@ -134,17 +172,20 @@ def _solve_exact(pitems, a, b):
 
 def _best_effort(pitems, a, b):
     order = sorted(pitems, key=lambda pi: (-(pi.profit / pi.item.volume), -pi.profit, pi.item.id))
-    placed = []
+    placed = []  # boxes in Fractions
+    chosen = []  # (item, x, y)
     achieved = ZERO
     for pi in order:
         it = pi.item
-        xs = sorted({ZERO} | {px + p.width for p, px, _ in placed})
-        ys = sorted({ZERO} | {py + p.height for p, _, py in placed})
+        xs = sorted({ZERO} | {right for _, _, right, _ in placed})
+        ys = sorted({ZERO} | {top for _, _, _, top in placed})
         spot = next(_feasible_positions(it.width, it.height, xs, ys, placed, a, b), None)
         if spot is not None:
-            placed.append((it, spot[0], spot[1]))
+            x, y = spot
+            placed.append((x, y, x + it.width, y + it.height))
+            chosen.append((it, x, y))
             achieved += pi.profit
-    return achieved, placed
+    return achieved, chosen
 
 
 def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
@@ -180,11 +221,27 @@ def max_area_pack(items, a, b, eps, exact_limit=10) -> KnapsackResult:
     )
 
 
+def _refuted(sides, a, b):
+    """True when no layout of these (width, height) boxes in region (a, b)
+    can exist, by one of three exact proofs.  Two boxes with w_i + w_j > a
+    and h_i + h_j > b can sit neither side by side nor one above the other.
+    Boxes wider than a/2 all cross the vertical midline, so they stack and
+    their heights must add up to at most b; likewise the widths of boxes
+    higher than b/2 must add up to at most a."""
+    for (w1, h1), (w2, h2) in combinations(sides, 2):
+        if w1 + w2 > a and h1 + h2 > b:
+            return True
+    if sum(h for w, h in sides if 2 * w > a) > b:
+        return True
+    return sum(w for w, h in sides if 2 * h > b) > a
+
+
 def exact_pack_single_region(items, a, b, exact_limit=10):
     """A validating layout of every item in region (a, b), or None.
 
     Complete search over normal positions with identical-item symmetry
-    breaking; deterministic first solution.
+    breaking; deterministic first solution.  The area bound, the side
+    bounds and the refutations of _refuted answer None without a search.
     """
     items = list(items)
     a, b = scalar(a), scalar(b)
@@ -197,25 +254,28 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     order = sorted(items, key=lambda it: (-it.volume, it.id))
     if any(it.width > a or it.height > b for it in order):
         return None
-    xs = _axis_positions([it.width for it in order], a)
-    ys = _axis_positions([it.height for it in order], b)
-    placed = []
+    d, a_d, b_d, sides = _lattice(order, a, b)
+    if _refuted(sides, a_d, b_d):
+        return None
+    xs = _axis_positions([w for w, _ in sides], a_d)
+    ys = _axis_positions([h for _, h in sides], b_d)
+    placed = []  # placed[i] is the box of order[i]
 
     def rec(i, last_pos):
         if i == len(order):
             return True
-        it = order[i]
-        same = i > 0 and (order[i - 1].width, order[i - 1].height) == (it.width, it.height)
-        floor = last_pos if same else None
-        for x, y in _feasible_positions(it.width, it.height, xs, ys, placed, a, b, floor):
-            placed.append((it, x, y))
+        w, h = sides[i]
+        floor = last_pos if i > 0 and sides[i - 1] == sides[i] else None
+        for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+            placed.append((x, y, x + w, y + h))
             if rec(i + 1, (x, y)):
                 return True
             placed.pop()
         return False
 
     if rec(0, None):
-        return BinLayout(a, b, [Placement(it.id, x, y) for it, x, y in placed])
+        return BinLayout(a, b, [Placement(it.id, Fraction(x, d), Fraction(y, d))
+                                for it, (x, y, _, _) in zip(order, placed)])
     return None
 
 

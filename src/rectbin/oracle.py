@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import classify, total_height, total_width, vol
+from .classify import classify, lower_bound, total_height, total_width
 from .errors import InstanceTooLarge
 from .geometry import BinLayout, Instance, Item, Packing, validate_packing
 from .knapsack import canonical_partitions, unit_bin_layout
@@ -90,8 +90,9 @@ def gen_instance(spec: GeneratorSpec):
 def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     """Smallest bin count up to max_bins with a witness, or None.
 
-    Partition search over canonical assignments; per-subset feasibility via
-    the exact single-region packer, cached across the whole search.
+    Partition search over canonical assignments, starting at the
+    classify.lower_bound count; per-subset feasibility via the exact
+    single-region packer, cached across the whole search.
     """
     items = sorted(instance.items, key=lambda it: (-it.volume, it.id))
     if len(items) > oracle_limit:
@@ -99,7 +100,7 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     if not items:
         return 0, Packing([])
     cache = {}
-    for b in range(1, max_bins + 1):
+    for b in range(lower_bound(items), max_bins + 1):
         split = next(canonical_partitions(items, b, cache, oracle_limit), None)
         if split is not None:
             return b, Packing([unit_bin_layout(part, cache, oracle_limit)
@@ -110,12 +111,12 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
 def certify_opt(instance: Instance, ell: int, witness: Packing, oracle_limit=8) -> bool:
     """True iff the witness proves OPT <= ell and a lower bound proves OPT >= ell.
 
-    The cheap lower bound is total volume > ell - 1; when it does not apply
+    The cheap lower bound is classify.lower_bound; when it is below ell
     the full partition search settles the question.
     """
     if len(witness.bins) > ell or not validate_packing(witness, instance).ok:
         return False
-    if vol(instance.items) > ell - 1:
+    if lower_bound(instance.items) >= ell:
         return True
     result = exact_min_bins(instance, max_bins=ell, oracle_limit=oracle_limit)
     return result is not None and result[0] == ell

@@ -12,12 +12,14 @@ from rectbin.classify import (
     delta_threshold,
     find_feasible_delta,
     h_max,
+    lower_bound,
     total_height,
     total_width,
     vol,
     w_max,
 )
 from rectbin.errors import PreconditionViolated
+from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
 from support import dims_strategy, make_instance
 
 EPS = Fraction(1, 256)
@@ -167,3 +169,23 @@ def test_area_guarantee_on_tall_wide_stacks():
     assert area_guarantee_check(classes, EPS)
     lhs = vol(classes.wide + [it for it in classes.high if it not in classes.wide])
     assert lhs >= 2 * XI + (total_width(classes.high) + total_height(classes.wide)) / 2
+
+
+@pytest.mark.parametrize("dims,bound", [
+    ([], 0),
+    ([(Fraction(1, 4), Fraction(1, 4))], 1),
+    ([(Fraction(1, 2), Fraction(1, 2))] * 9, 3),  # area 9/4
+    ([(Fraction(3, 5), Fraction(2, 5))] * 3, 2),  # h(W) = 6/5
+    ([(Fraction(2, 5), Fraction(3, 5))] * 5, 2),  # w(H) = 2
+    ([(Fraction(51, 100), Fraction(51, 100))] * 4, 4),  # four big items
+])
+def test_lower_bound_known_values(dims, bound):
+    assert lower_bound(make_instance(dims).items) == bound
+
+
+def test_lower_bound_never_exceeds_optimum():
+    for mode in ("guillotine", "shrink"):
+        for seed in range(12):
+            inst, _ = gen_instance(GeneratorSpec(seed=seed, n=6, ell=1 + seed % 3, mode=mode))
+            count, _ = exact_min_bins(inst)
+            assert lower_bound(inst.items) <= count, (mode, seed)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from rectbin import knapsack
 from rectbin.errors import InstanceTooLarge
-from rectbin.geometry import Item, validate_bin
+from rectbin.geometry import Item, validate_bin, validate_packing
 from rectbin.knapsack import (
     KnapsackResult,
     ProfitItem,
@@ -15,6 +16,7 @@ from rectbin.knapsack import (
     max_profit_pack,
     unit_bin_layout,
 )
+from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
 from support import brute_canonical_splits, naive_fits, rand_frac
 
 
@@ -145,6 +147,144 @@ def test_exact_pack_agrees_with_naive_search():
             report = validate_bin(layout, {it.id: it for it in items})
             assert report.ok and sorted(layout.item_ids()) == sorted(it.id for it in items)
         agree += 1
+    # coprime denominators, regions off the items' lattice, boundary sides
+    sides = [Fraction(1, 2) - Fraction(1, 1000), Fraction(1, 2) + Fraction(1, 1000),
+             Fraction(255, 256), Fraction(1, 100)]
+    regions = [Fraction(1), Fraction(2, 3), Fraction(5, 7), Fraction(255, 256),
+               Fraction(1, 2) + Fraction(1, 1000)]
+    fits = 0
+    for trial in range(600):
+        items = []
+        for i in range(rng.randint(1, 4)):
+            w, h = (rng.choice(sides) if rng.random() < 0.3 else
+                    rand_frac(rng, Fraction(1, 100), 1, rng.choice([3, 5, 7, 64, 1000]))
+                    for _ in range(2))
+            items.append(Item(i, w, h))
+        a, b = rng.choice(regions), rng.choice(regions)
+        layout = exact_pack_single_region(items, a, b)
+        assert (layout is not None) == naive_fits(items, a, b), (trial, items, a, b)
+        if layout is not None:
+            fits += 1
+            report = validate_bin(layout, {it.id: it for it in items})
+            assert report.ok and sorted(layout.item_ids()) == sorted(it.id for it in items)
+    assert 100 < fits < 500
+
+
+GOLDEN_DENS = [3, 5, 7, 8, 64, 1000]
+GOLDEN_REGIONS = [Fraction(1), Fraction(2, 3), Fraction(5, 7), Fraction(3, 4), Fraction(255, 256)]
+
+
+def golden_side(rng):
+    return Fraction(rng.randint(1, 5), 10) + Fraction(rng.randint(0, 6), rng.choice(GOLDEN_DENS) * 10)
+
+
+def golden_fill(rng, a, b, cap):
+    """Items drawn until their area would pass a random share of the region."""
+    target = a * b * Fraction(rng.randint(5, 11), 10)
+    items, area = [], Fraction(0)
+    while len(items) < cap:
+        it = Item(len(items), golden_side(rng), golden_side(rng))
+        if area + it.volume > target and len(items) >= 2:
+            break
+        items.append(it)
+        area += it.volume
+    return items
+
+
+def placements_text(layout):
+    if layout is None:
+        return "None"
+    return " ".join(f"{p.item_id}:{p.x},{p.y}" for p in layout.placements)
+
+
+# exact_pack_single_region on golden_fill(rng, a, b, 6) for Random(31337),
+# recorded with the Fraction search that preceded the integer lattice
+GOLDEN_REGION_LAYOUTS = [
+    '1:0,0 0:0,13/35 2:323/640,0',
+    '0:0,0 1:21/50,0',
+    '0:0,0 1:0,1/2 2:3/5,0 3:0,4/5',
+    '2:0,0 4:0,17/35 0:0,11/14 3:2/5,0 1:2/5,13/35 5:163/320,1063/2240',
+    'None',
+    'None',
+    '5:0,0 4:0,17/50 1:1/3,17/50 2:65/128,3/5 0:5003/10000,0 3:0,2393/3200',
+    '1:0,0 2:0,4/7 0:2/5,0',
+    'None',
+    'None',
+    'None',
+    '1:0,0 0:0,4001/10000',
+    '1:0,0 0:21/40,0',
+    'None',
+    '1:0,0 3:0,33/80 0:0,229/400 2:1001/2000,0',
+    'None',
+    'None',
+    '5:0,0 4:261/640,0 2:261/640,2003/10000 0:97/128,0 1:1753/3200,2003/10000 3:549/640,0',
+    'None',
+    'None',
+]
+
+# max_profit_pack on golden_fill(rng, a, b, 5) plus item 9 with profits of
+# 1 to 3 times the area, for Random(4242); recorded like the layouts above
+GOLDEN_PROFIT_PACKS = [
+    '441/1000 | 1:0,0',
+    '10207103/8400000 | 1:0,0 2:0,2001/5000 0:7/20,0 9:0,14129/20000 3:0,17379/20000',
+    '6543/12800 | 0:0,0 9:0,21/50',
+    '391/1000 | 9:0,0 0:3/10,0',
+    '1614413629/1960000000 | 1:0,0 9:0,259/640 0:0,363/640 4:11/50,363/640 2:11/50,269/384 3:3/10,0',
+    '209863/192000 | 0:0,0 1:0,2/5 3:13/64,2/5 9:129/320,2/5',
+    '2140451/2800000 | 9:0,0 3:4001/10000,0',
+    '803161721/627200000 | 3:0,0 9:0,2/5 1:1/2,2/5 0:5003/10000,0 2:61/80,0 4:61/80,17/30',
+    '357/250 | 2:0,0 1:0,3/10 0:3/5,0 9:2/5,13/30',
+    '48249/39200 | 0:0,0 3:0,13/50 4:1/2,13/50 1:0,108/175 2:19/70,108/175 9:19/70,2323/2800',
+]
+
+
+def test_exact_pack_golden_layouts():
+    rng = random.Random(31337)
+    got = []
+    for _ in GOLDEN_REGION_LAYOUTS:
+        a, b = rng.choice(GOLDEN_REGIONS), rng.choice(GOLDEN_REGIONS)
+        got.append(placements_text(exact_pack_single_region(golden_fill(rng, a, b, 6), a, b)))
+    assert got == GOLDEN_REGION_LAYOUTS
+
+
+def test_max_profit_golden_packs():
+    rng = random.Random(4242)
+    got = []
+    for _ in GOLDEN_PROFIT_PACKS:
+        a, b = rng.choice(GOLDEN_REGIONS), rng.choice(GOLDEN_REGIONS)
+        items = golden_fill(rng, a, b, 5) + [Item(9, golden_side(rng), golden_side(rng))]
+        pis = [ProfitItem(it, it.volume * Fraction(rng.randint(4, 12), 4)) for it in items]
+        res = max_profit_pack(pis, a, b, Fraction(1, 100))
+        got.append(f"{res.achieved_profit} | {placements_text(res.layout)}")
+    assert got == GOLDEN_PROFIT_PACKS
+
+
+@pytest.mark.parametrize("sides,a,b", [
+    # a pair that fits neither side by side nor stacked; alone, each item
+    # is the only wide (high) one, so neither stack check applies
+    ([(Fraction(1, 4), Fraction(1)), (Fraction(1), Fraction(1, 8))], 1, 1),
+    # three items wider than half the region: heights add up past it
+    ([(Fraction(3, 5), Fraction(2, 5))] * 3, 1, 1),
+    # the transposed stack, in a region off the items' lattice
+    ([(Fraction(2, 7), Fraction(4, 7))] * 3, Fraction(5, 7), 1),
+])
+def test_refutations_skip_the_search(monkeypatch, sides, a, b):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the position search ran")
+
+    monkeypatch.setattr(knapsack, "_feasible_positions", no_search)
+    items = [Item(i, w, h) for i, (w, h) in enumerate(sides)]
+    assert knapsack.vol(items) <= Fraction(a) * b
+    assert exact_pack_single_region(items, a, b) is None
+
+
+def test_exact_min_bins_pair_that_cannot_share():
+    # items 3 (1/4 x 1) and 1 (1 x 13/512) exclude each other: the pair
+    # check refutes every bin that holds both without a position search
+    instance, _ = gen_instance(GeneratorSpec(seed=824033, n=6, ell=3, mode="shrink"))
+    count, packing = exact_min_bins(instance)
+    assert count == 2 and len(packing.bins) == 2
+    assert validate_packing(packing, instance).ok
 
 
 def test_best_effort_certifies_or_raises():

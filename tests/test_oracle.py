@@ -1,5 +1,6 @@
 import pytest
 
+from rectbin import oracle
 from rectbin.classify import classify, find_feasible_delta, total_height, total_width
 from rectbin.errors import InstanceTooLarge
 from rectbin.fileio import serialize_packing
@@ -131,6 +132,18 @@ def test_certify_opt_volume_bound():
     # two bins of guillotine pieces have total volume 2 > 1
     inst, wit = gen_instance(GeneratorSpec(3, 12, 2))
     assert certify_opt(inst, 2, wit, oracle_limit=4)
+
+
+def test_exact_min_bins_none_below_lower_bound(monkeypatch):
+    # four big items need four bins; no partition search is needed to say so
+    inst = Instance([Item(i, Fraction(3, 5), Fraction(3, 5)) for i in range(4)])
+    assert exact_min_bins(inst, max_bins=4)[0] == 4
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the partition search ran")
+
+    monkeypatch.setattr(oracle, "canonical_partitions", no_search)
+    assert exact_min_bins(inst, max_bins=3) is None
 
 
 def test_certify_opt_rejects_slack_claim():
