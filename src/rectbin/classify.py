@@ -39,17 +39,6 @@ def h_max(items) -> Fraction:
     return max((it.height for it in items), default=Fraction(0))
 
 
-def lower_bound(items) -> int:
-    """Bins that every packing of items needs: the ceiling of the largest
-    of the total area, h(W) (wide items cross the vertical midline, so
-    they stack), w(H) (likewise side by side) and the number of big
-    items (no two share a bin)."""
-    wide = [it for it in items if it.width > HALF]
-    high = [it for it in items if it.height > HALF]
-    big = sum(1 for it in wide if it.height > HALF)
-    return math.ceil(max(vol(items), total_height(wide), total_width(high), big))
-
-
 @dataclass
 class ItemClasses:
     items: list
@@ -81,6 +70,16 @@ def classify(instance: Instance) -> ItemClasses:
         if not is_wide and not is_high:
             small.append(it)
     return ItemClasses(list(instance.items), wide, high, small, big)
+
+
+def lower_bound(instance: Instance) -> int:
+    """Bins that every packing of the instance needs: the ceiling of the
+    largest of the total area, h(W) (wide items cross the vertical
+    midline, so they stack), w(H) (likewise side by side) and the number
+    of big items (no two share a bin)."""
+    classes = classify(instance)
+    return math.ceil(max(vol(instance.items), total_height(classes.wide),
+                         total_width(classes.high), len(classes.big)))
 
 
 @dataclass

@@ -8,7 +8,6 @@ import dataclasses
 import sys
 from fractions import Fraction
 
-from .classify import lower_bound
 from .config import SolveConfig, config_from_env
 from .errors import GuessFailed, InstanceTooLarge, PackingStuck, ParseError
 from .fileio import (
@@ -67,23 +66,16 @@ def pack_auto(instance: Instance, config: SolveConfig):
     constant-bin solver for each guess, then the shelf fallback.  Each of
     them validates the packing it returns.
 
-    A branch that emits at most m bins is skipped when lower_bound
-    proves that more than m are needed, since it could only fail.
-
     Returns (packing, provenance, guaranteed).  The fallback never fails,
     so neither does this.
     """
-    bound = lower_bound(instance.items)
-    if bound <= 2:
-        try:
-            packing = pack_opt1(instance, config.eps_opt1,
-                                exact_limit=config.exact_limit)
-            return packing, "opt1", True
-        except (GuessFailed, InstanceTooLarge):
-            pass
+    try:
+        packing = pack_opt1(instance, config.eps_opt1,
+                            exact_limit=config.exact_limit)
+        return packing, "opt1", True
+    except (GuessFailed, InstanceTooLarge):
+        pass
     for ell in range(2, config.k):
-        if bound > 2 * ell:
-            continue
         try:
             packing = pack_opt_const(
                 instance, ell, config.k,

@@ -3,8 +3,10 @@
 Both formats are line oriented and bit exact: every number is a rational
 written as `p/q` (or a plain integer), and decimals in input are read as
 p/10^d without rounding.  parse(serialize(x)) returns x unchanged.
-Decimal exponents are bounded: 1e-N builds 10**N, so a large N would
-stall the parser.
+Numbers are bounded so that both hold: a decimal exponent above
+MAX_EXPONENT in magnitude is refused before 10**N is built (a large N would
+stall the parser), and so is a number whose numerator or denominator has
+more than MAX_DIGITS digits, which serialize could not write back.
 """
 
 import re
@@ -13,9 +15,11 @@ from fractions import Fraction
 from .errors import ParseError
 from .geometry import BinLayout, Instance, Item, Packing
 
-# largest decimal exponent magnitude accepted; the interpreter's own limit
-# on the digits of an int converted from or to a string
-MAX_EXPONENT = 4300
+# the interpreter's default limit on the digits of an int converted from or
+# to a decimal string; 1e-4299 has a denominator of exactly that many digits
+MAX_DIGITS = 4300
+MAX_EXPONENT = MAX_DIGITS - 1
+_DIGIT_CAP = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
@@ -24,9 +28,12 @@ def _rational(tok, lineno):
     try:
         if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
             raise ParseError(lineno, f"exponent of {tok!r} exceeds {MAX_EXPONENT} in magnitude")
-        return Fraction(tok)
+        value = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {tok!r}") from None
+    if max(abs(value.numerator), value.denominator) >= _DIGIT_CAP:
+        raise ParseError(lineno, f"{tok!r} has more than {MAX_DIGITS} digits")
+    return value
 
 
 def _int(tok, lineno):

@@ -100,7 +100,7 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     if not items:
         return 0, Packing([])
     cache = {}
-    for b in range(lower_bound(items), max_bins + 1):
+    for b in range(lower_bound(instance), max_bins + 1):
         split = next(canonical_partitions(items, b, cache, oracle_limit), None)
         if split is not None:
             return b, Packing([unit_bin_layout(part, cache, oracle_limit)
@@ -116,7 +116,7 @@ def certify_opt(instance: Instance, ell: int, witness: Packing, oracle_limit=8) 
     """
     if len(witness.bins) > ell or not validate_packing(witness, instance).ok:
         return False
-    if lower_bound(instance.items) >= ell:
+    if lower_bound(instance) >= ell:
         return True
     result = exact_min_bins(instance, max_bins=ell, oracle_limit=oracle_limit)
     return result is not None and result[0] == ell

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from rectbin.classify import (
     w_max,
 )
 from rectbin.errors import PreconditionViolated
-from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
-from support import dims_strategy, make_instance
+from rectbin.oracle import GeneratorSpec, gen_instance
+from support import brute_min_bins, dims_strategy, make_instance
 
 EPS = Fraction(1, 256)
 
@@ -180,12 +181,19 @@ def test_area_guarantee_on_tall_wide_stacks():
     ([(Fraction(51, 100), Fraction(51, 100))] * 4, 4),  # four big items
 ])
 def test_lower_bound_known_values(dims, bound):
-    assert lower_bound(make_instance(dims).items) == bound
+    assert lower_bound(make_instance(dims)) == bound
 
 
 def test_lower_bound_never_exceeds_optimum():
+    # both upper bounds are independent of lower_bound: the generator's
+    # witness packing, and a brute force over every assignment
     for mode in ("guillotine", "shrink"):
         for seed in range(12):
-            inst, _ = gen_instance(GeneratorSpec(seed=seed, n=6, ell=1 + seed % 3, mode=mode))
-            count, _ = exact_min_bins(inst)
-            assert lower_bound(inst.items) <= count, (mode, seed)
+            inst, witness = gen_instance(GeneratorSpec(seed=seed, n=6, ell=1 + seed % 3, mode=mode))
+            assert lower_bound(inst) <= len(witness.bins), (mode, seed)
+    rng = random.Random(3)
+    for trial in range(40):
+        dims = [(Fraction(rng.randint(2, 9), 10), Fraction(rng.randint(2, 9), 10))
+                for _ in range(4)]
+        inst = make_instance(dims)
+        assert lower_bound(inst) <= brute_min_bins(inst.items), (trial, dims)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from rectbin import cli
 from rectbin.cli import main, pack_auto, shelf_pack
 from rectbin.config import SolveConfig, config_from_env
 from rectbin.errors import PackingStuck
@@ -74,18 +73,6 @@ class TestPackAuto:
         assert branch == "shelf"
         assert guaranteed is False
         assert validate_packing(packing, inst).ok
-
-    def test_guesses_below_the_lower_bound_are_skipped(self, monkeypatch):
-        # five big items need five bins: neither opt1 (2 bins) nor the
-        # guess ell = 2 (4 bins) can succeed, so neither runs
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("a hopeless guess ran")
-
-        monkeypatch.setattr(cli, "pack_opt1", must_not_run)
-        monkeypatch.setattr(cli, "pack_opt_const", must_not_run)
-        inst = Instance([Item(i, F(3, 5), F(3, 5)) for i in range(5)])
-        packing, branch, guaranteed = pack_auto(inst, SolveConfig())
-        assert (branch, guaranteed, len(packing.bins)) == ("shelf", False, 5)
 
     def test_never_raises_on_generated_mixes(self):
         rng = random.Random(11)

@@ -60,7 +60,10 @@ class TestInstanceFormat:
             parse_instance(text)
         assert info.value.line_no == line
 
-    @pytest.mark.parametrize("tok", ["1e-5000", "1e5000", "1E+5000", "2.5e-4301"])
+    @pytest.mark.parametrize("tok", [
+        "1e-5000", "1e5000", "1E+5000", "2.5e-4301", "1e-4300",
+        "1.1e-4299",  # 11/10**4300: the exponent is in bound, the digits are not
+    ])
     def test_exponent_bound(self, tok):
         # 1e-N builds 10**N; only magnitudes just past the bound run here
         with pytest.raises(ParseError) as info:
@@ -68,9 +71,10 @@ class TestInstanceFormat:
         assert info.value.line_no == 2
 
     def test_exponent_at_bound_is_exact(self):
-        inst = parse_instance("items 1\n0 1e-4300 25e-2\n")
-        assert inst.items[0].width == F(1, 10**4300)
+        inst = parse_instance("items 1\n0 1e-4299 25e-2\n")
+        assert inst.items[0].width == F(1, 10**4299)
         assert inst.items[0].height == F(1, 4)
+        assert parse_instance(serialize_instance(inst)) == inst
 
 
 class TestPackingFormat:
