@@ -13,6 +13,7 @@ from .errors import GuessFailed, InstanceTooLarge, PackingStuck, ParseError
 from .fileio import (
     parse_instance,
     parse_packing,
+    parse_rational,
     serialize_instance,
     serialize_packing,
 )
@@ -117,7 +118,11 @@ def cmd_pack(args):
     if args.k is not None:
         config = dataclasses.replace(config, k=args.k)
     if args.eps is not None:
-        config = dataclasses.replace(config, eps_opt1=Fraction(args.eps))
+        try:
+            eps = parse_rational(args.eps)
+        except ValueError as exc:
+            raise ValueError(f"--eps: {exc}") from exc
+        config = dataclasses.replace(config, eps_opt1=eps)
     instance = parse_instance(_read(args.infile))
     packing, provenance, guaranteed = pack_auto(instance, config)
     _write(args.out, serialize_packing(packing))

@@ -4,6 +4,8 @@ import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from .fileio import parse_rational
+
 
 @dataclass
 class SolveConfig:
@@ -30,8 +32,9 @@ def config_from_env(environ=None) -> SolveConfig:
     """Build a config, applying any of the documented override variables.
 
     Integer fields read K, EXACT_LIMIT, ENUMERATION_LIMIT and ORACLE_LIMIT;
-    EPS_OPT1 accepts `p/q` or a decimal.  A malformed value raises ValueError
-    naming the variable.
+    EPS_OPT1 accepts `p/q` or a decimal, within the number bounds of
+    fileio.parse_rational.  A malformed or out-of-bound value raises
+    ValueError naming the variable.
     """
     if environ is None:
         environ = os.environ
@@ -42,10 +45,9 @@ def config_from_env(environ=None) -> SolveConfig:
             continue
         try:
             if f.name == "eps_opt1":
-                kwargs[f.name] = Fraction(raw)
+                kwargs[f.name] = parse_rational(raw)
             else:
                 kwargs[f.name] = int(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"environment variable {f.name.upper()}: "
-                             f"bad value {raw!r}") from exc
+        except ValueError as exc:
+            raise ValueError(f"environment variable {f.name.upper()}: {exc}") from exc
     return SolveConfig(**kwargs)

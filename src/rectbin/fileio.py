@@ -23,17 +23,28 @@ _DIGIT_CAP = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
-def _rational(tok, lineno):
-    exponent = _EXPONENT.search(tok)
+def parse_rational(text):
+    """text as an exact Fraction (`p/q`, an integer or a decimal), within
+    the number bounds above; ValueError otherwise.  Shared by every reader
+    of numbers from outside the program."""
+    exponent = _EXPONENT.search(text)
     try:
-        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise ParseError(lineno, f"exponent of {tok!r} exceeds {MAX_EXPONENT} in magnitude")
-        value = Fraction(tok)
+        huge = exponent is not None and abs(int(exponent.group(1))) > MAX_EXPONENT
+        value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, f"bad rational {tok!r}") from None
+        raise ValueError(f"bad rational {text!r}") from None
+    if huge:
+        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
     if max(abs(value.numerator), value.denominator) >= _DIGIT_CAP:
-        raise ParseError(lineno, f"{tok!r} has more than {MAX_DIGITS} digits")
+        raise ValueError(f"{text!r} has more than {MAX_DIGITS} digits")
     return value
+
+
+def _rational(tok, lineno):
+    try:
+        return parse_rational(tok)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _int(tok, lineno):

@@ -21,9 +21,19 @@ scale this is exact; beyond exact_limit a greedy fallback runs and the
 result is kept only when it provably meets the (1 - eps) * OPT - eps
 contract.
 
-The region packer first tries three exact refutations: two items that can
-sit neither side by side nor one above the other, items wider than half
-the region whose heights add up past it, and the transposed stack.
+The region packer first cuts out every item of full region height as a
+column and every item of full width as a row, narrowing the region (no
+other item can share such an item's x or y range), and then tries exact
+refutations on what is left: an item larger than the narrowed region, two
+items that can sit neither side by side nor one above the other, items
+wider than half the region whose heights add up past it, and the
+transposed stack.  The cut only refutes; a set that survives is searched
+whole in the original region.  Once the search has backtracked, it checks
+forward: after each placement every later item shape must keep a feasible
+normal position, or the placement is dropped.  A shape's first feasible
+position only moves later as boxes are added, so each shape carries its
+first spot down the recursion and its scan resumes there.  Both only
+remove subtrees without a solution, so the first layout is unchanged.
 """
 
 import math
@@ -221,13 +231,36 @@ def max_area_pack(items, a, b, eps, exact_limit=10) -> KnapsackResult:
     )
 
 
+def _without_full_sides(sides, a, b):
+    """(sides, a, b) with each box of full region height cut out as a
+    column and each box of full width as a row, until none is left.  No
+    other box can share the x range of a full-height box, so sliding the
+    columns to one end shows that the rest fits the narrowed region exactly
+    when the whole set fits (a, b); likewise for rows."""
+    sides = list(sides)
+    while True:
+        full = next(((w, h) for w, h in sides if h == b or w == a), None)
+        if full is None:
+            return sides, a, b
+        sides.remove(full)
+        if full[1] == b:
+            a -= full[0]
+        else:
+            b -= full[1]
+
+
 def _refuted(sides, a, b):
     """True when no layout of these (width, height) boxes in region (a, b)
-    can exist, by one of three exact proofs.  Two boxes with w_i + w_j > a
-    and h_i + h_j > b can sit neither side by side nor one above the other.
+    can exist, by one of four exact proofs, each applied after the
+    full-side reduction of _without_full_sides.  A box may be wider or
+    higher than the narrowed region.  Two boxes with w_i + w_j > a and
+    h_i + h_j > b can sit neither side by side nor one above the other.
     Boxes wider than a/2 all cross the vertical midline, so they stack and
     their heights must add up to at most b; likewise the widths of boxes
     higher than b/2 must add up to at most a."""
+    sides, a, b = _without_full_sides(sides, a, b)
+    if any(w > a or h > b for w, h in sides):
+        return True
     for (w1, h1), (w2, h2) in combinations(sides, 2):
         if w1 + w2 > a and h1 + h2 > b:
             return True
@@ -236,12 +269,36 @@ def _refuted(sides, a, b):
     return sum(w for w, h in sides if 2 * h > b) > a
 
 
+def _first_spots(shapes, prior, box, xs, ys, placed, a, b):
+    """{shape: its first feasible normal position}, given placed (which
+    ends with box), or None when some shape has none left.
+
+    prior maps each shape to its first position before box was placed, or
+    is None when unknown.  Placing a box only removes positions, so a prior
+    spot clear of box is still first, and otherwise the scan resumes just
+    past it."""
+    left, bottom, right, top = box
+    spots = {}
+    for w, h in shapes:
+        spot = prior[w, h] if prior else None
+        if spot is None or (spot[0] < right and left < spot[0] + w
+                            and spot[1] < top and bottom < spot[1] + h):
+            spot = next(_feasible_positions(w, h, xs, ys, placed, a, b, spot), None)
+            if spot is None:
+                return None
+        spots[w, h] = spot
+    return spots
+
+
 def exact_pack_single_region(items, a, b, exact_limit=10):
     """A validating layout of every item in region (a, b), or None.
 
     Complete search over normal positions with identical-item symmetry
-    breaking; deterministic first solution.  The area bound, the side
-    bounds and the refutations of _refuted answer None without a search.
+    breaking; deterministic first solution.  The area bound and the
+    refutations of _refuted answer None without a search.  Once the search
+    has backtracked, a placement that leaves some later item shape no
+    feasible position is dropped (forward checking); that prunes only
+    subtrees without a solution, so the first solution is unchanged.
     """
     items = list(items)
     a, b = scalar(a), scalar(b)
@@ -252,28 +309,38 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     if vol(items) > a * b:
         return None
     order = sorted(items, key=lambda it: (-it.volume, it.id))
-    if any(it.width > a or it.height > b for it in order):
-        return None
     d, a_d, b_d, sides = _lattice(order, a, b)
     if _refuted(sides, a_d, b_d):
         return None
     xs = _axis_positions([w for w, _ in sides], a_d)
     ys = _axis_positions([h for _, h in sides], b_d)
+    # ahead[i]: the distinct shapes of the items after order[i], largest
+    # (likeliest to be shut out) first
+    ahead = [list(dict.fromkeys(sides[i + 1:])) for i in range(len(sides))]
     placed = []  # placed[i] is the box of order[i]
+    backtracked = False
 
-    def rec(i, last_pos):
+    def rec(i, last_pos, spots):
+        nonlocal backtracked
         if i == len(order):
             return True
         w, h = sides[i]
         floor = last_pos if i > 0 and sides[i - 1] == sides[i] else None
         for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
-            placed.append((x, y, x + w, y + h))
-            if rec(i + 1, (x, y)):
-                return True
+            box = (x, y, x + w, y + h)
+            placed.append(box)
+            if not backtracked:
+                if rec(i + 1, (x, y), None):
+                    return True
+                backtracked = True
+            else:
+                after = _first_spots(ahead[i], spots, box, xs, ys, placed, a_d, b_d)
+                if after is not None and rec(i + 1, (x, y), after):
+                    return True
             placed.pop()
         return False
 
-    if rec(0, None):
+    if rec(0, None, None):
         return BinLayout(a, b, [Placement(it.id, Fraction(x, d), Fraction(y, d))
                                 for it, (x, y, _, _) in zip(order, placed)])
     return None

@@ -214,3 +214,44 @@ def brute_canonical_splits(items, bins, labeled=0):
         if all(naive_fits(part, 1, 1) for part in parts):
             out.append(tuple(tuple(it.id for it in part) for part in parts))
     return out
+
+
+class SearchBudgetExceeded(Exception):
+    """unpruned_region_search placed more boxes than its budget allows."""
+
+
+def unpruned_region_search(items, a, b, max_placements):
+    """The exact region packer without refutations or forward checking:
+    the same item order, lattice, normal positions and identical-item
+    floor, so it returns the same first layout as
+    knapsack.exact_pack_single_region, as [(item id, x, y)], or None.
+    Raises SearchBudgetExceeded past max_placements placements, so a set
+    it cannot settle quickly is skipped the same way on every machine."""
+    from rectbin.knapsack import _axis_positions, _feasible_positions, _lattice
+
+    a, b = Fraction(a), Fraction(b)
+    order = sorted(items, key=lambda it: (-it.volume, it.id))
+    d, a_d, b_d, sides = _lattice(order, a, b)
+    xs = _axis_positions([w for w, _ in sides], a_d)
+    ys = _axis_positions([h for _, h in sides], b_d)
+    placed = []
+    budget = [max_placements]
+
+    def rec(i, last_pos):
+        if i == len(order):
+            return True
+        w, h = sides[i]
+        floor = last_pos if i > 0 and sides[i - 1] == sides[i] else None
+        for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SearchBudgetExceeded(max_placements)
+            placed.append((x, y, x + w, y + h))
+            if rec(i + 1, (x, y)):
+                return True
+            placed.pop()
+        return False
+
+    if not rec(0, None):
+        return None
+    return [(it.id, Fraction(x, d), Fraction(y, d)) for it, (x, y, _, _) in zip(order, placed)]

@@ -46,6 +46,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_env({"EPS_OPT1": "1/0"})
 
+    @pytest.mark.parametrize("raw", ["1e-5000", "1E+5000", "1e-4300", "1.1e-4299"])
+    def test_env_eps_number_bound(self, raw):
+        # the bound of the instance parser: 1e-5000 would build a
+        # 16610-bit denominator
+        with pytest.raises(ValueError, match="EPS_OPT1"):
+            config_from_env({"EPS_OPT1": raw})
+
+    def test_env_eps_at_bound_is_exact(self):
+        cfg = config_from_env({"EPS_OPT1": "1e-4299"})
+        assert cfg.eps_opt1 == F(1, 10**4299)
+
 
 class TestPackAuto:
     def test_single_item(self):
@@ -135,6 +146,22 @@ class TestCommands:
         out = tmp_path / "x.pack"
         assert main(["pack", "--in", str(bad), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e-5000", "1.1e-4299", "1/0", "x"])
+    def test_pack_eps_number_bound(self, tmp_path, capsys, eps):
+        inst = tmp_path / "a.inst"
+        inst.write_text("items 1\n0 1/2 1/2\n")
+        out = tmp_path / "a.pack"
+        assert main(["pack", "--in", str(inst), "--out", str(out), "--eps", eps]) == 2
+        assert "--eps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pack_eps_accepts_decimal(self, tmp_path, capsys):
+        inst = tmp_path / "a.inst"
+        inst.write_text("items 1\n0 1/2 1/2\n")
+        out = tmp_path / "a.pack"
+        assert main(["pack", "--in", str(inst), "--out", str(out), "--eps", "0.001"]) == 0
+        assert out.exists()
 
     def test_oracle_command(self, tmp_path, capsys):
         inst = tmp_path / "a.inst"

@@ -17,7 +17,13 @@ from rectbin.knapsack import (
     unit_bin_layout,
 )
 from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
-from support import brute_canonical_splits, naive_fits, rand_frac
+from support import (
+    SearchBudgetExceeded,
+    brute_canonical_splits,
+    naive_fits,
+    rand_frac,
+    unpruned_region_search,
+)
 
 
 def brute_force_profit(pitems, a, b):
@@ -129,6 +135,12 @@ def test_exact_pack_respects_limit():
     assert exact_pack_single_region(items, 1, 1, exact_limit=11) is not None
 
 
+BOUNDARY_SIDES = [Fraction(1, 2) - Fraction(1, 1000), Fraction(1, 2) + Fraction(1, 1000),
+                  Fraction(255, 256), Fraction(1, 100)]
+BOUNDARY_REGIONS = [Fraction(1), Fraction(2, 3), Fraction(5, 7), Fraction(255, 256),
+                    Fraction(1, 2) + Fraction(1, 1000)]
+
+
 def test_exact_pack_agrees_with_naive_search():
     rng = random.Random(7)
     agree = 0
@@ -148,19 +160,15 @@ def test_exact_pack_agrees_with_naive_search():
             assert report.ok and sorted(layout.item_ids()) == sorted(it.id for it in items)
         agree += 1
     # coprime denominators, regions off the items' lattice, boundary sides
-    sides = [Fraction(1, 2) - Fraction(1, 1000), Fraction(1, 2) + Fraction(1, 1000),
-             Fraction(255, 256), Fraction(1, 100)]
-    regions = [Fraction(1), Fraction(2, 3), Fraction(5, 7), Fraction(255, 256),
-               Fraction(1, 2) + Fraction(1, 1000)]
     fits = 0
     for trial in range(600):
         items = []
         for i in range(rng.randint(1, 4)):
-            w, h = (rng.choice(sides) if rng.random() < 0.3 else
+            w, h = (rng.choice(BOUNDARY_SIDES) if rng.random() < 0.3 else
                     rand_frac(rng, Fraction(1, 100), 1, rng.choice([3, 5, 7, 64, 1000]))
                     for _ in range(2))
             items.append(Item(i, w, h))
-        a, b = rng.choice(regions), rng.choice(regions)
+        a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
         layout = exact_pack_single_region(items, a, b)
         assert (layout is not None) == naive_fits(items, a, b), (trial, items, a, b)
         if layout is not None:
@@ -168,6 +176,54 @@ def test_exact_pack_agrees_with_naive_search():
             report = validate_bin(layout, {it.id: it for it in items})
             assert report.ok and sorted(layout.item_ids()) == sorted(it.id for it in items)
     assert 100 < fits < 500
+
+
+def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
+    # forward checking and the refutations only drop subtrees without a
+    # solution, so the first layout is the one the plain search finds
+    checks = []
+    first_spots = knapsack._first_spots
+
+    def counted(*args):
+        spots = first_spots(*args)
+        checks.append(spots is None)
+        return spots
+
+    monkeypatch.setattr(knapsack, "_first_spots", counted)
+    rng = random.Random(5)
+
+    def side(limit):
+        if rng.random() < 0.3:
+            s = rng.choice(BOUNDARY_SIDES)
+            if s <= limit:
+                return s
+        return rand_frac(rng, limit / 20, limit * Fraction(3, 5), rng.choice([3, 5, 7, 64, 1000]))
+
+    compared = fits = full = checked_sets = 0
+    while compared < 500:
+        a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
+        items = []
+        for i in range(rng.randint(5, 8)):
+            kind = rng.random()
+            w = a if 0.1 <= kind < 0.2 else side(a)
+            h = b if kind < 0.1 else side(b)
+            items.append(Item(i, w, h))
+        if knapsack.vol(items) > a * b:
+            continue
+        try:
+            expected = unpruned_region_search(items, a, b, max_placements=1000)
+        except SearchBudgetExceeded:
+            continue
+        before = len(checks)
+        layout = exact_pack_single_region(items, a, b)
+        got = None if layout is None else [(p.item_id, p.x, p.y) for p in layout.placements]
+        assert got == expected, (items, a, b)
+        compared += 1
+        fits += layout is not None
+        full += any(it.width == a or it.height == b for it in items)
+        checked_sets += len(checks) > before
+    assert 150 < fits < 350 and full > 150
+    assert checked_sets > 50 and sum(checks) > 1000  # sets forward checked, placements dropped
 
 
 GOLDEN_DENS = [3, 5, 7, 8, 64, 1000]
@@ -263,6 +319,16 @@ def test_max_profit_golden_packs():
     # a pair that fits neither side by side nor stacked; alone, each item
     # is the only wide (high) one, so neither stack check applies
     ([(Fraction(1, 4), Fraction(1)), (Fraction(1), Fraction(1, 8))], 1, 1),
+    # the same without a full side, so the full-side cut does not apply
+    ([(Fraction(3, 4), Fraction(1, 3)), (Fraction(1, 3), Fraction(3, 4))], 1, 1),
+    # items {0, 1, 2, 3, 4, 6, 7} of gen_instance shrink n=8 ell=3
+    # seed=713315: the four full-height items leave a 51/128-wide column,
+    # where neither 11/32-wide item can sit beside the 15/256-wide one;
+    # no cut refutes the set before the full-height items are cut out
+    ([(Fraction(81, 256), Fraction(1)), (Fraction(53, 256), Fraction(1)),
+      (Fraction(3, 64), Fraction(1)), (Fraction(1, 32), Fraction(1)),
+      (Fraction(15, 256), Fraction(1, 2)), (Fraction(11, 32), Fraction(91, 512)),
+      (Fraction(11, 32), Fraction(51, 64))], 1, 1),
     # three items wider than half the region: heights add up past it
     ([(Fraction(3, 5), Fraction(2, 5))] * 3, 1, 1),
     # the transposed stack, in a region off the items' lattice

@@ -208,3 +208,37 @@ def test_exact_min_bins_golden_output(spec, expected):
     inst, _ = gen_instance(spec)
     opt, witness = exact_min_bins(inst)
     assert serialize_packing(witness) == expected
+
+
+# gen_instance shrink specs (seed, n, ell) from the slow tail of the exact
+# region packer, with the count and witness that the search without forward
+# checking or the full-side cut returned (230964 took 643 s there, 171315
+# 129 s, 713315 8 s, the others 0.3 s to 1.2 s)
+ORACLE_TAIL_GOLDEN = [
+    ((230964, 7, 1), 1,
+     "bins 1\nbin 0\n1 0 0\n5 37/64 0\n2 27/64 0\n3 0 49/128\n6 143/256 0\n0 0 7/8\n"
+     "4 0 157/256\n"),
+    ((171315, 7, 3), 2,
+     "bins 2\nbin 0\n0 0 0\n5 111/256 0\n6 0 7/8\n1 239/256 0\n2 111/256 119/256\n"
+     "4 111/256 131/256\nbin 1\n3 0 0\n"),
+    ((713315, 8, 3), 2,
+     "bins 2\nbin 0\n3 0 0\n7 81/256 0\n1 169/256 0\n6 81/256 51/64\n2 111/128 0\n"
+     "0 117/128 0\nbin 1\n5 0 0\n4 0 3/8\n"),
+    ((88027, 8, 2), 2,
+     "bins 2\nbin 0\n0 0 0\n1 9/16 0\n7 9/16 5/8\n5 357/512 0\n3 357/512 53/256\n"
+     "bin 1\n4 0 0\n2 117/256 0\n6 249/512 0\n"),
+    ((318136, 6, 2), 2,
+     "bins 2\nbin 0\n5 0 0\n2 0 3/4\n3 0 7/8\n1 7/8 0\n4 0 43/64\nbin 1\n0 0 0\n"),
+    ((155901, 8, 2), 1,
+     "bins 1\nbin 0\n7 0 0\n4 0 39/64\n2 0 3/4\n6 21/32 0\n0 0 117/512\n5 0 153/512\n"
+     "1 0 231/512\n3 0 279/512\n"),
+]
+
+
+@pytest.mark.parametrize("spec, count, expected", ORACLE_TAIL_GOLDEN,
+                         ids=["-".join(map(str, spec)) for spec, _, _ in ORACLE_TAIL_GOLDEN])
+def test_exact_min_bins_tail_golden_output(spec, count, expected):
+    seed, n, ell = spec
+    inst, _ = gen_instance(GeneratorSpec(seed=seed, n=n, ell=ell, mode="shrink"))
+    found, witness = exact_min_bins(inst)
+    assert (found, serialize_packing(witness)) == (count, expected)
