@@ -319,7 +319,12 @@ def test_max_profit_golden_packs():
     # a pair that fits neither side by side nor stacked; alone, each item
     # is the only wide (high) one, so neither stack check applies
     ([(Fraction(1, 4), Fraction(1)), (Fraction(1), Fraction(1, 8))], 1, 1),
-    # the same without a full side, so the full-side cut does not apply
+    # three items wider than half the region: heights add up past it
+    ([(Fraction(3, 5), Fraction(2, 5))] * 3, 1, 1),
+    # the transposed stack, in a region off the items' lattice
+    ([(Fraction(2, 7), Fraction(4, 7))] * 3, Fraction(5, 7), 1),
+    # a pair as in the first case, without a full side, so the full-side
+    # cut does not apply
     ([(Fraction(3, 4), Fraction(1, 3)), (Fraction(1, 3), Fraction(3, 4))], 1, 1),
     # items {0, 1, 2, 3, 4, 6, 7} of gen_instance shrink n=8 ell=3
     # seed=713315: the four full-height items leave a 51/128-wide column,
@@ -329,10 +334,6 @@ def test_max_profit_golden_packs():
       (Fraction(3, 64), Fraction(1)), (Fraction(1, 32), Fraction(1)),
       (Fraction(15, 256), Fraction(1, 2)), (Fraction(11, 32), Fraction(91, 512)),
       (Fraction(11, 32), Fraction(51, 64))], 1, 1),
-    # three items wider than half the region: heights add up past it
-    ([(Fraction(3, 5), Fraction(2, 5))] * 3, 1, 1),
-    # the transposed stack, in a region off the items' lattice
-    ([(Fraction(2, 7), Fraction(4, 7))] * 3, Fraction(5, 7), 1),
 ])
 def test_refutations_skip_the_search(monkeypatch, sides, a, b):
     def no_search(*args, **kwargs):
