@@ -11,15 +11,29 @@ common multiple d of their denominators once at entry, search on ints, and
 turn each coordinate x back into Fraction(x, d) at exit.  Multiplying by a
 positive constant keeps every sum and comparison as it was, so the search
 is as exact as over Fractions, visits positions in the same order and
-returns the same first solution.  Profit and area bookkeeping stays in
-Fraction.  A placed box is the tuple (left, bottom, right, top).
+returns the same first solution.  A placed box is the tuple (left,
+bottom, right, top).
 
 The profit solver is branch and bound: items in non-increasing area order,
-include (at each feasible normal position, x before y) or exclude, with the
-upper bound achieved + min(remaining profit, ratio * free area).  At desk
-scale this is exact; beyond exact_limit a greedy fallback runs and the
-result is kept only when it provably meets the (1 - eps) * OPT - eps
-contract.
+include (at each feasible normal position, x before y) or exclude; the
+answer is the first leaf of maximum profit.  Profits are ints too, scaled
+by the least common multiple of their denominators, and an item's volume
+is w * h on the lattice.  The upper bound at item i is the profit achieved
+plus the largest profit of a subset of the items from i on whose volume
+fits the free area (a subset-sum bound, the area relaxation of the
+two-dimensional knapsack), read by bisection from that suffix's Pareto
+frontier of (volume, profit), computed once per solve.  It is never looser
+than the ratio bound min(remaining profit, best ratio * free area), and
+any valid bound leaves the first leaf of maximum profit unchanged.
+Before the search, a set whose volume fits the region is handed whole to
+the region packer below.  Its first layout, when there is one, is the
+search's first leaf with every item included, which is then the answer:
+both place the items in the same order at the same normal positions, and
+the two differ only in which identical items they keep in lex order,
+which a first layout does anyway (swapping two same-shape items that are
+out of order gives an earlier layout).  At desk scale this is exact;
+beyond exact_limit a greedy fallback runs and the result is kept only
+when it provably meets the (1 - eps) * OPT - eps contract.
 
 The region packer first cuts out every item of full region height as a
 column and every item of full width as a row, narrowing the region (no
@@ -128,56 +142,82 @@ def _order_key(pi):
     return (-pi.item.volume, pi.item.id)
 
 
+def _suffix_frontiers(volumes, profits, cap):
+    """frontiers[i] = (vols, gains): the Pareto frontier of (volume, profit)
+    over the subsets of items i.. whose volume is at most cap, both lists
+    strictly increasing, so that gains[bisect_right(vols, v) - 1] is the
+    largest profit of such a subset within volume v."""
+    vols, gains = [0], [0]
+    frontiers = [(vols, gains)]
+    for v, p in zip(reversed(volumes), reversed(profits)):
+        points = list(zip(vols, gains))
+        points += [(fv + v, fp + p) for fv, fp in points if fv + v <= cap]
+        # by volume, the richest first: a point stays only when it is
+        # richer than every point of no larger volume
+        vols, gains = [], []
+        for fv, fp in sorted(points, key=lambda t: (t[0], -t[1])):
+            if not gains or fp > gains[-1]:
+                vols.append(fv)
+                gains.append(fp)
+        frontiers.append((vols, gains))
+    frontiers.reverse()
+    return frontiers
+
+
 def _solve_exact(pitems, a, b):
+    """(profit, selected items, placements) of the first leaf of maximum
+    profit in the include-before-exclude search."""
     order = sorted(pitems, key=_order_key)
     d, a_d, b_d, sides = _lattice([pi.item for pi in order], a, b)
     xs = _axis_positions([w for w, _ in sides], a_d)
     ys = _axis_positions([h for _, h in sides], b_d)
-    ratio = max((pi.profit / pi.item.volume for pi in order), default=ONE)
-    area = a * b
-    volumes = [pi.item.volume for pi in order]
-    suffix = [ZERO] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + order[i].profit
-    best = {"profit": Fraction(-1), "sel": [], "pl": []}
+    # profits on ints too: scaled by the common denominator q
+    q = math.lcm(*(pi.profit.denominator for pi in order))
+    profits = [pi.profit.numerator * (q // pi.profit.denominator) for pi in order]
+    volumes = [w * h for w, h in sides]
+    area = a_d * b_d
+    frontiers = _suffix_frontiers(volumes, profits, area)
+    best = -1
+    best_sel, best_pl = [], []
     placed = []  # boxes on the lattice
     chosen = []  # the item of each box
 
     # previous item same shape and profit: decisions can be canonicalized
-    twins = [i > 0 and (sides[i - 1], order[i - 1].profit) == (sides[i], order[i].profit)
+    twins = [i > 0 and (sides[i - 1], profits[i - 1]) == (sides[i], profits[i])
              for i in range(len(order))]
 
     def rec(i, achieved, used, last_excluded, last_pos):
+        nonlocal best, best_sel, best_pl
         if i == len(order):
-            if achieved > best["profit"]:
-                best["profit"] = achieved
-                best["sel"] = list(chosen)
-                best["pl"] = [Placement(it.id, Fraction(x, d), Fraction(y, d))
-                              for it, (x, y, _, _) in zip(chosen, placed)]
+            if achieved > best:
+                best = achieved
+                best_sel = list(chosen)
+                best_pl = [Placement(it.id, Fraction(x, d), Fraction(y, d))
+                           for it, (x, y, _, _) in zip(chosen, placed)]
             return
         free = area - used
-        bound = achieved + min(suffix[i], ratio * free)
-        if bound <= best["profit"]:
+        vols, gains = frontiers[i]
+        bound = achieved + gains[bisect_right(vols, free) - 1]
+        if bound <= best:
             return
-        pi = order[i]
-        it = pi.item
+        it = order[i].item
         w, h = sides[i]
         same = twins[i]
         if not (same and last_excluded):
             floor = last_pos if same else None
             if volumes[i] <= free:
                 for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
-                    if bound <= best["profit"]:
+                    if bound <= best:
                         break
                     placed.append((x, y, x + w, y + h))
                     chosen.append(it)
-                    rec(i + 1, achieved + pi.profit, used + volumes[i], False, (x, y))
+                    rec(i + 1, achieved + profits[i], used + volumes[i], False, (x, y))
                     chosen.pop()
                     placed.pop()
         rec(i + 1, achieved, used, True, None)
 
-    rec(0, ZERO, ZERO, False, None)
-    return best
+    rec(0, 0, 0, False, None)
+    return Fraction(best, q), best_sel, best_pl
 
 
 def _best_effort(pitems, a, b):
@@ -207,9 +247,14 @@ def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
         raise ValueError("eps must be positive")
     usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
     if len(pitems) <= exact_limit:
-        best = _solve_exact(usable, a, b)
-        layout = BinLayout(a, b, best["pl"])
-        return KnapsackResult(best["sel"], layout, max(best["profit"], ZERO), True)
+        if vol([pi.item for pi in usable]) <= a * b:
+            # the first all-included leaf of the search, when one exists
+            order = [pi.item for pi in sorted(usable, key=_order_key)]
+            layout = exact_pack_single_region(order, a, b, exact_limit)
+            if layout is not None:
+                return KnapsackResult(order, layout, sum((pi.profit for pi in usable), ZERO), True)
+        profit, selected, placements = _solve_exact(usable, a, b)
+        return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
     achieved, placed = _best_effort(usable, a, b)
     ratio = max((pi.profit / pi.item.volume for pi in usable), default=ONE)
     upper = min(

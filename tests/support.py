@@ -255,3 +255,67 @@ def unpruned_region_search(items, a, b, max_placements):
     if not rec(0, None):
         return None
     return [(it.id, Fraction(x, d), Fraction(y, d)) for it, (x, y, _, _) in zip(order, placed)]
+
+
+def reference_profit_search(pitems, a, b, max_placements):
+    """knapsack._solve_exact as it was before integer profits, the subset-sum
+    bound and the fit-all probe: Fraction profit and area bookkeeping and
+    the bound achieved + min(remaining profit, best ratio * free area).
+    Returns (profit, [selected item ids], [(item id, x, y)]) of the first
+    leaf of maximum profit, which any valid bound leaves unchanged.
+    Raises SearchBudgetExceeded past max_placements placements, like
+    unpruned_region_search."""
+    from rectbin.knapsack import _axis_positions, _feasible_positions, _lattice
+
+    a, b = Fraction(a), Fraction(b)
+    usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
+    order = sorted(usable, key=lambda pi: (-pi.item.volume, pi.item.id))
+    d, a_d, b_d, sides = _lattice([pi.item for pi in order], a, b)
+    xs = _axis_positions([w for w, _ in sides], a_d)
+    ys = _axis_positions([h for _, h in sides], b_d)
+    ratio = max((pi.profit / pi.item.volume for pi in order), default=Fraction(1))
+    area = a * b
+    volumes = [pi.item.volume for pi in order]
+    suffix = [Fraction(0)] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + order[i].profit
+    best = {"profit": Fraction(-1), "sel": [], "pl": []}
+    placed = []
+    chosen = []
+    budget = [max_placements]
+    twins = [i > 0 and (sides[i - 1], order[i - 1].profit) == (sides[i], order[i].profit)
+             for i in range(len(order))]
+
+    def rec(i, achieved, used, last_excluded, last_pos):
+        if i == len(order):
+            if achieved > best["profit"]:
+                best["profit"] = achieved
+                best["sel"] = [it.id for it in chosen]
+                best["pl"] = [(it.id, Fraction(x, d), Fraction(y, d))
+                              for it, (x, y, _, _) in zip(chosen, placed)]
+            return
+        free = area - used
+        bound = achieved + min(suffix[i], ratio * free)
+        if bound <= best["profit"]:
+            return
+        pi = order[i]
+        w, h = sides[i]
+        same = twins[i]
+        if not (same and last_excluded):
+            floor = last_pos if same else None
+            if volumes[i] <= free:
+                for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+                    if bound <= best["profit"]:
+                        break
+                    budget[0] -= 1
+                    if budget[0] < 0:
+                        raise SearchBudgetExceeded(max_placements)
+                    placed.append((x, y, x + w, y + h))
+                    chosen.append(pi.item)
+                    rec(i + 1, achieved + pi.profit, used + volumes[i], False, (x, y))
+                    chosen.pop()
+                    placed.pop()
+        rec(i + 1, achieved, used, True, None)
+
+    rec(0, Fraction(0), Fraction(0), False, None)
+    return best["profit"], best["sel"], best["pl"]

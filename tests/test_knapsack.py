@@ -22,6 +22,7 @@ from support import (
     brute_canonical_splits,
     naive_fits,
     rand_frac,
+    reference_profit_search,
     unpruned_region_search,
 )
 
@@ -313,6 +314,127 @@ def test_max_profit_golden_packs():
         res = max_profit_pack(pis, a, b, Fraction(1, 100))
         got.append(f"{res.achieved_profit} | {placements_text(res.layout)}")
     assert got == GOLDEN_PROFIT_PACKS
+
+
+# the one max_area_pack call of pack_auto on six benchmark pool entries:
+# area profits, eps 1/256, exact limit 10, region a x 1, item ids as
+# permuted in the pool; results recorded before integer profits, the
+# subset-sum bound and the fit-all probe, with the time the call took then
+# on a 2-core box
+POOL_PACKS = [
+    # one_bin 915, guillotine n=11 ell=1 seed=599127: 1.26 s
+    pytest.param('31/32',
+                 '0 3/64 3/8, 1 1/2 1/16, 3 15/32 13/32, 4 1/64 3/8, 5 1/64 3/8, '
+                 '6 1/2 9/16, 7 11/64 3/8, 8 15/32 1/4, 9 1/4 3/8, 10 15/32 11/32',
+                 '31/32 | 6:0,0 3:1/2,0 10:1/2,13/32 8:1/2,3/4 9:0,9/16 7:1/4,9/16 '
+                 '1:0,15/16 0:27/64,9/16 4:15/32,9/16 5:31/64,9/16',
+                 id="one_bin-915"),
+    # one_bin 912, guillotine n=9 ell=1 seed=448117: 1.83 s
+    pytest.param('29/32',
+                 '0 29/64 23/64, 1 29/64 7/32, 2 29/64 9/16, 3 35/64 5/64, 5 29/64 1/2, '
+                 '6 35/64 1/16, 7 29/64 11/64, 8 29/64 3/64',
+                 '3591/4096 | 2:0,0 5:29/64,0 0:0,9/16 1:29/64,1/2 7:29/64,23/32 6:0,15/16 '
+                 '8:29/64,57/64',
+                 id="one_bin-912"),
+    # one_bin 383, boundary n=9 ell=1 seed=967632: 0.94 s
+    pytest.param('1',
+                 '0 31563/1024000 49599/100000, 1 5489/12800 499/100000, '
+                 '2 21543/64000 501/1000, 3 136773/1024000 49599/100000, '
+                 '4 499/1000 501/1000, 5 9/64 499/1000, 6 55/64 49401/100000, '
+                 '7 10521/64000 501/100000, 8 5511/12800 499/100000',
+                 '1 | 6:0,0 4:0,499/1000 2:499/1000,499/1000 5:55/64,0 '
+                 '3:53479/64000,499/1000 0:992437/1024000,499/1000 8:0,49401/100000 '
+                 '1:5511/12800,49401/100000 7:53479/64000,99499/100000',
+                 id="one_bin-383"),
+    # one_bin 726, guillotine n=11 ell=1 seed=105139: 0.41 s
+    pytest.param('31/32',
+                 '0 1/16 19/32, 1 9/64 9/16, 2 33/64 19/32, 3 9/64 19/32, 5 3/4 13/64, '
+                 '6 7/32 13/32, 7 5/64 9/16, 8 7/32 1/32, 9 3/4 13/64, 10 1/32 19/32',
+                 '31/32 | 2:0,0 5:0,19/32 9:0,51/64 6:3/4,0 3:33/64,0 1:3/4,13/32 '
+                 '7:57/64,13/32 0:21/32,0 10:23/32,0 8:3/4,31/32',
+                 id="one_bin-726"),
+    # two_bin 306, shrink n=9 ell=2 seed=376837: 2.23 s
+    pytest.param('1',
+                 '0 175/256 1/16, 1 9/256 23/32, 2 25/32 9/128, 3 25/64 1/8, 4 1/128 5/32, '
+                 '5 31/32 5/32, 6 11/16 23/32, 7 7/32 3/4, 8 1/2 27/64',
+                 '7299/8192 | 6:0,0 7:11/16,0 5:0,3/4 2:0,29/32 1:29/32,0 4:241/256,0',
+                 id="two_bin-306"),
+    # two_bin 64, shrink n=9 ell=2 seed=143805: 3.93 s
+    pytest.param('439/512',
+                 '0 9/32 1/4, 1 69/128 7/32, 3 21/64 7/256, 4 23/32 9/128, 5 3/16 49/64, '
+                 '6 1/2 1/2, 8 3/8 7/512',
+                 '9763/16384 | 6:0,0 5:1/2,0 1:0,399/512 0:0,1/2 3:0,3/4 8:21/64,49/64',
+                 id="two_bin-64"),
+]
+
+
+@pytest.mark.parametrize("a,items,expected", POOL_PACKS)
+def test_pool_entry_golden_packs(a, items, expected):
+    pis = []
+    for spec in items.split(", "):
+        i, w, h = spec.split()
+        it = Item(int(i), Fraction(w), Fraction(h))
+        pis.append(ProfitItem(it, it.volume))
+    res = max_profit_pack(pis, Fraction(a), 1, Fraction(1, 256))
+    assert f"{res.achieved_profit} | {placements_text(res.layout)}" == expected
+
+
+def test_fit_all_probe_skips_the_search(monkeypatch):
+    # a set that fits whole is answered by the region packer alone, before
+    # the branch and bound builds its frontiers
+    def no_search(*args):
+        raise AssertionError("the branch and bound ran")
+
+    tiles = [Item(i, Fraction(1, 2), Fraction(1, 3)) for i in range(5)] + [
+        Item(5, Fraction(1, 4), Fraction(1, 3)), Item(6, Fraction(1, 4), Fraction(1, 3))]
+    pis = [ProfitItem(it, it.volume * (5 if it.id % 2 else 1)) for it in tiles]
+    expected = reference_profit_search(pis, 1, 1, max_placements=5000)
+    monkeypatch.setattr(knapsack, "_suffix_frontiers", no_search)
+    res = max_profit_pack(pis, 1, 1, Fraction(1, 100))
+    assert len(res.selected) == len(tiles)
+    assert (res.achieved_profit, [it.id for it in res.selected],
+            [(p.item_id, p.x, p.y) for p in res.layout.placements]) == expected
+    # a set within the area that does not fit whole goes on to the search
+    crowd = [ProfitItem(Item(i, Fraction(3, 5), Fraction(3, 5)), Fraction(9, 25)) for i in range(2)]
+    with pytest.raises(AssertionError, match="branch and bound"):
+        max_profit_pack(crowd, 1, 1, Fraction(1, 100))
+
+
+def test_profit_search_matches_reference():
+    # integer profits, the subset-sum bound and the fit-all probe keep the
+    # first leaf of maximum profit: profit, selection and placements are
+    # those of the Fraction search with the ratio bound and no probe.  Half
+    # the sets sit on a coarse grid, where leaves one profit unit apart are
+    # common, so a bound one unit too tight shows.  A set the reference
+    # cannot settle within 5000 placements is skipped (about 9 per run, the
+    # same on every machine).
+    rng = random.Random(23)
+    compared = probed = 0
+    while compared < 600:
+        a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
+        boundary = rng.random() < 0.5
+        dens = [3, 5, 7, 64, 1000] if boundary else [2, 4, 8]
+
+        def side(limit):
+            if boundary and rng.random() < 0.3:
+                return rng.choice(BOUNDARY_SIDES)
+            return rand_frac(rng, limit / 10, limit * Fraction(3, 4), rng.choice(dens))
+
+        items = [Item(i, side(a), side(b)) for i in range(rng.randint(1, 8))]
+        # boosted as in optconst.run_steps_1_to_4: volume * (1/eps + 1)
+        boost = 1 / rng.choice([Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)]) + 1
+        pis = [ProfitItem(it, it.volume * (boost if rng.random() < 0.4 else 1)) for it in items]
+        try:
+            expected = reference_profit_search(pis, a, b, max_placements=5000)
+        except SearchBudgetExceeded:
+            continue
+        res = max_profit_pack(pis, a, b, Fraction(1, 100))
+        got = (res.achieved_profit, [it.id for it in res.selected],
+               [(p.item_id, p.x, p.y) for p in res.layout.placements])
+        assert got == expected, (pis, a, b)
+        compared += 1
+        probed += len(res.selected) == sum(it.width <= a and it.height <= b for it in items)
+    assert 150 < probed < 450  # sets that fit whole, and sets that do not
 
 
 @pytest.mark.parametrize("sides,a,b", [

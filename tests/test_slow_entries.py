@@ -1,12 +1,14 @@
 """scripts/slow_entries.py: one timed solve per benchmark pool entry."""
 
+import hashlib
 import importlib.util
+import json
 import time
 from pathlib import Path
 
 from rectbin import oracle
-from rectbin.fileio import serialize_instance
-from rectbin.oracle import GeneratorSpec, gen_instance
+from rectbin.fileio import parse_instance, serialize_instance, serialize_packing
+from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "slow_entries.py"
 
@@ -45,3 +47,25 @@ def test_lists_the_entries_past_the_cap(monkeypatch, capsys):
         ["1", "'tail'", "deadline"], ["2", "'bad'", "error"]]
     assert "ParseError" in lines[1]
     assert lines[-1].startswith("entries 3 listed 2 cap_s 0.5 ")
+
+
+def test_outputs_file_holds_the_digests_of_completed_entries(monkeypatch, tmp_path, capsys):
+    slow_entries = load_script()
+    pool = [
+        {"pool_index": 3, "kind": "oracle", "source": "pair", "text": "items 2\n0 1/2 1\n1 1/2 1\n"},
+        {"pool_index": 1, "kind": "oracle", "source": "bad", "text": "items 1\n0 2 1\n"},
+        {"pool_index": 0, "kind": "oracle", "source": "quick", "text": "items 1\n0 1/2 1/2\n"},
+    ]
+    monkeypatch.setattr(slow_entries, "build_corpus", lambda workload, seed, size: pool)
+    out = tmp_path / "outputs.json"
+    assert slow_entries.main(["oracle", "--cap", "5", "--outputs", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("entries 3 listed 1 cap_s 5 ")
+    written = json.loads(out.read_text())
+    # the benchmark hashes json.dumps([summary, answer, output]) per entry
+    expected = {}
+    for entry in (pool[2], pool[0]):
+        count, packing = exact_min_bins(parse_instance(entry["text"]), max_bins=4)
+        text = json.dumps([None, count, serialize_packing(packing)])
+        expected[str(entry["pool_index"])] = hashlib.sha256(text.encode()).hexdigest()
+    assert written["per_entry_sha256"] == expected
+    assert [solve[:2] for solve in written["solves"]] == [[0, "ok"], [1, "error"], [3, "ok"]]
