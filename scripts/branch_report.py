@@ -1,7 +1,13 @@
 """Tally which solver branches fire across the generator corpora.
 
 Useful when changing branch logic: shows how planted and random instances
-distribute over the single-bin branches and the constant-bin cases.
+distribute over the single-bin branches and the constant-bin cases.  Each
+packing is tallied by its path (`Packing.path`), joined with "/", e.g.
+`small_w/case2` or `case4/flip/flipped/spill`.
+
+Usage, from the repository root:
+
+    python3 scripts/branch_report.py [--seeds N]
 """
 
 import argparse
@@ -57,14 +63,10 @@ def run_opt1(seeds):
         tally = Counter()
         for s in range(seeds):
             inst, _ = plant(s)
-            t = {}
             try:
-                packing = pack_opt1(inst, EPS, trace=t)
+                packing = pack_opt1(inst, EPS)
                 assert validate_packing(packing, inst).ok
-                label = t.get("branch", "?")
-                if "case" in t:
-                    label += f"/case{t['case']}"
-                tally[label] += 1
+                tally["/".join(packing.path)] += 1
             except (GuessFailed, InstanceTooLarge) as exc:
                 tally[type(exc).__name__] += 1
         print(f"  {name:13s} {dict(tally)}")
@@ -72,10 +74,8 @@ def run_opt1(seeds):
     tally = Counter()
     for s in range(seeds):
         inst, _ = gen_instance(GeneratorSpec(seed=s, n=rng.randint(4, 10), ell=1))
-        t = {}
         try:
-            pack_opt1(inst, EPS, trace=t)
-            tally[t.get("branch", "?")] += 1
+            tally["/".join(pack_opt1(inst, EPS).path)] += 1
         except (GuessFailed, InstanceTooLarge) as exc:
             tally[type(exc).__name__] += 1
     print(f"  {'random':13s} {dict(tally)}")
@@ -87,14 +87,10 @@ def run_const(seeds):
         tally = Counter()
         for s in range(seeds):
             inst, _ = plant(s)
-            t = {}
             try:
-                packing = pack_opt_const(inst, 2, 3, exact_limit=14, trace=t)
+                packing = pack_opt_const(inst, 2, 3, exact_limit=14)
                 assert validate_packing(packing, inst).ok
-                label = f"case{t.get('case', '?')}"
-                if t.get("flipped"):
-                    label += "/flipped"
-                tally[label] += 1
+                tally["/".join(packing.path)] += 1
             except (GuessFailed, InstanceTooLarge) as exc:
                 tally[type(exc).__name__] += 1
         print(f"  {name:13s} {dict(tally)}")
@@ -102,19 +98,17 @@ def run_const(seeds):
     tally = Counter()
     for s in range(seeds):
         inst, _ = gen_instance(GeneratorSpec(seed=100 + s, n=rng.randint(6, 9), ell=2))
-        t = {}
         try:
-            pack_opt_const(inst, 2, 3, exact_limit=14, trace=t)
-            tally[f"case{t.get('case', '?')}"] += 1
+            tally["/".join(pack_opt_const(inst, 2, 3, exact_limit=14).path)] += 1
         except (GuessFailed, InstanceTooLarge) as exc:
             tally[type(exc).__name__] += 1
     print(f"  {'random':13s} {dict(tally)}")
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=25, help="seeds per corpus")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     t0 = time.time()
     run_opt1(args.seeds)
     run_const(args.seeds)

@@ -1,6 +1,7 @@
 """Command line front end: generate, pack, validate, oracle, render.
 
-Exit codes: 0 ok, 1 invalid packing, 2 parse error, 3 limits exceeded.
+Exit codes: 0 ok, 1 invalid packing, 2 parse error, 3 limits exceeded,
+4 internal error (a solver bug, reported on one stderr line).
 """
 
 import argparse
@@ -9,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from .config import SolveConfig, config_from_env
-from .errors import GuessFailed, InstanceTooLarge, PackingStuck, ParseError
+from .errors import GuessFailed, InstanceTooLarge, PackingStuck, ParseError, RectbinError
 from .fileio import (
     parse_instance,
     parse_packing,
@@ -68,7 +69,8 @@ def pack_auto(instance: Instance, config: SolveConfig):
     them validates the packing it returns.
 
     Returns (packing, provenance, guaranteed).  The fallback never fails,
-    so neither does this.
+    so this raises only on a solver bug: PackingStuck when a packing that
+    was built fails its validation.
     """
     try:
         packing = pack_opt1(instance, config.eps_opt1,
@@ -227,6 +229,9 @@ def main(argv=None) -> int:
     except InstanceTooLarge as exc:
         print(f"limits exceeded: {exc}", file=sys.stderr)
         return 3
+    except RectbinError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

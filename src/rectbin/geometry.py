@@ -87,7 +87,15 @@ class BinLayout:
 
 @dataclass
 class Packing:
+    """Bins in order.  `path` names the solver branch that built them,
+    outermost decision first; it is not part of the packing's value."""
+
     bins: list = field(default_factory=list)
+    path: tuple = field(default=(), compare=False)
+
+    def under(self, *labels) -> "Packing":
+        """The same bins, with `labels` put in front of the path."""
+        return Packing(self.bins, labels + self.path)
 
     def item_ids(self):
         out = []
@@ -209,4 +217,4 @@ def transpose_layout(layout: BinLayout) -> BinLayout:
 
 
 def transpose_packing(packing: Packing) -> Packing:
-    return Packing([transpose_layout(b) for b in packing.bins])
+    return Packing([transpose_layout(b) for b in packing.bins], packing.path)

@@ -1,9 +1,9 @@
 """Two-bin packing for instances that fit into a single bin.
 
-Every guess is validated after construction; a guess that does not survive
-validation raises GuessFailed so the caller can try the next branch (or
-conclude the instance needs more than one bin).  No routine here ever
-returns an unvalidated layout.
+A step that fails its runtime check raises GuessFailed so the caller can
+try the next branch (or conclude the instance needs more than one bin).
+Every assembled packing is validated; one that fails is a construction bug
+and raises PackingStuck.  A returned packing's `path` names its branch.
 """
 
 from fractions import Fraction
@@ -17,7 +17,13 @@ from .classify import (
     total_width,
     vol,
 )
-from .errors import ConditionViolated, GuessFailed, InstanceTooLarge, PreconditionViolated
+from .errors import (
+    ConditionViolated,
+    GuessFailed,
+    InstanceTooLarge,
+    PackingStuck,
+    PreconditionViolated,
+)
 from .geometry import (
     HALF,
     BinLayout,
@@ -42,7 +48,7 @@ def _merge(target: BinLayout, sub: BinLayout, dx, dy):
 def _checked(packing, instance, label):
     report = validate_packing(packing, instance)
     if not report.ok:
-        raise GuessFailed(f"{label}: candidate packing failed validation: {report.violations[:3]}")
+        raise PackingStuck(f"{label}: assembled packing failed validation: {report.violations[:3]}")
     return packing
 
 
@@ -162,7 +168,7 @@ def pack_wide_high(wide, high, eps, max_enumeration=16):
     raise GuessFailed("no high subset wide enough fits with the wide stack")
 
 
-def pack_large_w(instance: Instance, eps, trace=None) -> Packing:
+def pack_large_w(instance: Instance, eps) -> Packing:
     """Two bins when both the wide stack and the high row exceed half."""
     eps = scalar(eps)
     classes = classify(instance)
@@ -191,8 +197,6 @@ def pack_large_w(instance: Instance, eps, trace=None) -> Packing:
         except ConditionViolated as exc:
             raise GuessFailed(f"second bin area condition failed: {exc}") from exc
         _merge(bin2, sub, lw, 0)
-    if trace is not None:
-        trace["chosen_width"] = total_width(chosen)
     return _checked(Packing([bin1, bin2]), instance, "wide-branch")
 
 
@@ -236,11 +240,12 @@ def _stack_omega(stacked):
     return HALF
 
 
-def pack_small_w(instance: Instance, eps, trace=None) -> Packing:
+def pack_small_w(instance: Instance, eps) -> Packing:
     """Two bins when the high row is at most half the bin wide.
 
     Bin 1 keeps the wide stack and receives corner items chosen by one of
-    three volume cases; bin 2 is the high stack plus the remaining smalls.
+    three volume cases, named `case1`..`case3` on the packing's path; bin 2
+    is the high stack plus the remaining smalls.
     """
     eps = scalar(eps)
     classes = classify(instance)
@@ -282,9 +287,8 @@ def pack_small_w(instance: Instance, eps, trace=None) -> Packing:
             bin2 = pack_stack_plus_small_transposed(classes.high_only, rest)
         except (PreconditionViolated, ConditionViolated) as exc:
             raise GuessFailed(f"case {case}: second bin failed: {exc}") from exc
-        if trace is not None:
-            trace["case"] = case
-        return _checked(Packing([bin1, bin2]), instance, f"narrow-branch case {case}")
+        return _checked(Packing([bin1, bin2], (f"case{case}",)), instance,
+                        f"narrow-branch case {case}")
 
     if total_width(half_tall) >= target:
         # case 1: the half-tall band is wide enough for the top-left corner
@@ -359,22 +363,20 @@ def pack_small_w(instance: Instance, eps, trace=None) -> Packing:
         bin2 = pack_stack_plus_small_transposed(classes.high_only, group2)
     except (PreconditionViolated, ConditionViolated) as exc:
         raise GuessFailed(f"case 3: layout failed: {exc}") from exc
-    if trace is not None:
-        trace["case"] = 3
-        trace["split_volumes"] = (vol1, vol2)
-    return _checked(Packing([bin1, bin2]), instance, "narrow-branch case 3")
+    return _checked(Packing([bin1, bin2], ("case3",)), instance, "narrow-branch case 3")
 
 
-def pack_opt1(instance: Instance, eps, exact_limit=10, trace=None) -> Packing:
+def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
     """Pack a (presumed) single-bin instance into at most two bins.
 
     Tries the width-axis cutoff, the height-axis cutoff, then the branch for
-    whichever of the wide/high aggregates dominates.  GuessFailed from every
-    branch means the instance needs at least two bins; a branch that hits a
-    size limit is skipped, and reported only if nothing later succeeds.
+    whichever of the wide/high aggregates dominates; the packing's path
+    starts with `delta_width`, `delta_height`, `large_w` or `small_w`.
+    GuessFailed from every branch means the instance needs at least two
+    bins; a branch that hits a size limit is skipped, and reported only if
+    nothing later succeeds.
     """
     eps = scalar(eps)
-    t = trace if trace is not None else {}
     if not instance.items:
         return Packing([])
     limit_hit = None
@@ -383,9 +385,7 @@ def pack_opt1(instance: Instance, eps, exact_limit=10, trace=None) -> Packing:
     if delta is not None:
         try:
             packing = pack_small_height(instance, delta, eps, exact_limit=exact_limit)
-            t["branch"] = "delta_width"
-            t["delta"] = delta
-            return packing
+            return packing.under("delta_width")
         except GuessFailed:
             pass
         except InstanceTooLarge as exc:
@@ -396,11 +396,8 @@ def pack_opt1(instance: Instance, eps, exact_limit=10, trace=None) -> Packing:
         try:
             # pack_small_height validated the transposed packing, and
             # transposing back keeps it valid
-            packing = transpose_packing(pack_small_height(flipped, delta, eps,
-                                                          exact_limit=exact_limit))
-            t["branch"] = "delta_height"
-            t["delta"] = delta
-            return packing
+            packing = pack_small_height(flipped, delta, eps, exact_limit=exact_limit)
+            return transpose_packing(packing).under("delta_height")
         except GuessFailed:
             pass
         except InstanceTooLarge as exc:
@@ -414,11 +411,9 @@ def pack_opt1(instance: Instance, eps, exact_limit=10, trace=None) -> Packing:
         classes = classify(work)
     try:
         if total_width(classes.high) > HALF:
-            packing = pack_large_w(work, eps, trace=t)
-            t["branch"] = "large_w"
+            packing = pack_large_w(work, eps).under("large_w")
         else:
-            packing = pack_small_w(work, eps, trace=t)
-            t["branch"] = "small_w"
+            packing = pack_small_w(work, eps).under("small_w")
     except PreconditionViolated as exc:
         if limit_hit is not None:
             raise limit_hit
@@ -429,7 +424,4 @@ def pack_opt1(instance: Instance, eps, exact_limit=10, trace=None) -> Packing:
         if limit_hit is not None:
             raise limit_hit
         raise
-    if flip:
-        packing = transpose_packing(packing)
-        t["transposed"] = True
-    return packing
+    return transpose_packing(packing) if flip else packing

@@ -5,7 +5,10 @@ bins, packs the first bin with the profit knapsack, separates wide from
 high items in the remaining bins, and tops everything up with the tiny
 items.  Four cases, keyed on how full the last pair of bins ended up,
 decide where the leftover tinies go.  A wrong guess fails loudly and the
-next assignment is tried; any returned packing is validator checked.
+next assignment is tried.  Every assembled packing is validated; one that
+fails is a construction bug and raises PackingStuck.  The returned
+packing's `path` names the case (`case1`..`case4`), then the subcase and
+whether the roles were flipped.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +19,7 @@ from .errors import (
     ConditionViolated,
     GuessFailed,
     InstanceTooLarge,
+    PackingStuck,
     PreconditionViolated,
 )
 from .geometry import (
@@ -170,8 +174,8 @@ def _layout_wide_side(items, cache, limit):
     return layout
 
 
-def _realize(ctx, cache, limit):
-    """Turn the per-bin item sets into a validated Packing."""
+def _realize(ctx, cache, limit, *path):
+    """Turn the per-bin item sets into a validated Packing along `path`."""
     bins = []
     for side, bunch in (("B", ctx.b_bins), ("C", ctx.c_bins)):
         for i, items in enumerate(bunch):
@@ -186,10 +190,10 @@ def _realize(ctx, cache, limit):
             else:
                 layout = _layout_high_side(items, cache, limit)
             bins.append(layout)
-    packing = Packing(bins)
+    packing = Packing(bins, path)
     report = validate_packing(packing, ctx.instance)
     if not report.ok:
-        _fail(f"assembled packing rejected: {report.violations[:3]}")
+        raise PackingStuck(f"assembled packing failed validation: {report.violations[:3]}")
     return packing
 
 
@@ -285,7 +289,7 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     return ctx
 
 
-def _distribute_rest(ctx, cache, limit):
+def _distribute_rest(ctx, cache, limit, *path):
     """Both last bins are light: no wide or high tinies are left, so the
     leftovers are spread over every bin but the knapsack one."""
     if any(_is_wide(it) or _is_high(it) for it in ctx.t_prime):
@@ -306,10 +310,10 @@ def _distribute_rest(ctx, cache, limit):
         else:
             _fail("tiny leftovers exceed the free half-area capacity")
     ctx.t_prime = []
-    return _realize(ctx, cache, limit)
+    return _realize(ctx, cache, limit, *path)
 
 
-def _case_both_heavy(ctx, cache, limit, trace=None):
+def _case_both_heavy(ctx, cache, limit):
     """Last bins on both sides are nearly half full; the spare bin takes
     the slack."""
     ell, eps = ctx.ell, ctx.eps
@@ -317,9 +321,7 @@ def _case_both_heavy(ctx, cache, limit, trace=None):
     if vol(last) > HALF + (2 * ell - 2) * eps:
         if ctx.t_prime:
             _fail("high side too full for any leftovers")
-        if trace is not None:
-            trace["subcase"] = "full"
-        return _realize(ctx, cache, limit)
+        return _realize(ctx, cache, limit, "full")
 
     shallow = [it for it in last if it.height <= Fraction(3, 4)]
     if total_width(shallow) >= (4 * ell - 3) * eps:
@@ -345,9 +347,7 @@ def _case_both_heavy(ctx, cache, limit, trace=None):
         ctx.c_bins[0] = shallow + wides
         ctx.special[("C", 0)] = spare
         ctx.t_prime = []
-        if trace is not None:
-            trace["subcase"] = "shift"
-        return _realize(ctx, cache, limit)
+        return _realize(ctx, cache, limit, "shift")
 
     # every remaining stack item is thin, so all highs fit side by side
     towering = [it for it in last + ctx.t_prime if it.height > Fraction(3, 4)]
@@ -361,12 +361,10 @@ def _case_both_heavy(ctx, cache, limit, trace=None):
         ctx.c_bins[0] = rest
         ctx.special[("C", 0)] = _steinberg(rest, 1, 1)
     ctx.t_prime = []
-    if trace is not None:
-        trace["subcase"] = "restack"
-    return _realize(ctx, cache, limit)
+    return _realize(ctx, cache, limit, "restack")
 
 
-def _case_high_heavy(ctx, cache, limit, trace=None):
+def _case_high_heavy(ctx, cache, limit):
     """Only the high side filled up; leftover tiny highs go to the spare
     bin, directly or after rebuilding the high bins."""
     ell, eps = ctx.ell, ctx.eps
@@ -375,25 +373,19 @@ def _case_high_heavy(ctx, cache, limit, trace=None):
     if total_width(strand) <= 1:
         ctx.c_bins[0] = ctx.c_bins[0] + strand
         ctx.t_prime = [it for it in ctx.t_prime if not _is_high(it)]
-        if trace is not None:
-            trace["subcase"] = "spill"
-        return _distribute_rest(ctx, cache, limit)
+        return _distribute_rest(ctx, cache, limit, "spill")
 
     wide_enough = [
         j for j in range(1, ell)
         if total_width([it for it in ctx.assignment[j] if _is_high(it)]) > 10 * ell * eps
     ]
     if wide_enough:
-        if trace is not None:
-            trace["subcase"] = "rebuild"
         redo = run_steps_1_to_4(
             ctx.instance, ell, ctx.assignment, ctx.k,
             exact_limit=limit, whole_bin=wide_enough[0], cache=cache,
         )
-        return _finish_rebuilt(redo, cache, limit)
-    if trace is not None:
-        trace["subcase"] = "thin"
-    return _thin_high_repack(ctx, cache, limit)
+        return _finish_rebuilt(redo, cache, limit).under("rebuild")
+    return _thin_high_repack(ctx, cache, limit).under("thin")
 
 
 def _finish_rebuilt(ctx, cache, limit):
@@ -488,15 +480,13 @@ def _thin_high_repack(ctx, cache, limit):
     return _realize(ctx, cache, limit)
 
 
-def _case_wide_heavy(ctx, cache, limit, trace=None):
+def _case_wide_heavy(ctx, cache, limit):
     """Only the wide side filled up.  Small items migrate from the wide
     bins to the high bins until the tiny wides fit, or until the roles
     flip entirely and the transposed problem lands in an earlier case."""
     ell, eps = ctx.ell, ctx.eps
     if not any(_is_wide(it) for it in ctx.t_prime):
-        if trace is not None:
-            trace["subcase"] = "plain"
-        return _distribute_rest(ctx, cache, limit)
+        return _distribute_rest(ctx, cache, limit, "plain")
 
     packed_first = {it.id for it in ctx.b_bins[0]}
     for i in range(1, ell):
@@ -546,12 +536,8 @@ def _case_wide_heavy(ctx, cache, limit, trace=None):
             ctx.t_prime = sorted(leftover + pool_wide + tiny_small,
                                  key=lambda it: it.id)
             if not any(_is_wide(it) or _is_high(it) for it in ctx.t_prime):
-                if trace is not None:
-                    trace["subcase"] = "drained"
-                return _distribute_rest(ctx, cache, limit)
-            if trace is not None:
-                trace["subcase"] = "flip"
-            return _flip_roles(ctx, limit, trace)
+                return _distribute_rest(ctx, cache, limit, "drained")
+            return _flip_roles(ctx, limit).under("flip")
         movable.sort(key=lambda pair: (-pair[0].volume, pair[0].id))
         it, i = movable[0]
         _, leftover_after = regreedy(extra_bin=i, extra_item=it)
@@ -578,9 +564,7 @@ def _case_wide_heavy(ctx, cache, limit, trace=None):
             if missing:
                 _fail("stopping item leaves tinies without a half-full bin")
             ctx.t_prime = []
-            if trace is not None:
-                trace["subcase"] = "stop"
-            return _realize(ctx, cache, limit)
+            return _realize(ctx, cache, limit, "stop")
         ctx.b_bins[i] = [r for r in ctx.b_bins[i] if r.id != it.id]
         ctx.c_bins[i] = ctx.c_bins[i] + [it]
         bvol = vol(ctx.b_bins[i])
@@ -591,7 +575,7 @@ def _case_wide_heavy(ctx, cache, limit, trace=None):
     raise GuessFailed("migration loop failed to settle")
 
 
-def _flip_roles(ctx, limit, trace=None):
+def _flip_roles(ctx, limit):
     """Transpose the whole state: the separated bins swap sides, the
     knapsack and spare bins stay put, and the earlier cases apply."""
     ell = ctx.ell
@@ -610,24 +594,22 @@ def _flip_roles(ctx, limit, trace=None):
         flipped.c_bins.append([by_id[it.id] for it in ctx.b_bins[i]])
     flipped.b1_layout = transpose_layout(ctx.b1_layout)
     flipped.t_prime = [by_id[it.id] for it in ctx.t_prime]
-    if trace is not None:
-        trace["flipped"] = True
     fresh = {}
     thr = HALF - flipped.eps
     if vol(flipped.c_bins[ell - 1]) >= thr:
         if vol(flipped.b_bins[ell - 1]) >= thr:
-            packed = _case_both_heavy(flipped, fresh, limit, trace)
+            packed = _case_both_heavy(flipped, fresh, limit)
         else:
-            packed = _case_high_heavy(flipped, fresh, limit, trace)
+            packed = _case_high_heavy(flipped, fresh, limit)
     else:
         packed = _distribute_rest(flipped, fresh, limit)
-    return transpose_packing(packed)
+    return transpose_packing(packed).under("flipped")
 
 
-def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12,
-                   trace=None):
+def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12):
     """Pack an instance believed to need exactly ell bins into at most
     2*ell bins, or raise GuessFailed when no large-item assignment works.
+    The packing's path starts with the case that packed it.
     """
     if ell < 2:
         raise PreconditionViolated(f"ell must be at least 2, got {ell}")
@@ -654,20 +636,17 @@ def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12,
         heavy_c = vol(ctx.c_bins[ell - 1]) >= thr
         case_no = {(False, False): 1, (True, True): 2,
                    (False, True): 3, (True, False): 4}[(heavy_b, heavy_c)]
-        sub = {} if trace is None else trace
-        sub.pop("subcase", None)
-        sub.pop("flipped", None)
         try:
             if not ctx.t_prime:
                 packed = _realize(ctx, cache, exact_limit)
             elif case_no == 1:
                 packed = _distribute_rest(ctx, cache, exact_limit)
             elif case_no == 2:
-                packed = _case_both_heavy(ctx, cache, exact_limit, sub)
+                packed = _case_both_heavy(ctx, cache, exact_limit)
             elif case_no == 3:
-                packed = _case_high_heavy(ctx, cache, exact_limit, sub)
+                packed = _case_high_heavy(ctx, cache, exact_limit)
             else:
-                packed = _case_wide_heavy(ctx, cache, exact_limit, sub)
+                packed = _case_wide_heavy(ctx, cache, exact_limit)
         except GuessFailed as exc:
             last_error = exc
             continue
@@ -675,12 +654,7 @@ def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12,
             limit_hits += 1
             last_error = exc
             continue
-        if trace is not None:
-            trace["case"] = case_no
-            trace["assignment"] = tuple(
-                tuple(it.id for it in part) for part in assignment
-            )
-        return packed
+        return packed.under(f"case{case_no}")
     if limit_hits:
         raise InstanceTooLarge(
             f"every assignment failed and {limit_hits} hit a search limit "

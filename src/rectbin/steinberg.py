@@ -17,13 +17,15 @@ construction recurses on sub-regions:
   * regions where everything is at most half the region in both directions
     are handled by a small portfolio of splits (single shelf, guillotine cut
     with both orientations, a bottom pair plus shelf) with backtracking;
-    every branch re-checks the area condition of its children exactly, so a
-    completed layout is always valid.
+    every branch re-checks the area condition of its children exactly, and
+    a split is kept only if its layout validates.
 
 pack_no_wide_half_area covers the companion guarantee: total area at most
 1/2 and no item wider than 1/2 except possibly one that is also taller than
 1/2.  The area condition can fail for such inputs, so the big item is
 stacked bottom-left directly and the hanger argument absorbs the rest.
+Returned layouts are not validated here: callers validate the packings
+they go into.
 """
 
 from .classify import h_max, vol, w_max
@@ -52,16 +54,7 @@ def steinberg_pack(items, a=1, b=1) -> BinLayout:
     items = list(items)
     if not steinberg_condition(items, a, b):
         raise ConditionViolated(f"area condition fails for region {a} x {b}")
-    layout = BinLayout(a, b, _pack(items, a, b))
-    _assert_layout_ok(layout, items)
-    return layout
-
-
-def _assert_layout_ok(layout, items):
-    report = validate_bin(layout, {it.id: it for it in items})
-    placed = sorted(layout.item_ids())
-    if not report.ok or placed != sorted(it.id for it in items):
-        raise PackingStuck(f"constructed layout failed validation: {report.violations}")
+    return BinLayout(a, b, _pack(items, a, b))
 
 
 def _pack(items, u, v):
@@ -243,29 +236,9 @@ def pack_no_wide_half_area(items) -> BinLayout:
     if not wides:
         # area condition holds outright: no width deficiency is possible
         return steinberg_pack(items, 1, 1)
-    big = wides[0]
-    rest = [r for r in items if r.id != big.id]
-    out = [Placement(big.id, ZERO, ZERO)]
-    hangers = sorted(
-        (r for r in rest if r.height > 1 - big.height),
-        key=lambda r: (-r.height, -r.width, r.id),
-    )
-    c = ZERO
-    for t in hangers:
-        c += t.width
-        out.append(Placement(t.id, 1 - c, 1 - t.height))
-    if c > 1 - big.width:
-        # half-area budget rules this out
-        raise PackingStuck("hangers spill past the big item")
-    inner = [r for r in rest if r.height <= 1 - big.height]
-    if inner:
-        out.extend(
-            Placement(p.item_id, p.x, p.y + big.height)
-            for p in _pack(inner, 1 - c, 1 - big.height)
-        )
-    layout = BinLayout(1, 1, out)
-    _assert_layout_ok(layout, items)
-    return layout
+    # a one-item wide stack; area above 1/2 would be needed for the hangers
+    # to reach past 1 - w(big)
+    return BinLayout(1, 1, _pack_wide_anchored(items, 1, 1))
 
 
 def pack_no_high_half_area(items) -> BinLayout:

@@ -301,21 +301,20 @@ def test_criterion_05_single_bin_portfolio(capfd):
     branches = {"delta_width": 0, "delta_height": 0, "area": 0}
     for inst, wit in corpus:
         assert certify_opt(inst, 1, wit)
-        t = {}
         try:
-            packing = pack_opt1(inst, EPS, trace=t)
+            packing = pack_opt1(inst, EPS)
         except (GuessFailed, InstanceTooLarge):
             failures += 1
             continue
         if len(packing.bins) > 2 or not validate_packing(packing, inst).ok:
             failures += 1
             continue
-        branch = t.get("branch")
+        branch = packing.path[0]
         branches[branch if branch in branches else "area"] += 1
 
     # the wide-dominant and small-width branches are driven directly: at this
     # scale the axis cutoffs almost always pre-empt them inside the portfolio
-    cases = {1: 0, 2: 0, 3: 0}
+    cases = {"case1": 0, "case2": 0, "case3": 0}
     for s in range(12):
         inst, wit = plant_large_w(2000 + s)
         packing = pack_large_w(inst, EPS)
@@ -324,10 +323,9 @@ def test_criterion_05_single_bin_portfolio(capfd):
     for pi, plant in ((3, plant_small_w_case1), (4, plant_small_w_case2), (5, plant_small_w_case3)):
         for s in range(12):
             inst, wit = plant(1000 * pi + s)
-            t = {}
-            packing = pack_small_w(inst, EPS, trace=t)
+            packing = pack_small_w(inst, EPS)
             assert len(packing.bins) <= 2 and validate_packing(packing, inst).ok
-            cases[t["case"]] += 1
+            cases[packing.path[0]] += 1
     ok = failures == 0 and all(v > 0 for v in branches.values()) and all(v > 0 for v in cases.values())
     _line(
         capfd, 5, ok,
@@ -429,15 +427,14 @@ def test_criterion_08_const_portfolio(capfd):
 
     counts = {2: 0, 3: 0}
     failures = 0
-    cases = {1: 0, 2: 0, 3: 0, 4: 0}
+    cases = {"case1": 0, "case2": 0, "case3": 0, "case4": 0}
     for ell, corpus in ((2, corpus2), (3, corpus3)):
         for inst, wit in corpus:
             large = [it for it in inst.items if it.volume > eps3]
             assert len(inst.items) <= 14 and len(large) <= 10
             assert certify_opt(inst, ell, wit)
-            t = {}
             try:
-                packing = pack_opt_const(inst, ell, 3, exact_limit=14, trace=t)
+                packing = pack_opt_const(inst, ell, 3, exact_limit=14)
             except (GuessFailed, InstanceTooLarge):
                 failures += 1
                 continue
@@ -445,7 +442,7 @@ def test_criterion_08_const_portfolio(capfd):
                 failures += 1
                 continue
             counts[ell] += 1
-            cases[t["case"]] += 1
+            cases[packing.path[0]] += 1
     ok = failures == 0 and counts[2] >= 200 and counts[3] >= 50 and all(v > 0 for v in cases.values())
     _line(
         capfd, 8, ok,

@@ -7,7 +7,7 @@ import pytest
 
 from rectbin.cli import main, pack_auto, shelf_pack
 from rectbin.config import SolveConfig, config_from_env
-from rectbin.errors import PackingStuck
+from rectbin.errors import PackingStuck, PreconditionViolated
 from rectbin.fileio import parse_instance, parse_packing, serialize_instance
 from rectbin.geometry import Instance, Item, ValidationReport, validate_packing
 from rectbin.oracle import GeneratorSpec, certify_opt, gen_instance
@@ -146,6 +146,23 @@ class TestCommands:
         out = tmp_path / "x.pack"
         assert main(["pack", "--in", str(bad), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [PackingStuck, PreconditionViolated])
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        import rectbin.cli
+
+        def broken(instance, config):
+            raise error("forced for the test")
+
+        monkeypatch.setattr(rectbin.cli, "pack_auto", broken)
+        inst = tmp_path / "a.inst"
+        inst.write_text("items 1\n0 1/2 1/2\n")
+        out = tmp_path / "a.pack"
+        assert main(["pack", "--in", str(inst), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: forced for the test\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["1e-5000", "1.1e-4299", "1/0", "x"])
     def test_pack_eps_number_bound(self, tmp_path, capsys, eps):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectbin.fileio import parse_packing, serialize_packing
 from rectbin.geometry import (
     BinLayout,
     Instance,
@@ -110,6 +111,16 @@ def test_transpose_examples():
     layout = BinLayout(1, 1, [p])
     flipped = transpose_layout(layout)
     assert flipped.placements[0] == Placement(0, Fraction(1, 2), Fraction(1, 8))
+
+
+def test_path_is_not_part_of_the_packing():
+    layout = BinLayout(1, 1, [Placement(0, 0, 0)])
+    packing = Packing([layout], ("case1",)).under("small_w")
+    assert packing.path == ("small_w", "case1")
+    assert packing == Packing([layout])
+    assert serialize_packing(packing) == serialize_packing(Packing([layout]))
+    assert parse_packing(serialize_packing(packing)).path == ()
+    assert transpose_packing(packing).path == ("small_w", "case1")
 
 
 @given(st.lists(dims_strategy(), min_size=0, max_size=6))

@@ -6,9 +6,17 @@ from fractions import Fraction
 import pytest
 
 from rectbin.classify import total_width, vol
-from rectbin.errors import GuessFailed, InstanceTooLarge, PreconditionViolated
+import rectbin.optconst
+from rectbin.errors import GuessFailed, InstanceTooLarge, PackingStuck, PreconditionViolated
 from rectbin.fileio import serialize_packing
-from rectbin.geometry import BinLayout, Instance, Item, Packing, validate_packing
+from rectbin.geometry import (
+    BinLayout,
+    Instance,
+    Item,
+    Packing,
+    ValidationReport,
+    validate_packing,
+)
 from rectbin.optconst import (
     ConstContext,
     _case_both_heavy,
@@ -201,19 +209,28 @@ class TestCaseRouting:
         for seed in range(10):
             inst, wit = plant(seed)
             assert certify_opt(inst, 2, wit)
-            trace = {}
-            packing = pack_opt_const(inst, 2, trace=trace)
+            packing = pack_opt_const(inst, 2)
             report = validate_packing(packing, inst)
             assert report.ok, report.violations[:3]
             assert len(packing.bins) <= 4
-            assert trace["case"] == want, seed
+            assert packing.path[0] == f"case{want}", seed
 
     def test_flip_lands_in_an_earlier_case(self):
         inst, _ = plant_const_case4(0)
-        trace = {}
-        packing = pack_opt_const(inst, 2, trace=trace)
-        assert trace.get("flipped") is True
+        packing = pack_opt_const(inst, 2)
+        assert packing.path[:3] == ("case4", "flip", "flipped")
         assert validate_packing(packing, inst).ok
+
+    def test_failed_assembly_check_is_a_bug(self, monkeypatch):
+        # a rejected assembled packing is not a refuted assignment: no
+        # further assignment is tried, the error escapes
+        broken = ValidationReport()
+        broken.add("overlap", (0, 1), "forced for the test")
+        monkeypatch.setattr(rectbin.optconst, "validate_packing",
+                            lambda packing, instance: broken)
+        inst, _ = plant_const_case1(0)
+        with pytest.raises(PackingStuck):
+            pack_opt_const(inst, 2)
 
     def test_restack_subcase(self):
         # exact-fit second bin plus one stray tiny square: the tall item gets
@@ -224,10 +241,8 @@ class TestCaseRouting:
                 Item(6, F(5005, 10000), F(499, 1000)),
                 Item(7, F(1, 50), F(1, 50))]
         inst = Instance(its)
-        trace = {}
-        packing = pack_opt_const(inst, 2, trace=trace)
-        assert trace["case"] == 2
-        assert trace["subcase"] == "restack"
+        packing = pack_opt_const(inst, 2)
+        assert packing.path == ("case2", "restack")
         assert validate_packing(packing, inst).ok
         assert len(packing.bins) <= 4
 
@@ -241,10 +256,8 @@ class TestCaseRouting:
         its += [Item(9 + j, F(1, 600), F(11, 20)) for j in range(3)]
         its += [Item(12, F(11, 20), F(1, 600))]
         inst = Instance(its)
-        trace = {}
-        packing = pack_opt_const(inst, 2, trace=trace)
-        assert trace["case"] == 4
-        assert trace["subcase"] == "stop"
+        packing = pack_opt_const(inst, 2)
+        assert packing.path == ("case4", "stop")
         assert validate_packing(packing, inst).ok
         assert len(packing.bins) <= 4
 
@@ -252,12 +265,11 @@ class TestCaseRouting:
         seen = False
         for seed in range(40):
             inst, _ = gen_instance(GeneratorSpec(seed=seed, n=9, ell=2))
-            trace = {}
             try:
-                pack_opt_const(inst, 2, trace=trace)
+                packing = pack_opt_const(inst, 2)
             except (GuessFailed, InstanceTooLarge):
                 continue
-            if trace.get("subcase") == "spill":
+            if "spill" in packing.path:
                 seen = True
                 break
         assert seen
@@ -302,9 +314,8 @@ class TestHandlerGeometry:
         ctx.c_bins[1] = highs
         lookup = ctx.instance.by_id()
         ctx.t_prime = [lookup[3], lookup[4]]
-        trace = {}
-        packing = _case_both_heavy(ctx, {}, 10, trace)
-        assert trace["subcase"] == "shift"
+        packing = _case_both_heavy(ctx, {}, 10)
+        assert packing.path == ("shift",)
         assert validate_packing(packing, ctx.instance).ok
 
     def test_rebuilt_overflow_uses_the_reserved_strips(self):
