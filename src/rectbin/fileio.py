@@ -70,6 +70,8 @@ def parse_instance(text: str) -> Instance:
     if len(head) != 2 or head[0] != "items":
         raise ParseError(lineno, f"expected `items N`, got {' '.join(head)!r}")
     n = _int(head[1], lineno)
+    if n < 0:
+        raise ParseError(lineno, f"item count {n} is negative")
     items = []
     for _ in range(n):
         try:

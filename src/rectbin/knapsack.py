@@ -46,7 +46,19 @@ whole in the original region.  Once the search has backtracked, it checks
 forward: after each placement every later item shape must keep a feasible
 normal position, or the placement is dropped.  A shape's first feasible
 position only moves later as boxes are added, so each shape carries its
-first spot down the recursion and its scan resumes there.  Both only
+first spot down the recursion and its scan resumes there.
+
+While two or more items are left, a placement that the forward check
+accepts must also pass a wasted-space check (Korf 2003; Huang & Korf
+2013).  The free area is cut into horizontal strips at every placed box's
+bottom and top edge, and each maximal free run of a strip is a gap.  A
+later box meets a strip only inside one gap at least as wide as the box.
+Walking the gaps from the narrowest, each takes what is left of the area
+of the later boxes no wider than it; gap area left uncovered is lost.
+When more is lost than the slack, the region's area less the area of all
+the items, the placement is dropped.  The same pass runs on vertical
+strips with heights when the horizontal one did not prune.  The slack is
+one int on the lattice.  The forward check and the waste check only
 remove subtrees without a solution, so the first layout is unchanged.
 """
 
@@ -335,6 +347,39 @@ def _first_spots(shapes, prior, box, xs, ys, placed, a, b):
     return spots
 
 
+def _wasted(placed, a, b, later, slack):
+    """True when more than slack of the free area of region (a, b) is out
+    of reach of the later boxes, given as (width, area) sorted by width:
+    the horizontal pass of the waste check in the module docstring, with
+    the placed boxes as (left, bottom, right, top)."""
+    boxes = sorted(placed)  # by left edge
+    cuts = sorted({0, b, *(y for _, bottom, _, top in boxes for y in (bottom, top))})
+    gaps = []
+    for y0, y1 in zip(cuts, cuts[1:]):
+        x = 0
+        for left, bottom, right, top in boxes:
+            if bottom < y1 and y0 < top:
+                if left > x:
+                    gaps.append((left - x, (left - x) * (y1 - y0)))
+                x = right
+        if a > x:
+            gaps.append((a - x, (a - x) * (y1 - y0)))
+    gaps.sort()
+    waste = carried = j = 0
+    for width, area in gaps:
+        while j < len(later) and later[j][0] <= width:
+            carried += later[j][1]
+            j += 1
+        if carried >= area:
+            carried -= area
+        else:
+            waste += area - carried
+            if waste > slack:
+                return True
+            carried = 0
+    return False
+
+
 def exact_pack_single_region(items, a, b, exact_limit=10):
     """A validating layout of every item in region (a, b), or None.
 
@@ -342,8 +387,10 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     breaking; deterministic first solution.  The area bound and the
     refutations of _refuted answer None without a search.  Once the search
     has backtracked, a placement that leaves some later item shape no
-    feasible position is dropped (forward checking); that prunes only
-    subtrees without a solution, so the first solution is unchanged.
+    feasible position is dropped (forward checking), and so is one that
+    wastes more free area than the items leave spare (_wasted).  Both
+    prune only subtrees without a solution, so the first solution is
+    unchanged.
     """
     items = list(items)
     a, b = scalar(a), scalar(b)
@@ -359,10 +406,18 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
         return None
     xs = _axis_positions([w for w, _ in sides], a_d)
     ys = _axis_positions([h for _, h in sides], b_d)
-    # ahead[i]: the distinct shapes of the items after order[i], largest
-    # (likeliest to be shut out) first
-    ahead = [list(dict.fromkeys(sides[i + 1:])) for i in range(len(sides))]
+    slack = a_d * b_d - sum(w * h for w, h in sides)
     placed = []  # placed[i] is the box of order[i]
+
+    def wasted(i):
+        # across strips, then (transposed) down columns; with one box left
+        # the forward check has already found it a spot
+        later = sides[i + 1:]
+        return len(later) > 1 and (
+            _wasted(placed, a_d, b_d, sorted((w, w * h) for w, h in later), slack)
+            or _wasted([(y, x, top, r) for x, y, r, top in placed], b_d, a_d,
+                       sorted((h, w * h) for w, h in later), slack))
+
     backtracked = False
 
     def rec(i, last_pos, spots):
@@ -379,8 +434,11 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
                     return True
                 backtracked = True
             else:
-                after = _first_spots(ahead[i], spots, box, xs, ys, placed, a_d, b_d)
-                if after is not None and rec(i + 1, (x, y), after):
+                # the distinct shapes of the later items, largest (likeliest
+                # to be shut out) first
+                ahead = dict.fromkeys(sides[i + 1:])
+                after = _first_spots(ahead, spots, box, xs, ys, placed, a_d, b_d)
+                if after is not None and not wasted(i) and rec(i + 1, (x, y), after):
                     return True
             placed.pop()
         return False
@@ -393,10 +451,11 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
 
 def unit_bin_layout(items, cache, limit):
     """exact_pack_single_region's unit-bin layout of items, or None when
-    they do not fit; memoized in cache by the set of item ids."""
+    they do not fit; memoized in cache by the set of item ids.  A set one
+    item larger than a set the cache refutes is refuted without a search."""
     key = frozenset(it.id for it in items)
     if key not in cache:
-        if vol(items) > 1:
+        if vol(items) > 1 or any(cache.get(key - {i}, ()) is None for i in key):
             cache[key] = None
         else:
             cache[key] = exact_pack_single_region(items, 1, 1, exact_limit=limit)

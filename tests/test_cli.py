@@ -147,6 +147,14 @@ class TestCommands:
         assert main(["pack", "--in", str(bad), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_negative_item_count_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "neg.inst"
+        bad.write_text("items -3\n")
+        out = tmp_path / "neg.pack"
+        assert main(["pack", "--in", str(bad), "--out", str(out)]) == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [PackingStuck, PreconditionViolated])
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
         import rectbin.cli

@@ -48,6 +48,8 @@ class TestInstanceFormat:
         ("", 1),
         ("width 2\n", 1),
         ("items x\n", 1),
+        ("items -3\n", 1),
+        ("items -1\n0 1/2 1/2\n", 1),
         ("items 2\n0 1/2 1/2\n", 2),
         ("items 1\n0 1/2\n", 2),
         ("items 1\n0 3/0 1/2\n", 2),

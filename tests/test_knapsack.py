@@ -227,6 +227,67 @@ def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
     assert checked_sets > 50 and sum(checks) > 1000  # sets forward checked, placements dropped
 
 
+def guillotine_tiling(rng, a, b, n):
+    """n rectangles that tile region (a, b) exactly: the largest piece is cut
+    in two, across its longer side (a random side for a square), at a random
+    point from a fifth to under four fifths of it."""
+    pieces = [(a, b)]
+    while len(pieces) < n:
+        pieces.sort(key=lambda p: p[0] * p[1])
+        w, h = pieces.pop()
+        across = w > h or (w == h and rng.random() < 0.5)
+        side = w if across else h
+        cut = side * (Fraction(rng.randint(1, 3), 5)
+                      + Fraction(rng.randint(0, 5), 5 * rng.choice([7, 64, 1000])))
+        if across:
+            pieces += [(cut, h), (w - cut, h)]
+        else:
+            pieces += [(w, cut), (w, h - cut)]
+    return pieces
+
+
+def test_waste_check_returns_the_unpruned_layout(monkeypatch):
+    # perfect tilings leave no slack, near-perfect ones (one piece shrunk)
+    # very little, so a placement that strands any free area is dropped;
+    # the check only drops subtrees without a solution, so the first layout
+    # is the plain search's.  A set that search cannot settle within 3000
+    # placements is skipped, the same way on every machine.
+    checks = []
+    wasted = knapsack._wasted
+
+    def counted(*args):
+        dropped = wasted(*args)
+        checks.append(dropped)
+        return dropped
+
+    monkeypatch.setattr(knapsack, "_wasted", counted)
+    rng = random.Random(19)
+    compared = shrunk = 0
+    while compared < 300:
+        a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
+        pieces = guillotine_tiling(rng, a, b, rng.randint(5, 8))
+        near = rng.random() < 0.5
+        if near:
+            k = rng.randrange(len(pieces))
+            w, h = pieces[k]
+            scale = Fraction(rng.randint(90, 99), 100)
+            pieces[k] = (w * scale, h) if rng.random() < 0.5 else (w, h * scale)
+        rng.shuffle(pieces)
+        items = [Item(i, w, h) for i, (w, h) in enumerate(pieces)]
+        try:
+            expected = unpruned_region_search(items, a, b, max_placements=3000)
+        except SearchBudgetExceeded:
+            continue
+        assert expected is not None  # a tiling fits, shrunk or not
+        layout = exact_pack_single_region(items, a, b)
+        got = None if layout is None else [(p.item_id, p.x, p.y) for p in layout.placements]
+        assert got == expected, (items, a, b)
+        compared += 1
+        shrunk += near
+    assert 100 < shrunk < 200
+    assert sum(checks) > 1000  # placements the waste check dropped
+
+
 GOLDEN_DENS = [3, 5, 7, 8, 64, 1000]
 GOLDEN_REGIONS = [Fraction(1), Fraction(2, 3), Fraction(5, 7), Fraction(3, 4), Fraction(255, 256)]
 
@@ -365,6 +426,17 @@ POOL_PACKS = [
                  '6 1/2 1/2, 8 3/8 7/512',
                  '9763/16384 | 6:0,0 5:1/2,0 1:0,399/512 0:0,1/2 3:0,3/4 8:21/64,49/64',
                  id="two_bin-64"),
+    # one_bin 195, boundary n=10 ell=1 seed=939997: recorded before the
+    # waste check, when the fit-all probe on this perfect tiling took 7.0 s
+    pytest.param('1',
+                 '0 1281/2048 13527/32000, 1 6149/32768 499/1000, 2 3/64 501/1000, '
+                 '3 49837/131072 499/1000, 4 2795/32768 499/1000, 5 671/2048 13527/32000, '
+                 '6 21/64 25449/51200, 7 61/64 501/6400, 8 21/64 499/256000, '
+                 '9 2451/131072 499/1000',
+                 '1 | 0:0,0 3:0,501/1000 6:49837/131072,501/1000 5:1281/2048,0 '
+                 '1:92845/131072,501/1000 7:0,13527/32000 4:117441/131072,501/1000 2:61/64,0 '
+                 '9:128621/131072,501/1000 8:49837/131072,255501/256000',
+                 id="one_bin-195"),
 ]
 
 
@@ -487,6 +559,21 @@ def test_best_effort_certifies_or_raises():
     crowd = [Item(i, Fraction(33, 64), Fraction(33, 64)) for i in range(12)]
     with pytest.raises(InstanceTooLarge):
         max_area_pack(crowd, 1, 1, Fraction(1, 10), exact_limit=10)
+
+
+def test_unit_bin_layout_refutes_a_superset_of_a_refuted_set(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the region packer ran")
+
+    crowd = [Item(i, Fraction(3, 5), Fraction(3, 5)) for i in range(2)]
+    extra = Item(2, Fraction(1, 8), Fraction(1, 8))
+    cache = {frozenset({0, 1}): None}
+    monkeypatch.setattr(knapsack, "exact_pack_single_region", no_search)
+    assert unit_bin_layout(crowd + [extra], cache, 6) is None
+    assert cache[frozenset({0, 1, 2})] is None
+    # a set whose subsets the cache does not refute is searched
+    with pytest.raises(AssertionError, match="region packer"):
+        unit_bin_layout([crowd[0], extra], cache, 6)
 
 
 def test_canonical_partitions_match_brute_force():
