@@ -135,6 +135,12 @@ def cmd_pack(args):
     return 0
 
 
+def _print_violations(report):
+    for v in report.violations:
+        print(v)
+    return 1
+
+
 def cmd_validate(args):
     instance = parse_instance(_read(args.infile))
     packing = parse_packing(_read(args.packing))
@@ -142,12 +148,12 @@ def cmd_validate(args):
     if report.ok:
         print(f"ok {len(packing.bins)} bins")
         return 0
-    for v in report.violations:
-        print(v)
-    return 1
+    return _print_violations(report)
 
 
 def cmd_oracle(args):
+    if args.max_bins < 1:
+        raise ValueError(f"--max-bins must be at least 1, got {args.max_bins}")
     instance = parse_instance(_read(args.infile))
     config = config_from_env()
     try:
@@ -166,6 +172,9 @@ def cmd_oracle(args):
 def cmd_render(args):
     instance = parse_instance(_read(args.infile))
     packing = parse_packing(_read(args.packing))
+    report = validate_packing(packing, instance)
+    if not report.ok:
+        return _print_violations(report)
     paths = render_packing(packing, instance, args.out)
     for p in paths:
         print(p)
@@ -204,7 +213,7 @@ def build_parser():
     p.add_argument("--max-bins", type=int, default=4)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("render", help="draw a packing as SVG files")
+    p = sub.add_parser("render", help="draw a valid packing as SVG files")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--packing", required=True)
     p.add_argument("--out", required=True)

@@ -2,15 +2,24 @@
 
 All coordinates and sizes are `fractions.Fraction`.  Floats are rejected at
 the boundary so rounding error cannot creep into any containment or overlap
-decision.
+decision.  The validator makes those decisions on ints: each bin's values
+times the least common multiple of their denominators, which keeps every
+sum and comparison exact.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+
+
+def scaled(q: Fraction, d: int) -> int:
+    """q * d as an int, for a multiple d of q's denominator: q on the
+    integer lattice of spacing 1/d."""
+    return q.numerator * (d // q.denominator)
 
 
 def scalar(value) -> Fraction:
@@ -138,22 +147,23 @@ class ValidationReport:
         self.violations.append(Violation(kind, tuple(item_ids), detail))
 
 
-def _interiors_intersect(ax, ay, aw, ah, bx, by, bw, bh) -> bool:
-    # open-interval test on both axes; shared edges are fine
-    return ax < bx + bw and bx < ax + aw and ay < by + bh and by < ay + ah
-
-
 def validate_bin(layout: BinLayout, items_by_id: dict, report=None) -> ValidationReport:
     """Check one bin: known ids, no repeats, inside the region, no overlap.
 
-    Every violation is reported, not just the first.
+    Every violation is reported, not just the first.  Bounds and overlap
+    are tested on ints: the region, the item sides and the placements
+    times the least common multiple of their denominators.
     """
     if report is None:
         report = ValidationReport()
+    placed = [(p, items_by_id.get(p.item_id)) for p in layout.placements]
+    d = math.lcm(layout.width.denominator, layout.height.denominator,
+                 *(q.denominator for p, it in placed if it is not None
+                   for q in (p.x, p.y, it.width, it.height)))
+    a, b = scaled(layout.width, d), scaled(layout.height, d)
     seen = set()
-    boxes = []  # (item, placement) pairs that passed the id checks
-    for p in layout.placements:
-        it = items_by_id.get(p.item_id)
+    boxes = []  # (item id, left, bottom, right, top) of the boxes that passed the id checks
+    for p, it in placed:
         if it is None:
             report.add("unknown_item", (p.item_id,), f"item {p.item_id} not in instance")
             continue
@@ -161,25 +171,20 @@ def validate_bin(layout: BinLayout, items_by_id: dict, report=None) -> Validatio
             report.add("duplicate_item", (p.item_id,), f"item {p.item_id} placed twice in one bin")
             continue
         seen.add(p.item_id)
-        if p.x < 0 or p.y < 0 or p.x + it.width > layout.width or p.y + it.height > layout.height:
+        x, y = scaled(p.x, d), scaled(p.y, d)
+        right, top = x + scaled(it.width, d), y + scaled(it.height, d)
+        if x < 0 or y < 0 or right > a or top > b:
             report.add(
                 "out_of_bounds",
                 (p.item_id,),
                 f"item {p.item_id} at ({p.x}, {p.y}) leaves the {layout.width} x {layout.height} region",
             )
-        boxes.append((it, p))
-    for i in range(len(boxes)):
-        ai, ap = boxes[i]
-        for j in range(i + 1, len(boxes)):
-            bi, bp = boxes[j]
-            if _interiors_intersect(
-                ap.x, ap.y, ai.width, ai.height, bp.x, bp.y, bi.width, bi.height
-            ):
-                report.add(
-                    "overlap",
-                    (ai.id, bi.id),
-                    f"items {ai.id} and {bi.id} share interior area",
-                )
+        boxes.append((it.id, x, y, right, top))
+    for i, (ai, ax, ay, ar, at) in enumerate(boxes):
+        for bi, bx, by, br, bt in boxes[i + 1:]:
+            # open intervals on both axes; shared edges are fine
+            if ax < br and bx < ar and ay < bt and by < at:
+                report.add("overlap", (ai, bi), f"items {ai} and {bi} share interior area")
     return report
 
 

@@ -6,13 +6,18 @@ packing can be normalized by pushing items left and then down until each is
 blocked, which lands every corner on such a sum, so restricting the search
 to these positions loses nothing.
 
-Both exact searches scale the region and the item sides by the least
-common multiple d of their denominators once at entry, search on ints, and
-turn each coordinate x back into Fraction(x, d) at exit.  Multiplying by a
-positive constant keeps every sum and comparison as it was, so the search
-is as exact as over Fractions, visits positions in the same order and
-returns the same first solution.  A placed box is the tuple (left,
-bottom, right, top).
+Both exact searches run on an integer lattice: every side times a common
+multiple d of the denominators, with each coordinate x turned back into
+Fraction(x, d) for a layout that is found.  The profit solver and
+exact_pack_single_region take the least common multiple of their call's
+denominators.  The unit-bin memo (UnitBinMemo) holds one lattice per item
+set, built once per solve, and a memo miss tests the area bound, orders
+the items and searches on it with no Fraction arithmetic.  Multiplying by
+a positive constant keeps every sum and comparison as it was, so the
+search is as exact as over Fractions, visits positions in the same order
+and returns the same first solution on any lattice that holds the values;
+a subset's own lattice divides its item set's.  A placed box is the tuple
+(left, bottom, right, top).
 
 The profit solver is branch and bound: items in non-increasing area order,
 include (at each feasible normal position, x before y) or exclude; the
@@ -70,7 +75,7 @@ from itertools import combinations
 
 from .classify import vol
 from .errors import InstanceTooLarge
-from .geometry import ONE, ZERO, BinLayout, Placement, scalar
+from .geometry import ONE, ZERO, BinLayout, Placement, scalar, scaled
 
 
 @dataclass(frozen=True)
@@ -97,11 +102,8 @@ def _lattice(items, a, b):
     sides on the integer lattice of their common denominator d."""
     d = math.lcm(a.denominator, b.denominator,
                  *(side.denominator for it in items for side in (it.width, it.height)))
-
-    def scale(q):
-        return q.numerator * (d // q.denominator)
-
-    return d, scale(a), scale(b), [(scale(it.width), scale(it.height)) for it in items]
+    sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
+    return d, scaled(a, d), scaled(b, d), sides
 
 
 def _axis_positions(lengths, limit):
@@ -384,13 +386,9 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     """A validating layout of every item in region (a, b), or None.
 
     Complete search over normal positions with identical-item symmetry
-    breaking; deterministic first solution.  The area bound and the
-    refutations of _refuted answer None without a search.  Once the search
-    has backtracked, a placement that leaves some later item shape no
-    feasible position is dropped (forward checking), and so is one that
-    wastes more free area than the items leave spare (_wasted).  Both
-    prune only subtrees without a solution, so the first solution is
-    unchanged.
+    breaking; deterministic first solution.  The Fraction boundary of
+    _search_lattice: it puts the items on the lattice of this call, tests
+    the area bound and orders them by non-increasing area, then by id.
     """
     items = list(items)
     a, b = scalar(a), scalar(b)
@@ -398,35 +396,55 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
         raise InstanceTooLarge(f"{len(items)} items exceed the exact limit {exact_limit}")
     if not items:
         return BinLayout(a, b)
-    if vol(items) > a * b:
+    d, a_d, b_d, sides = _lattice(items, a, b)
+    if sum(w * h for w, h in sides) > a_d * b_d:
         return None
-    order = sorted(items, key=lambda it: (-it.volume, it.id))
-    d, a_d, b_d, sides = _lattice(order, a, b)
-    if _refuted(sides, a_d, b_d):
+    order = sorted(range(len(items)),
+                   key=lambda k: (-sides[k][0] * sides[k][1], items[k].id))
+    placed = _search_lattice([sides[k] for k in order], a_d, b_d)
+    if placed is None:
         return None
-    xs = _axis_positions([w for w, _ in sides], a_d)
-    ys = _axis_positions([h for _, h in sides], b_d)
-    slack = a_d * b_d - sum(w * h for w, h in sides)
-    placed = []  # placed[i] is the box of order[i]
+    return BinLayout(a, b, [Placement(items[k].id, Fraction(x, d), Fraction(y, d))
+                            for k, (x, y, _, _) in zip(order, placed)])
+
+
+def _search_lattice(sides, a, b):
+    """The first layout of the (width, height) boxes, placed in the given
+    order, in region (a, b), all ints on one lattice whose area bound
+    holds: the placed boxes as (left, bottom, right, top), or None.
+
+    The refutations of _refuted answer None without a search.  Once the
+    search has backtracked, a placement that leaves some later box shape no
+    feasible position is dropped (forward checking), and so is one that
+    wastes more free area than the boxes leave spare (_wasted).  Both
+    prune only subtrees without a solution, so the first solution is
+    unchanged.
+    """
+    if _refuted(sides, a, b):
+        return None
+    xs = _axis_positions([w for w, _ in sides], a)
+    ys = _axis_positions([h for _, h in sides], b)
+    slack = a * b - sum(w * h for w, h in sides)
+    placed = []  # placed[i] is the box of sides[i]
 
     def wasted(i):
         # across strips, then (transposed) down columns; with one box left
         # the forward check has already found it a spot
         later = sides[i + 1:]
         return len(later) > 1 and (
-            _wasted(placed, a_d, b_d, sorted((w, w * h) for w, h in later), slack)
-            or _wasted([(y, x, top, r) for x, y, r, top in placed], b_d, a_d,
+            _wasted(placed, a, b, sorted((w, w * h) for w, h in later), slack)
+            or _wasted([(y, x, top, r) for x, y, r, top in placed], b, a,
                        sorted((h, w * h) for w, h in later), slack))
 
     backtracked = False
 
     def rec(i, last_pos, spots):
         nonlocal backtracked
-        if i == len(order):
+        if i == len(sides):
             return True
         w, h = sides[i]
         floor = last_pos if i > 0 and sides[i - 1] == sides[i] else None
-        for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+        for x, y in _feasible_positions(w, h, xs, ys, placed, a, b, floor):
             box = (x, y, x + w, y + h)
             placed.append(box)
             if not backtracked:
@@ -434,31 +452,55 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
                     return True
                 backtracked = True
             else:
-                # the distinct shapes of the later items, largest (likeliest
+                # the distinct shapes of the later boxes, largest (likeliest
                 # to be shut out) first
                 ahead = dict.fromkeys(sides[i + 1:])
-                after = _first_spots(ahead, spots, box, xs, ys, placed, a_d, b_d)
+                after = _first_spots(ahead, spots, box, xs, ys, placed, a, b)
                 if after is not None and not wasted(i) and rec(i + 1, (x, y), after):
                     return True
             placed.pop()
         return False
 
-    if rec(0, None, None):
-        return BinLayout(a, b, [Placement(it.id, Fraction(x, d), Fraction(y, d))
-                                for it, (x, y, _, _) in zip(order, placed)])
-    return None
+    return placed if rec(0, None, None) else None
+
+
+class UnitBinMemo(dict):
+    """{frozenset of item ids: unit-bin BinLayout, or None when the set
+    does not fit} for one item set, which also carries that set's lattice:
+    d, the least common multiple of every side denominator, and sides, the
+    (width * d, height * d) ints of each item id.  A subset's own lattice
+    divides d, and scaling its boxes and the bin by one positive int keeps
+    every sum, comparison and visit order, so the search on this lattice
+    finds the subset's first layout."""
+
+    def __init__(self, items):
+        super().__init__()
+        self.d = math.lcm(*(side.denominator for it in items
+                            for side in (it.width, it.height)))
+        self.sides = {it.id: (scaled(it.width, self.d), scaled(it.height, self.d))
+                      for it in items}
 
 
 def unit_bin_layout(items, cache, limit):
     """exact_pack_single_region's unit-bin layout of items, or None when
-    they do not fit; memoized in cache by the set of item ids.  A set one
-    item larger than a set the cache refutes is refuted without a search."""
+    they do not fit; memoized in cache, a UnitBinMemo holding the items, by
+    the set of item ids.  A set one item larger than a set the cache
+    refutes is refuted without a search.  A miss runs on the cache's
+    lattice; Fractions are built only for a layout that is found."""
     key = frozenset(it.id for it in items)
     if key not in cache:
-        if vol(items) > 1 or any(cache.get(key - {i}, ()) is None for i in key):
+        d, sides = cache.d, cache.sides
+        if (sum(w * h for w, h in map(sides.__getitem__, key)) > d * d
+                or any(cache.get(key - {i}, ()) is None for i in key)):
             cache[key] = None
+        elif len(key) > limit:
+            raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
         else:
-            cache[key] = exact_pack_single_region(items, 1, 1, exact_limit=limit)
+            order = sorted(key, key=lambda i: (-sides[i][0] * sides[i][1], i))
+            placed = _search_lattice([sides[i] for i in order], d, d)
+            cache[key] = None if placed is None else BinLayout(
+                ONE, ONE, [Placement(i, Fraction(x, d), Fraction(y, d))
+                           for i, (x, y, _, _) in zip(order, placed)])
     return cache[key]
 
 
@@ -470,7 +512,8 @@ def canonical_partitions(items, bins, cache, limit, labeled=0):
     The first `labeled` parts are distinct bins; the rest are
     interchangeable, so an empty one opens only after the one before it
     holds an item.  A part grows only while unit_bin_layout accepts it,
-    so no split extends a part that does not fit.
+    so no split extends a part that does not fit; cache is the
+    UnitBinMemo of an item set that holds items.
     """
     parts = [[] for _ in range(bins)]
 

@@ -34,7 +34,13 @@ from .geometry import (
     transpose_packing,
     validate_packing,
 )
-from .knapsack import ProfitItem, canonical_partitions, max_profit_pack, unit_bin_layout
+from .knapsack import (
+    ProfitItem,
+    UnitBinMemo,
+    canonical_partitions,
+    max_profit_pack,
+    unit_bin_layout,
+)
 from .steinberg import pack_no_high_half_area, pack_no_wide_half_area, steinberg_pack
 
 
@@ -110,7 +116,7 @@ def enumerate_large_assignments(large, ell, enumeration_limit=12, cache=None):
         )
     if ell < 1:
         raise ValueError("ell must be positive")
-    yield from canonical_partitions(items, ell, {} if cache is None else cache,
+    yield from canonical_partitions(items, ell, UnitBinMemo(items) if cache is None else cache,
                                     enumeration_limit, labeled=1)
 
 
@@ -209,7 +215,7 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     wide-side bins.
     """
     if cache is None:
-        cache = {}
+        cache = UnitBinMemo(instance.items)
     ctx = ConstContext(k=k, ell=ell)
     eps = ctx.eps
     ctx.instance = instance
@@ -594,7 +600,7 @@ def _flip_roles(ctx, limit):
         flipped.c_bins.append([by_id[it.id] for it in ctx.b_bins[i]])
     flipped.b1_layout = transpose_layout(ctx.b1_layout)
     flipped.t_prime = [by_id[it.id] for it in ctx.t_prime]
-    fresh = {}
+    fresh = UnitBinMemo(flipped.instance.items)  # the same ids with swapped sides
     thr = HALF - flipped.eps
     if vol(flipped.c_bins[ell - 1]) >= thr:
         if vol(flipped.b_bins[ell - 1]) >= thr:
@@ -617,7 +623,7 @@ def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12):
         return Packing([])
     eps = const_eps(k)
     large = [it for it in instance.items if it.volume > eps]
-    cache = {}
+    cache = UnitBinMemo(instance.items)
     thr = HALF - eps
     limit_hits = 0
     last_error = None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .classify import classify, lower_bound, total_height, total_width
 from .errors import InstanceTooLarge
 from .geometry import BinLayout, Instance, Item, Packing, validate_packing
-from .knapsack import canonical_partitions, unit_bin_layout
+from .knapsack import UnitBinMemo, canonical_partitions, unit_bin_layout
 
 GRID = 64  # guillotine cut granularity (denominator of all raw coordinates)
 
@@ -92,14 +92,15 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
 
     Partition search over canonical assignments, starting at the
     classify.lower_bound count; per-subset feasibility via the exact
-    single-region packer, cached across the whole search.
+    single-region packer, cached across the whole search on one integer
+    lattice of the instance.
     """
     items = sorted(instance.items, key=lambda it: (-it.volume, it.id))
     if len(items) > oracle_limit:
         raise InstanceTooLarge(f"{len(items)} items exceed the oracle limit {oracle_limit}")
     if not items:
         return 0, Packing([])
-    cache = {}
+    cache = UnitBinMemo(items)
     for b in range(lower_bound(instance), max_bins + 1):
         split = next(canonical_partitions(items, b, cache, oracle_limit), None)
         if split is not None:

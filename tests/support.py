@@ -319,3 +319,39 @@ def reference_profit_search(pitems, a, b, max_placements):
 
     rec(0, Fraction(0), Fraction(0), False, None)
     return best["profit"], best["sel"], best["pl"]
+
+
+def reference_validate_bin(layout, items_by_id):
+    """geometry.validate_bin as it was before it moved to the integer
+    lattice: bounds and overlap decided on Fractions.  Returns the list of
+    violations, in the order the validator reports them."""
+    from rectbin.geometry import ValidationReport
+
+    report = ValidationReport()
+    seen = set()
+    boxes = []  # (item, placement) pairs that passed the id checks
+    for p in layout.placements:
+        it = items_by_id.get(p.item_id)
+        if it is None:
+            report.add("unknown_item", (p.item_id,), f"item {p.item_id} not in instance")
+            continue
+        if p.item_id in seen:
+            report.add("duplicate_item", (p.item_id,), f"item {p.item_id} placed twice in one bin")
+            continue
+        seen.add(p.item_id)
+        if p.x < 0 or p.y < 0 or p.x + it.width > layout.width or p.y + it.height > layout.height:
+            report.add(
+                "out_of_bounds",
+                (p.item_id,),
+                f"item {p.item_id} at ({p.x}, {p.y}) leaves the {layout.width} x {layout.height} region",
+            )
+        boxes.append((it, p))
+    for i in range(len(boxes)):
+        ai, ap = boxes[i]
+        for j in range(i + 1, len(boxes)):
+            bi, bp = boxes[j]
+            # open-interval test on both axes; shared edges are fine
+            if (ap.x < bp.x + bi.width and bp.x < ap.x + ai.width
+                    and ap.y < bp.y + bi.height and bp.y < ap.y + ai.height):
+                report.add("overlap", (ai.id, bi.id), f"items {ai.id} and {bi.id} share interior area")
+    return report.violations

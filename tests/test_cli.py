@@ -215,6 +215,26 @@ class TestCommands:
         assert 'version="1.1"' in text
         assert ">0</text>" in text
 
+    def test_render_rejects_an_unknown_id(self, tmp_path, capsys):
+        inst = tmp_path / "a.inst"
+        pack = tmp_path / "a.pack"
+        outdir = tmp_path / "svg"
+        inst.write_text("items 1\n0 1/2 1/2\n")
+        pack.write_text("bins 1\nbin 0\n0 0 0\n7 1/2 0\n")
+        assert main(["render", "--in", str(inst), "--packing", str(pack),
+                     "--out", str(outdir)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "Violation(kind='unknown_item', item_ids=(7,), detail='item 7 not in instance')"]
+        assert not outdir.exists()
+
+    def test_oracle_rejects_max_bins_below_one(self, tmp_path, capsys):
+        inst = tmp_path / "a.inst"
+        inst.write_text("items 2\n0 3/4 3/4\n1 3/4 3/4\n")
+        for bins in ("-2", "0"):
+            assert main(["oracle", "--in", str(inst), "--max-bins", bins]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--max-bins" in captured.err
+
     def test_pack_svg_flag(self, tmp_path, capsys):
         inst = tmp_path / "a.inst"
         pack = tmp_path / "a.pack"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from rectbin.geometry import (
     validate_bin,
     validate_packing,
 )
-from support import dims_strategy, independent_bin_check, make_instance, rational
+from support import (
+    dims_strategy,
+    independent_bin_check,
+    make_instance,
+    rational,
+    reference_validate_bin,
+)
 
 
 def test_scalar_accepts_exact_forms():
@@ -90,6 +97,52 @@ def test_all_violations_reported():
     assert "unknown_item" in kinds
     assert "out_of_bounds" in kinds
     assert kinds.count("overlap") == 3
+
+
+def random_bin(rng):
+    """A region, items and placements for the validator fuzz: sides and
+    coordinates on denominators 3, 7 and 1000, mixed in one bin, corners
+    often on another box's right or top edge so that boxes share edges,
+    overlap or leave the region, plus unknown and repeated ids."""
+
+    def frac(lo, hi):
+        den = rng.choice([3, 7, 1000])
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    def side():
+        return max(frac(0, 1), Fraction(1, 1000))
+
+    items = {i: Item(i, side(), side()) for i in range(rng.randint(0, 6))}
+    layout = BinLayout(rng.choice([1, side()]), rng.choice([1, side()]))
+    edges_x, edges_y = [Fraction(0)], [Fraction(0)]
+    for _ in range(rng.randint(0, 7)):
+        item_id = rng.randrange(-1, len(items) + 1)
+        x = rng.choice(edges_x) if rng.random() < 0.6 else frac(-1, 4) / 4
+        y = rng.choice(edges_y) if rng.random() < 0.6 else frac(-1, 4) / 4
+        layout.add(item_id, x, y)
+        if item_id in items:
+            edges_x.append(x + items[item_id].width)
+            edges_y.append(y + items[item_id].height)
+    return layout, items
+
+
+def test_validator_matches_the_fraction_reference():
+    rng = random.Random(2024)
+    kinds = set()
+    touching = 0
+    for _ in range(3000):
+        layout, items = random_bin(rng)
+        report = validate_bin(layout, items)
+        assert report.violations == reference_validate_bin(layout, items), layout
+        kinds |= {v.kind for v in report.violations}
+        boxes = [(p.x, p.y, p.x + items[p.item_id].width, p.y + items[p.item_id].height)
+                 for p in layout.placements if p.item_id in items]
+        # pairs that share part of a vertical edge
+        touching += sum(1 for i, (l1, b1, r1, t1) in enumerate(boxes)
+                        for l2, b2, r2, t2 in boxes[i + 1:]
+                        if (r1 == l2 or r2 == l1) and b1 < t2 and b2 < t1)
+    assert kinds == {"unknown_item", "duplicate_item", "out_of_bounds", "overlap"}
+    assert touching > 100
 
 
 def test_packing_missing_and_duplicate():

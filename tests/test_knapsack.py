@@ -6,10 +6,11 @@ import pytest
 
 from rectbin import knapsack
 from rectbin.errors import InstanceTooLarge
-from rectbin.geometry import Item, validate_bin, validate_packing
+from rectbin.geometry import Instance, Item, validate_bin, validate_packing
 from rectbin.knapsack import (
     KnapsackResult,
     ProfitItem,
+    UnitBinMemo,
     canonical_partitions,
     exact_pack_single_region,
     max_area_pack,
@@ -567,13 +568,62 @@ def test_unit_bin_layout_refutes_a_superset_of_a_refuted_set(monkeypatch):
 
     crowd = [Item(i, Fraction(3, 5), Fraction(3, 5)) for i in range(2)]
     extra = Item(2, Fraction(1, 8), Fraction(1, 8))
-    cache = {frozenset({0, 1}): None}
-    monkeypatch.setattr(knapsack, "exact_pack_single_region", no_search)
+    cache = UnitBinMemo(crowd + [extra])
+    cache[frozenset({0, 1})] = None
+    monkeypatch.setattr(knapsack, "_search_lattice", no_search)
     assert unit_bin_layout(crowd + [extra], cache, 6) is None
     assert cache[frozenset({0, 1, 2})] is None
     # a set whose subsets the cache does not refute is searched
     with pytest.raises(AssertionError, match="region packer"):
         unit_bin_layout([crowd[0], extra], cache, 6)
+
+
+def test_unit_bin_memo_matches_the_region_packer():
+    # each subset of an instance, in order of size so that supersets of
+    # refuted sets come up, on the lattice of the whole instance; then the
+    # transposed instance, whose memo sees the same ids with swapped sides
+    rng = random.Random(2718)
+    fits = 0
+    for trial in range(60):
+        items = []
+        for i in range(rng.randint(2, 6)):
+            w, h = (rng.choice(BOUNDARY_SIDES) if rng.random() < 0.3 else
+                    rand_frac(rng, Fraction(1, 100), 1, rng.choice([3, 5, 7, 64, 1000]))
+                    for _ in range(2))
+            items.append(Item(i, w, h))
+        for group in (items, [it.transposed() for it in items]):
+            memo = UnitBinMemo(group)
+            for size in range(1, len(group) + 1):
+                for subset in itertools.combinations(group, size):
+                    expected = exact_pack_single_region(subset, 1, 1)
+                    assert unit_bin_layout(subset, memo, 6) == expected, (trial, subset)
+                    fits += expected is not None
+    assert 800 < fits < 2000
+
+
+# exact_min_bins on this instance, recorded before the memo had a lattice
+LATTICE_GOLDEN_ITEMS = [
+    (Fraction(109, 250), Fraction(719, 1000)), (Fraction(4, 7), Fraction(1, 7)),
+    (Fraction(259, 500), Fraction(379, 1000)), (Fraction(59, 100), Fraction(411, 1000)),
+    (Fraction(321, 500), Fraction(203, 1000)), (Fraction(9, 64), Fraction(3, 8)),
+    (Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)),
+]
+LATTICE_GOLDEN_BINS = [
+    "0:0,0 2:109/250,0 4:0,719/1000 5:321/500,379/1000",
+    "3:0,0 6:0,411/1000 7:2/3,0 1:0,2233/3000",
+]
+
+
+def test_exact_min_bins_runs_without_fraction_area_or_call_lattice(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("Fraction work on a memo miss")
+
+    monkeypatch.setattr(knapsack, "vol", banned)
+    monkeypatch.setattr(knapsack, "_lattice", banned)
+    instance = Instance([Item(i, w, h) for i, (w, h) in enumerate(LATTICE_GOLDEN_ITEMS)])
+    count, packing = exact_min_bins(instance)
+    assert count == 2
+    assert [placements_text(layout) for layout in packing.bins] == LATTICE_GOLDEN_BINS
 
 
 def test_canonical_partitions_match_brute_force():
@@ -587,7 +637,7 @@ def test_canonical_partitions_match_brute_force():
             items.append(Item(i, rand_frac(rng, Fraction(1, 8), 1, den),
                               rand_frac(rng, Fraction(1, 8), 1, den)))
         rng.shuffle(items)  # splits follow the caller's order, not the ids
-        cache = {}
+        cache = UnitBinMemo(items)
         for labeled in (0, 1):
             for bins in (1, 2, 3):
                 got = [tuple(tuple(it.id for it in part) for part in split)
