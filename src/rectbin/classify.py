@@ -4,6 +4,12 @@ An item is wide when its width exceeds 1/2 strictly, high when its height
 does, big when both do, small when neither does.  The delta search looks for
 a cutoff so that the near-full-width items stack into a short strip; its
 threshold gamma = (delta - eps) / (1 + 2 delta) never exceeds 1/4.
+
+The sums (vol, total_width, total_height) add ints over the least common
+multiple of their terms' denominators and build one Fraction.  The delta
+search runs on the lattice of the item sides and 1/2, computed per call:
+candidates and stack are ints there, and the threshold test is
+cross-multiplied, so no Fraction is built until the delta it returns.
 """
 
 import math
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionViolated
-from .geometry import HALF, Instance
+from .geometry import HALF, Instance, exact_sum, lattice, scaled
 
 # fixed constant of the area guarantee
 XI = Fraction(3, 40)
@@ -20,15 +26,15 @@ EPS_LIMIT = Fraction(1, 200)
 
 
 def vol(items) -> Fraction:
-    return sum((it.width * it.height for it in items), Fraction(0))
+    return exact_sum([it.volume for it in items])
 
 
 def total_width(items) -> Fraction:
-    return sum((it.width for it in items), Fraction(0))
+    return exact_sum([it.width for it in items])
 
 
 def total_height(items) -> Fraction:
-    return sum((it.height for it in items), Fraction(0))
+    return exact_sum([it.height for it in items])
 
 
 def w_max(items) -> Fraction:
@@ -113,6 +119,11 @@ def find_feasible_delta(instance: Instance, eps, axis="width"):
     function that only changes at those points, so nothing else needs
     checking.  Returns None when every candidate fails.  axis="height"
     runs the transposed search w(H_delta) <= gamma.
+
+    The search runs on the lattice L of the item sides and 1/2: delta =
+    c / L, and the stack S / L.  The items enter the stack widest first as
+    c grows, and S / L <= (c/L - eps) / (1 + 2c/L) holds exactly when
+    S * (L + 2c) * q <= (c * q - p * L) * L for eps = p / q.
     """
     _check_eps(eps)
     if axis == "width":
@@ -123,16 +134,26 @@ def find_feasible_delta(instance: Instance, eps, axis="width"):
         across = lambda it: it.width
     else:
         raise ValueError(f"axis must be 'width' or 'height', got {axis!r}")
-    candidates = {HALF}
-    for it in instance.items:
-        if along(it) > HALF:
-            d = 1 - along(it)
-            if eps < d < HALF:
-                candidates.add(d)
-    for d in sorted(candidates):
-        stack = sum((across(it) for it in instance.items if along(it) > 1 - d), Fraction(0))
-        if stack <= delta_threshold(d, eps):
-            return d
+    items = instance.items
+    L = lattice(items, HALF)
+    p, q = eps.numerator, eps.denominator
+    pairs = sorted([(scaled(along(it), L), scaled(across(it), L)) for it in items],
+                   reverse=True)
+    half = L // 2
+    candidates = {half}
+    for a, _ in pairs:
+        if a <= half:
+            break
+        c = L - a
+        if p * L < c * q and c < half:
+            candidates.add(c)
+    stack = j = 0
+    for c in sorted(candidates):
+        while j < len(pairs) and pairs[j][0] > L - c:
+            stack += pairs[j][1]
+            j += 1
+        if stack * (L + 2 * c) * q <= (c * q - p * L) * L:
+            return Fraction(c, L)
     return None
 
 

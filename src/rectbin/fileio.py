@@ -23,14 +23,32 @@ _DIGIT_CAP = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
+def _plain_rational(text):
+    """A token of ASCII digits, or of ASCII digits `/` ASCII digits, as an
+    exact Fraction built from int(); None for any other token.  Fraction(text)
+    reads such a token with the same int() calls, so value and errors agree."""
+    if text.isascii():
+        if text.isdigit():
+            return Fraction(int(text))
+        p, slash, q = text.partition("/")
+        if slash and p.isdigit() and q.isdigit():
+            return Fraction(int(p), int(q))
+    return None
+
+
 def parse_rational(text):
     """text as an exact Fraction (`p/q`, an integer or a decimal), within
     the number bounds above; ValueError otherwise.  Shared by every reader
-    of numbers from outside the program."""
-    exponent = _EXPONENT.search(text)
+    of numbers from outside the program.  A plain `p/q` or integer token is
+    read by _plain_rational; any other goes through Fraction(text)."""
     try:
-        huge = exponent is not None and abs(int(exponent.group(1))) > MAX_EXPONENT
-        value = None if huge else Fraction(text)
+        value = _plain_rational(text)
+        huge = False
+        if value is None:
+            exponent = _EXPONENT.search(text)
+            huge = exponent is not None and abs(int(exponent.group(1))) > MAX_EXPONENT
+            if not huge:
+                value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {text!r}") from None
     if huge:

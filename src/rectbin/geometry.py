@@ -16,10 +16,25 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
+def lattice(items, *values) -> int:
+    """The least common multiple of the denominators of every item side and
+    of values: the spacing 1/d of the coarsest integer lattice that holds
+    them all."""
+    return math.lcm(*[q.denominator for q in values],
+                    *[side.denominator for it in items for side in (it.width, it.height)])
+
+
 def scaled(q: Fraction, d: int) -> int:
     """q * d as an int, for a multiple d of q's denominator: q on the
     integer lattice of spacing 1/d."""
     return q.numerator * (d // q.denominator)
+
+
+def exact_sum(values) -> Fraction:
+    """The sum of a list of Fractions, added as ints on the least common
+    multiple of their denominators; Fraction(0) for an empty list."""
+    d = math.lcm(*[q.denominator for q in values])
+    return Fraction(sum([scaled(q, d) for q in values]), d)
 
 
 def scalar(value) -> Fraction:
@@ -40,23 +55,25 @@ def scalar(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Item:
-    """A rectangle to be packed.  Dimensions are fixed; no rotation."""
+    """A rectangle to be packed.  Dimensions are fixed; no rotation.
+
+    `volume` (width * height) is computed once, as a plain attribute that is
+    not a field, so equality, hashing and repr see only id and sides."""
 
     id: int
     width: Fraction
     height: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "width", scalar(self.width))
-        object.__setattr__(self, "height", scalar(self.height))
-        if not (0 < self.width <= 1):
-            raise ValueError(f"item {self.id}: width {self.width} outside (0, 1]")
-        if not (0 < self.height <= 1):
-            raise ValueError(f"item {self.id}: height {self.height} outside (0, 1]")
-
-    @property
-    def volume(self) -> Fraction:
-        return self.width * self.height
+        w, h = scalar(self.width), scalar(self.height)
+        object.__setattr__(self, "width", w)
+        object.__setattr__(self, "height", h)
+        # 0 < q <= 1 on numerator and denominator; a denominator is positive
+        if not (0 < w.numerator <= w.denominator):
+            raise ValueError(f"item {self.id}: width {w} outside (0, 1]")
+        if not (0 < h.numerator <= h.denominator):
+            raise ValueError(f"item {self.id}: height {h} outside (0, 1]")
+        object.__setattr__(self, "volume", w * h)
 
     def transposed(self) -> "Item":
         return Item(self.id, self.height, self.width)
@@ -158,8 +175,8 @@ def validate_bin(layout: BinLayout, items_by_id: dict, report=None) -> Validatio
         report = ValidationReport()
     placed = [(p, items_by_id.get(p.item_id)) for p in layout.placements]
     d = math.lcm(layout.width.denominator, layout.height.denominator,
-                 *(q.denominator for p, it in placed if it is not None
-                   for q in (p.x, p.y, it.width, it.height)))
+                 *[q.denominator for p, it in placed if it is not None
+                   for q in (p.x, p.y, it.width, it.height)])
     a, b = scaled(layout.width, d), scaled(layout.height, d)
     seen = set()
     boxes = []  # (item id, left, bottom, right, top) of the boxes that passed the id checks

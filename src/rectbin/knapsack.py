@@ -38,7 +38,10 @@ the two differ only in which identical items they keep in lex order,
 which a first layout does anyway (swapping two same-shape items that are
 out of order gives an earlier layout).  At desk scale this is exact;
 beyond exact_limit a greedy fallback runs and the result is kept only
-when it provably meets the (1 - eps) * OPT - eps contract.
+when it provably meets the (1 - eps) * OPT - eps contract.  The greedy
+(_best_effort) places each item, in order of profit per area, at its first
+position among the corners of the boxes already placed; it runs on the
+lattice of its call too and builds Fractions only for the items it places.
 
 The region packer first cuts out every item of full region height as a
 column and every item of full width as a row, narrowing the region (no
@@ -75,7 +78,7 @@ from itertools import combinations
 
 from .classify import vol
 from .errors import InstanceTooLarge
-from .geometry import ONE, ZERO, BinLayout, Placement, scalar, scaled
+from .geometry import ONE, ZERO, BinLayout, Placement, exact_sum, lattice, scalar, scaled
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,7 @@ class KnapsackResult:
 def _lattice(items, a, b):
     """(d, a * d, b * d, [(w * d, h * d) per item]): the region and the item
     sides on the integer lattice of their common denominator d."""
-    d = math.lcm(a.denominator, b.denominator,
-                 *(side.denominator for it in items for side in (it.width, it.height)))
+    d = lattice(items, a, b)
     sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
     return d, scaled(a, d), scaled(b, d), sides
 
@@ -186,7 +188,7 @@ def _solve_exact(pitems, a, b):
     xs = _axis_positions([w for w, _ in sides], a_d)
     ys = _axis_positions([h for _, h in sides], b_d)
     # profits on ints too: scaled by the common denominator q
-    q = math.lcm(*(pi.profit.denominator for pi in order))
+    q = math.lcm(*[pi.profit.denominator for pi in order])
     profits = [pi.profit.numerator * (q // pi.profit.denominator) for pi in order]
     volumes = [w * h for w, h in sides]
     area = a_d * b_d
@@ -235,19 +237,23 @@ def _solve_exact(pitems, a, b):
 
 
 def _best_effort(pitems, a, b):
+    """(profit, [(item, x, y)]): each item in order of profit per area, at
+    its first position (lex order) among the corners of the boxes placed so
+    far, or left out.  Runs on the lattice of its call, like _solve_exact;
+    Fractions are built only for the items it places."""
     order = sorted(pitems, key=lambda pi: (-(pi.profit / pi.item.volume), -pi.profit, pi.item.id))
-    placed = []  # boxes in Fractions
+    d, a_d, b_d, sides = _lattice([pi.item for pi in order], a, b)
+    placed = []  # boxes on the lattice
     chosen = []  # (item, x, y)
     achieved = ZERO
-    for pi in order:
-        it = pi.item
-        xs = sorted({ZERO} | {right for _, _, right, _ in placed})
-        ys = sorted({ZERO} | {top for _, _, _, top in placed})
-        spot = next(_feasible_positions(it.width, it.height, xs, ys, placed, a, b), None)
+    for pi, (w, h) in zip(order, sides):
+        xs = sorted({0} | {right for _, _, right, _ in placed})
+        ys = sorted({0} | {top for _, _, _, top in placed})
+        spot = next(_feasible_positions(w, h, xs, ys, placed, a_d, b_d), None)
         if spot is not None:
             x, y = spot
-            placed.append((x, y, x + it.width, y + it.height))
-            chosen.append((it, x, y))
+            placed.append((x, y, x + w, y + h))
+            chosen.append((pi.item, Fraction(x, d), Fraction(y, d)))
             achieved += pi.profit
     return achieved, chosen
 
@@ -266,7 +272,7 @@ def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
             order = [pi.item for pi in sorted(usable, key=_order_key)]
             layout = exact_pack_single_region(order, a, b, exact_limit)
             if layout is not None:
-                return KnapsackResult(order, layout, sum((pi.profit for pi in usable), ZERO), True)
+                return KnapsackResult(order, layout, exact_sum([pi.profit for pi in usable]), True)
         profit, selected, placements = _solve_exact(usable, a, b)
         return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
     achieved, placed = _best_effort(usable, a, b)
@@ -475,8 +481,7 @@ class UnitBinMemo(dict):
 
     def __init__(self, items):
         super().__init__()
-        self.d = math.lcm(*(side.denominator for it in items
-                            for side in (it.width, it.height)))
+        self.d = lattice(items)
         self.sides = {it.id: (scaled(it.width, self.d), scaled(it.height, self.d))
                       for it in items}
 

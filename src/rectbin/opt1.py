@@ -42,7 +42,7 @@ from .steinberg import steinberg_pack
 
 def _merge(target: BinLayout, sub: BinLayout, dx, dy):
     for p in sub.placements:
-        target.add(p.item_id, p.x + dx, p.y + dy)
+        target.add(p.item_id, p.x + dx if dx else p.x, p.y + dy if dy else p.y)
 
 
 def _checked(packing, instance, label):
@@ -63,12 +63,13 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     if not (eps < delta <= HALF):
         raise PreconditionViolated(f"delta {delta} outside (eps, 1/2]")
     gamma = delta_threshold(delta, eps)
+    width_cutoff, height_cutoff = 1 - delta, 1 - gamma
     items = instance.items
-    cutoff_wide = [it for it in items if it.width > 1 - delta]
+    cutoff_wide = [it for it in items if it.width > width_cutoff]
     if total_height(cutoff_wide) > gamma:
         raise PreconditionViolated("stack of cutoff-wide items exceeds the threshold")
 
-    tall = sorted((it for it in items if it.height > 1 - gamma), key=lambda it: (-it.height, it.id))
+    tall = sorted((it for it in items if it.height > height_cutoff), key=lambda it: (-it.height, it.id))
     tall_w = total_width(tall)
     if tall_w > 1:
         raise GuessFailed("near-full-height items wider than the bin together")
@@ -88,7 +89,7 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
         selected_ids = set(picked.layout.item_ids())
 
     leftover = [it for it in pool if it.id not in selected_ids]
-    floor = sorted((it for it in leftover if it.width > 1 - delta),
+    floor = sorted((it for it in leftover if it.width > width_cutoff),
                    key=lambda it: (-it.width, it.id))
     bin2 = BinLayout(1, 1)
     y = Fraction(0)

@@ -16,6 +16,7 @@ from .geometry import BinLayout, Instance, Item, Packing, validate_packing
 from .knapsack import UnitBinMemo, canonical_partitions, unit_bin_layout
 
 GRID = 64  # guillotine cut granularity (denominator of all raw coordinates)
+CELLS = GRID * GRID  # the most pieces one bin can be cut into
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < self.ell or self.ell < 1:
             raise ValueError("need n >= ell >= 1")
+        if self.n > self.ell * CELLS:
+            raise ValueError(f"n = {self.n} pieces do not fit {self.ell} bin(s): "
+                             f"a bin is cut into at most {CELLS} grid cells")
         if self.mode not in ("guillotine", "shrink"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -64,6 +68,10 @@ def gen_instance(spec: GeneratorSpec):
     counts = [1] * spec.ell
     for _ in range(spec.n - spec.ell):
         counts[rng.randrange(spec.ell)] += 1
+    for index, count in enumerate(counts):
+        if count > CELLS:
+            raise ValueError(f"bin {index} drew {count} pieces, more than its "
+                             f"{CELLS} grid cells")
     items = []
     bins = []
     next_id = 0

@@ -5,6 +5,8 @@ purpose: they recompute overlap and containment from first principles so the
 suite does not just test the validator against itself.
 """
 
+import math
+import re
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -355,3 +357,92 @@ def reference_validate_bin(layout, items_by_id):
                     and ap.y < bp.y + bi.height and bp.y < ap.y + ai.height):
                 report.add("overlap", (ai.id, bi.id), f"items {ai.id} and {bi.id} share interior area")
     return report.violations
+
+
+# ---------------------------------------------------------------------------
+# the number parser, classify's sums and the delta search as they were on
+# Fractions, before they moved to ints: references for the int code
+
+
+_REFERENCE_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+
+
+def reference_parse_rational(text):
+    """fileio.parse_rational read entirely through Fraction(text)."""
+    exponent = _REFERENCE_EXPONENT.search(text)
+    try:
+        huge = exponent is not None and abs(int(exponent.group(1))) > 4299
+        value = None if huge else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {text!r}") from None
+    if huge:
+        raise ValueError(f"exponent of {text!r} exceeds 4299 in magnitude")
+    if max(abs(value.numerator), value.denominator) >= 10**4300:
+        raise ValueError(f"{text!r} has more than 4300 digits")
+    return value
+
+
+def reference_vol(items):
+    return sum((it.width * it.height for it in items), Fraction(0))
+
+
+def reference_total_width(items):
+    return sum((it.width for it in items), Fraction(0))
+
+
+def reference_total_height(items):
+    return sum((it.height for it in items), Fraction(0))
+
+
+def reference_lower_bound(items):
+    """classify.lower_bound on the Fraction sums."""
+    wide = [it for it in items if it.width > Fraction(1, 2)]
+    high = [it for it in items if it.height > Fraction(1, 2)]
+    big = [it for it in wide if it.height > Fraction(1, 2)]
+    return math.ceil(max(reference_vol(items), reference_total_height(wide),
+                         reference_total_width(high), len(big)))
+
+
+def reference_feasible_delta(items, eps, axis="width"):
+    """classify.find_feasible_delta on Fractions: every candidate delta in
+    ascending order, each with a fresh 1 - w and a full stack sum."""
+    half = Fraction(1, 2)
+    if axis == "width":
+        along = lambda it: it.width
+        across = lambda it: it.height
+    else:
+        along = lambda it: it.height
+        across = lambda it: it.width
+    candidates = {half}
+    for it in items:
+        if along(it) > half:
+            d = 1 - along(it)
+            if eps < d < half:
+                candidates.add(d)
+    for d in sorted(candidates):
+        stack = sum((across(it) for it in items if along(it) > 1 - d), Fraction(0))
+        if stack <= (d - eps) / (1 + 2 * d):
+            return d
+    return None
+
+
+def reference_best_effort(pitems, a, b):
+    """knapsack._best_effort as it was on Fraction boxes: each item in
+    order of profit per area at its first corner position, or left out."""
+    from rectbin.knapsack import _feasible_positions
+
+    order = sorted(pitems, key=lambda pi: (-(pi.profit / pi.item.volume), -pi.profit, pi.item.id))
+    placed = []
+    chosen = []
+    achieved = Fraction(0)
+    for pi in order:
+        it = pi.item
+        xs = sorted({Fraction(0)} | {right for _, _, right, _ in placed})
+        ys = sorted({Fraction(0)} | {top for _, _, _, top in placed})
+        spot = next(_feasible_positions(it.width, it.height, xs, ys, placed, a, b), None)
+        if spot is not None:
+            x, y = spot
+            placed.append((x, y, x + it.width, y + it.height))
+            chosen.append((it, x, y))
+            achieved += pi.profit
+    return achieved, chosen

@@ -20,8 +20,18 @@ from rectbin.classify import (
     w_max,
 )
 from rectbin.errors import PreconditionViolated
+from rectbin.geometry import Instance
 from rectbin.oracle import GeneratorSpec, gen_instance
-from support import brute_min_bins, dims_strategy, make_instance
+from support import (
+    brute_min_bins,
+    dims_strategy,
+    make_instance,
+    reference_feasible_delta,
+    reference_lower_bound,
+    reference_total_height,
+    reference_total_width,
+    reference_vol,
+)
 
 EPS = Fraction(1, 256)
 
@@ -142,6 +152,68 @@ def test_delta_search_agrees_with_step_scan(dims):
         ]
         expected = feasible[0] if feasible else None
         assert find_feasible_delta(inst, EPS, axis) == expected
+
+
+DENOMINATORS = (2, 3, 5, 7, 64, 1000, 8000, 65536, 999983)
+
+
+def _boundary_instance(rng, eps):
+    """Up to 12 items whose sides are drawn half from the delta search's
+    boundaries (1/2, 1 - eps, just below 1 - eps, 1, 1/2 + 1/d) and half
+    from random p/q over DENOMINATORS."""
+    def side():
+        if rng.random() < 0.5:
+            d = rng.choice(DENOMINATORS)
+            return rng.choice([Fraction(1, 2), 1 - eps, 1 - eps - Fraction(1, d * d),
+                               Fraction(1), Fraction(1, 2) + Fraction(1, d)])
+        q = rng.choice(DENOMINATORS)
+        return Fraction(rng.randint(1, q), q)
+
+    return make_instance([(side(), side()) for _ in range(rng.randint(0, 12))])
+
+
+def test_delta_search_matches_the_fraction_reference():
+    rng = random.Random(90210)
+    found = 0
+    for _ in range(3000):
+        m = rng.choice(DENOMINATORS[1:])
+        eps = Fraction(rng.randint(1, m - 1), 200 * m)  # in (0, 1/200)
+        inst = _boundary_instance(rng, eps)
+        for axis in ("width", "height"):
+            delta = find_feasible_delta(inst, eps, axis)
+            assert delta == reference_feasible_delta(inst.items, eps, axis)
+            found += delta is not None and delta != Fraction(1, 2)
+    assert found > 500  # a cutoff below 1/2, not just the fallback, is found often
+
+
+def test_delta_search_accepts_a_stack_exactly_at_gamma():
+    # the full-width item alone is above the cutoff 1 - delta, and its
+    # height is gamma(delta) to the last digit
+    for eps in (Fraction(1, 256), Fraction(3, 1000), Fraction(1, 200 * 999983)):
+        for w in (Fraction(3, 4), Fraction(5, 7), Fraction(65535, 65536) - eps):
+            delta = 1 - w
+            if not eps < delta < Fraction(1, 2):
+                continue
+            dims = [(w, Fraction(1, 2)), (Fraction(1), delta_threshold(delta, eps))]
+            inst = make_instance(dims)
+            assert find_feasible_delta(inst, eps, "width") == delta
+            flipped = make_instance([(h, w_) for w_, h in dims])
+            assert find_feasible_delta(flipped, eps, "height") == delta
+            assert reference_feasible_delta(inst.items, eps) == delta
+
+
+def test_sums_match_the_fraction_reference():
+    rng = random.Random(4711)
+    for _ in range(1000):
+        eps = Fraction(1, 256)
+        items = _boundary_instance(rng, eps).items
+        for ours, ref in ((vol, reference_vol), (total_width, reference_total_width),
+                          (total_height, reference_total_height)):
+            got, want = ours(items), ref(items)
+            assert type(got) is Fraction and got == want and str(got) == str(want)
+        assert lower_bound(Instance(items)) == reference_lower_bound(items)
+    for ours in (vol, total_width, total_height):
+        assert ours([]) == 0 and str(ours([])) == "0"
 
 
 @given(st.integers(1, 400).map(lambda k: Fraction(k, 800)))

@@ -1,6 +1,7 @@
 """Config resolution, the auto dispatcher, and the command line surface."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,19 @@ class TestCommands:
         out = tmp_path / "x.pack"
         assert main(["pack", "--in", str(bad), "--out", str(out)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_gen_rejects_more_pieces_than_the_grid_holds(self, tmp_path, capsys):
+        out = tmp_path / "a.inst"
+        assert main(["gen", "--n", "4097", "--seed", "1", "--out", str(out)]) == 2
+        assert "at most 4096 grid cells" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_rejects_a_huge_count_at_once(self, tmp_path, capsys):
+        out = tmp_path / "a.inst"
+        start = time.perf_counter()
+        assert main(["gen", "--n", "100000000", "--seed", "1", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "at most 4096 grid cells" in capsys.readouterr().err
 
     def test_negative_item_count_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "neg.inst"

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,12 @@ from rectbin.errors import ParseError
 from rectbin.fileio import (
     parse_instance,
     parse_packing,
+    parse_rational,
     serialize_instance,
     serialize_packing,
 )
 from rectbin.geometry import BinLayout, Instance, Item, Packing
+from support import reference_parse_rational
 
 F = Fraction
 
@@ -77,6 +81,51 @@ class TestInstanceFormat:
         assert inst.items[0].width == F(1, 10**4299)
         assert inst.items[0].height == F(1, 4)
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+def _outcome(parse, text):
+    """(value, None) or (None, (error type, message)) of parse(text)."""
+    try:
+        return parse(text), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestRational:
+    """parse_rational reads plain ASCII `p/q` and integer tokens with int()
+    and every other token with Fraction(text); both must agree with the
+    all-Fraction reader in value, or in error type and text."""
+
+    @pytest.mark.parametrize("tok", [
+        "5/0", "0/5", "007/008", "0", "1", "10", "+1/2", "-1/2", "1/-2",
+        "1_0/20", "1/2_0", "\u0661/\u0662", "\uff11/\uff12", "\u00b2/3",
+        "1.5", ".5", "1e-4300", "1e-4299", "25e-2", "1/2/3", "/2", "1/", "",
+        "1/ 2", " 1/2", "1 /2", "x", "0x10", "1/2e3",
+        "9" * 4300, "9" * 4300 + "/7", "7/" + "9" * 4300,
+        "9" * 4301, "9" * 4301 + "/7", "7/" + "9" * 4301,
+        "0" * 5000 + "1", "0" * 5000 + "1/2", "1/" + "0" * 5000 + "2",
+    ], ids=lambda tok: tok if len(tok) < 20 else f"{tok[:6]}...{len(tok)}")
+    def test_tricky_tokens_match_the_reference(self, tok):
+        value, error = _outcome(parse_rational, tok)
+        assert (value, error) == _outcome(reference_parse_rational, tok)
+        if value is not None:
+            assert str(value) == str(reference_parse_rational(tok))
+
+    def test_long_parts_fail_with_the_parser_message(self):
+        # int()'s own limit text must not leak out
+        for tok in ("9" * 4301 + "/7", "0" * 5000 + "1"):
+            with pytest.raises(ValueError) as info:
+                parse_rational(tok)
+            assert str(info.value) == f"bad rational {tok!r}"
+
+    def test_random_tokens_match_the_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            p = rng.choice([0, 1, 2, 7, rng.randrange(10**6), rng.randrange(10**40)])
+            q = rng.choice([0, 1, 2, 3, 64, 1000, rng.randrange(1, 10**6), rng.randrange(10**40)])
+            zeros = "0" * rng.choice([0, 0, 1, 3])
+            tok = rng.choice([f"{zeros}{p}/{q}", f"{p}/{zeros}{q}", f"{zeros}{p}"])
+            assert _outcome(parse_rational, tok) == _outcome(reference_parse_rational, tok)
 
 
 class TestPackingFormat:

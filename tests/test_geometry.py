@@ -49,6 +49,29 @@ def test_item_bounds_enforced():
         Item(0, 0.5, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("w,h,ok", [
+    ("1", "1", True), ("1/1", "2/2", True), ("999983/999984", "1/999983", True),
+    ("0", "1/2", False), ("0/7", "1/2", False), ("-1/2", "1/2", False),
+    ("1/2", "1000001/1000000", False), ("3/2", "1/2", False), ("1/2", "2", False),
+])
+def test_item_bounds_on_numerator_and_denominator(w, h, ok):
+    w, h = Fraction(w), Fraction(h)
+    if ok:
+        Item(0, w, h)
+    else:
+        side, value = ("width", w) if not 0 < w <= 1 else ("height", h)
+        with pytest.raises(ValueError, match=rf"item 0: {side} {value} outside \(0, 1\]"):
+            Item(0, w, h)
+
+
+def test_item_volume_is_not_a_field():
+    a, b = Item(3, Fraction(1, 2), Fraction(2, 3)), Item(3, Fraction(1, 2), Fraction(2, 3))
+    assert a.volume == Fraction(1, 3)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Item(id=3, width=Fraction(1, 2), height=Fraction(2, 3))"
+    assert a.transposed().volume == a.volume
+
+
 def test_instance_rejects_duplicate_ids():
     a = Item(1, Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from support import (
     brute_canonical_splits,
     naive_fits,
     rand_frac,
+    reference_best_effort,
     reference_profit_search,
     unpruned_region_search,
 )
@@ -560,6 +561,26 @@ def test_best_effort_certifies_or_raises():
     crowd = [Item(i, Fraction(33, 64), Fraction(33, 64)) for i in range(12)]
     with pytest.raises(InstanceTooLarge):
         max_area_pack(crowd, 1, 1, Fraction(1, 10), exact_limit=10)
+
+
+def test_greedy_on_the_lattice_matches_the_fraction_greedy():
+    rng = random.Random(31)
+    placed = 0
+    for _ in range(400):
+        a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
+        pitems = []
+        for i in range(rng.randint(1, 16)):
+            if rng.random() < 0.3:
+                w, h = rng.choice(BOUNDARY_SIDES), rng.choice(BOUNDARY_SIDES)
+            else:
+                w = Fraction(rng.randint(1, 8), rng.choice((8, 3, 7, 1000)))
+                h = Fraction(rng.randint(1, 8), rng.choice((8, 5, 64)))
+            it = Item(i, min(w, Fraction(1)), min(h, Fraction(1)))
+            pitems.append(ProfitItem(it, it.volume * rng.choice((1, 2, Fraction(7, 3)))))
+        got = knapsack._best_effort(pitems, a, b)
+        assert got == reference_best_effort(pitems, a, b)
+        placed += len(got[1])
+    assert placed > 1000
 
 
 def test_unit_bin_layout_refutes_a_superset_of_a_refuted_set(monkeypatch):

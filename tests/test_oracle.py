@@ -51,6 +51,21 @@ def test_gen_instance_bad_spec():
         GeneratorSpec(seed=0, n=2, ell=1, mode="stretch")
 
 
+def test_gen_spec_rejects_more_pieces_than_the_grid_holds():
+    # a bin is cut into at most GRID * GRID = 4096 cells
+    GeneratorSpec(seed=0, n=4096)
+    GeneratorSpec(seed=0, n=8192, ell=2)
+    for n, ell in ((4097, 1), (8193, 2), (10**8, 1)):
+        with pytest.raises(ValueError, match="at most 4096 grid cells"):
+            GeneratorSpec(seed=0, n=n, ell=ell)
+
+
+def test_gen_instance_names_the_overfilled_bin():
+    # 8192 pieces fit two bins, but the random count split puts 4100 in bin 1
+    with pytest.raises(ValueError, match="bin 1 drew 4100 pieces"):
+        gen_instance(GeneratorSpec(seed=0, n=8192, ell=2))
+
+
 def test_exact_min_bins_single_bin_roundtrip():
     # guillotine pieces of one bin always repack into one bin
     for seed in range(25):
