@@ -3,7 +3,8 @@
 Useful when changing branch logic: shows how planted and random instances
 distribute over the single-bin branches and the constant-bin cases.  Each
 packing is tallied by its path (`Packing.path`), joined with "/", e.g.
-`small_w/case2` or `case4/flip/flipped/spill`.
+`small_w/case2` or `case4/flip/flipped/spill`.  The solvers return
+unvalidated packings, so every packing is validated before it is tallied.
 
 Usage, from the repository root:
 
@@ -57,27 +58,37 @@ CONST_PLANTS = {
 }
 
 
+def _tally(tally, inst, solve):
+    """Count the path of solve(inst), which must validate (the solvers
+    return unvalidated packings), or the kind of its refusal."""
+    try:
+        packing = solve(inst)
+        assert validate_packing(packing, inst).ok
+        tally["/".join(packing.path)] += 1
+    except (GuessFailed, InstanceTooLarge) as exc:
+        tally[type(exc).__name__] += 1
+
+
+def _opt1(inst):
+    return pack_opt1(inst, EPS)
+
+
+def _const2(inst):
+    return pack_opt_const(inst, 2, 3, exact_limit=14)
+
+
 def run_opt1(seeds):
     print("single-bin solver")
     for name, plant in OPT1_PLANTS.items():
         tally = Counter()
         for s in range(seeds):
-            inst, _ = plant(s)
-            try:
-                packing = pack_opt1(inst, EPS)
-                assert validate_packing(packing, inst).ok
-                tally["/".join(packing.path)] += 1
-            except (GuessFailed, InstanceTooLarge) as exc:
-                tally[type(exc).__name__] += 1
+            _tally(tally, plant(s)[0], _opt1)
         print(f"  {name:13s} {dict(tally)}")
     rng = random.Random(1)
     tally = Counter()
     for s in range(seeds):
         inst, _ = gen_instance(GeneratorSpec(seed=s, n=rng.randint(4, 10), ell=1))
-        try:
-            tally["/".join(pack_opt1(inst, EPS).path)] += 1
-        except (GuessFailed, InstanceTooLarge) as exc:
-            tally[type(exc).__name__] += 1
+        _tally(tally, inst, _opt1)
     print(f"  {'random':13s} {dict(tally)}")
 
 
@@ -86,22 +97,13 @@ def run_const(seeds):
     for name, plant in CONST_PLANTS.items():
         tally = Counter()
         for s in range(seeds):
-            inst, _ = plant(s)
-            try:
-                packing = pack_opt_const(inst, 2, 3, exact_limit=14)
-                assert validate_packing(packing, inst).ok
-                tally["/".join(packing.path)] += 1
-            except (GuessFailed, InstanceTooLarge) as exc:
-                tally[type(exc).__name__] += 1
+            _tally(tally, plant(s)[0], _const2)
         print(f"  {name:13s} {dict(tally)}")
     rng = random.Random(2)
     tally = Counter()
     for s in range(seeds):
         inst, _ = gen_instance(GeneratorSpec(seed=100 + s, n=rng.randint(6, 9), ell=2))
-        try:
-            tally["/".join(pack_opt_const(inst, 2, 3, exact_limit=14).path)] += 1
-        except (GuessFailed, InstanceTooLarge) as exc:
-            tally[type(exc).__name__] += 1
+        _tally(tally, inst, _const2)
     print(f"  {'random':13s} {dict(tally)}")
 
 

@@ -29,8 +29,7 @@ def shelf_pack(instance: Instance) -> Packing:
     """First-fit decreasing height onto shelves, shelves first-fit into bins.
 
     Unconditional: any item obeys the unit bounds, so a fresh shelf in a
-    fresh bin always accepts it.  The result is validated before it is
-    returned; a failure raises PackingStuck.
+    fresh bin always accepts it.  The packing is not validated here.
     """
     order = sorted(instance.items, key=lambda it: (-it.height, it.id))
     bins = []  # per bin: (layout, shelves as [x_used, y_base, height], y_used)
@@ -56,22 +55,28 @@ def shelf_pack(instance: Instance) -> Packing:
             layout = BinLayout(1, 1)
             layout.add(it.id, 0, 0)
             bins.append([layout, [[it.width, Fraction(0), it.height]], it.height])
-    packing = Packing([entry[0] for entry in bins])
-    report = validate_packing(packing, instance)
-    if not report.ok:
-        raise PackingStuck(f"shelf packing failed validation: {report.violations[:3]}")
-    return packing
+    return Packing([entry[0] for entry in bins])
 
 
 def pack_auto(instance: Instance, config: SolveConfig):
     """Best validated packing available: the single-bin solver, then the
-    constant-bin solver for each guess, then the shelf fallback.  Each of
-    them validates the packing it returns.
+    constant-bin solver for each guess, then the shelf fallback.
 
-    Returns (packing, provenance, guaranteed).  The fallback never fails,
-    so this raises only on a solver bug: PackingStuck when a packing that
-    was built fails its validation.
+    Returns (packing, provenance, guaranteed).  The solvers return their
+    packings unvalidated; this validates the one it emits.  The fallback
+    never fails, so this raises only on a solver bug: PackingStuck when
+    the packing fails validation.
     """
+    packing, provenance, guaranteed = _first_packing(instance, config)
+    report = validate_packing(packing, instance)
+    if not report.ok:
+        raise PackingStuck(f"{provenance} packing (path {'/'.join(packing.path) or '-'}) "
+                           f"failed validation: {report.violations[:3]}")
+    return packing, provenance, guaranteed
+
+
+def _first_packing(instance, config):
+    """pack_auto's (packing, provenance, guaranteed), unvalidated."""
     try:
         packing = pack_opt1(instance, config.eps_opt1,
                             exact_limit=config.exact_limit)
@@ -125,6 +130,8 @@ def cmd_pack(args):
         except ValueError as exc:
             raise ValueError(f"--eps: {exc}") from exc
         config = dataclasses.replace(config, eps_opt1=eps)
+    if args.svg == "-":
+        raise ValueError("--svg names a directory, not stdout: '-' is not accepted")
     instance = parse_instance(_read(args.infile))
     packing, provenance, guaranteed = pack_auto(instance, config)
     _write(args.out, serialize_packing(packing))
@@ -170,6 +177,8 @@ def cmd_oracle(args):
 
 
 def cmd_render(args):
+    if args.out == "-":
+        raise ValueError("--out names a directory, not stdout: '-' is not accepted")
     instance = parse_instance(_read(args.infile))
     packing = parse_packing(_read(args.packing))
     report = validate_packing(packing, instance)

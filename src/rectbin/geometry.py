@@ -105,7 +105,7 @@ class BinLayout:
         self.height = scalar(self.height)
 
     def add(self, item_id: int, x, y):
-        self.placements.append(Placement(item_id, scalar(x), scalar(y)))
+        self.placements.append(Placement(item_id, x, y))
 
     def item_ids(self):
         return [p.item_id for p in self.placements]

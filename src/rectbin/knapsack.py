@@ -120,13 +120,13 @@ def _feasible_positions(width, height, xs, ys, placed, a, b, floor=None):
     """Yield normal positions (lex order) where a width x height box fits.
 
     placed is a list of (left, bottom, right, top) boxes; all numbers are
-    of one kind, ints on a lattice or Fractions.  floor, when given,
-    restricts output to positions strictly beyond it in lex order
-    (symmetry breaking for identical items).  Per column the boxes that
-    overlap [x, x + width) are filtered once, which is valid because every
-    caller restores placed (append, recurse, pop) before it resumes the
-    generator.  Within a column the scan jumps past the tallest conflict,
-    which skips every y candidate that provably also conflicts.
+    ints on one lattice.  floor, when given, restricts output to positions
+    strictly beyond it in lex order (symmetry breaking for identical items).
+    Per column the boxes that overlap [x, x + width) are filtered once,
+    which is valid because every caller restores placed (append, recurse,
+    pop) before it resumes the generator.  Within a column the scan jumps
+    past the tallest conflict, which skips every y candidate that provably
+    also conflicts.
     """
     y_end = bisect_right(ys, b - height)  # ys[:y_end] keep the box below b
     for x in xs:
@@ -392,9 +392,9 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     """A validating layout of every item in region (a, b), or None.
 
     Complete search over normal positions with identical-item symmetry
-    breaking; deterministic first solution.  The Fraction boundary of
-    _search_lattice: it puts the items on the lattice of this call, tests
-    the area bound and orders them by non-increasing area, then by id.
+    breaking; deterministic first solution.  It puts the items on the
+    lattice of this call and tests the area bound; _first_layout does the
+    rest.
     """
     items = list(items)
     a, b = scalar(a), scalar(b)
@@ -405,13 +405,19 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     d, a_d, b_d, sides = _lattice(items, a, b)
     if sum(w * h for w, h in sides) > a_d * b_d:
         return None
-    order = sorted(range(len(items)),
-                   key=lambda k: (-sides[k][0] * sides[k][1], items[k].id))
-    placed = _search_lattice([sides[k] for k in order], a_d, b_d)
+    return _first_layout([(it.id, side) for it, side in zip(items, sides)], a, b, d)
+
+
+def _first_layout(boxes, a, b, d):
+    """The first layout in region (a, b) of boxes, (id, (w, h)) pairs on a
+    lattice 1/d that holds a and b, placed by non-increasing area, then id:
+    _search_lattice with its Fraction boundary.  None when they do not fit."""
+    order = sorted(boxes, key=lambda box: (-box[1][0] * box[1][1], box[0]))
+    placed = _search_lattice([side for _, side in order], scaled(a, d), scaled(b, d))
     if placed is None:
         return None
-    return BinLayout(a, b, [Placement(items[k].id, Fraction(x, d), Fraction(y, d))
-                            for k, (x, y, _, _) in zip(order, placed)])
+    return BinLayout(a, b, [Placement(i, Fraction(x, d), Fraction(y, d))
+                            for (i, _), (x, y, _, _) in zip(order, placed)])
 
 
 def _search_lattice(sides, a, b):
@@ -501,11 +507,7 @@ def unit_bin_layout(items, cache, limit):
         elif len(key) > limit:
             raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
         else:
-            order = sorted(key, key=lambda i: (-sides[i][0] * sides[i][1], i))
-            placed = _search_lattice([sides[i] for i in order], d, d)
-            cache[key] = None if placed is None else BinLayout(
-                ONE, ONE, [Placement(i, Fraction(x, d), Fraction(y, d))
-                           for i, (x, y, _, _) in zip(order, placed)])
+            cache[key] = _first_layout([(i, sides[i]) for i in key], ONE, ONE, d)
     return cache[key]
 
 

@@ -2,8 +2,8 @@
 
 A step that fails its runtime check raises GuessFailed so the caller can
 try the next branch (or conclude the instance needs more than one bin).
-Every assembled packing is validated; one that fails is a construction bug
-and raises PackingStuck.  A returned packing's `path` names its branch.
+Packings are returned unvalidated: `cli.pack_auto` validates the one it
+emits.  A returned packing's `path` names its branch.
 """
 
 from fractions import Fraction
@@ -21,7 +21,6 @@ from .errors import (
     ConditionViolated,
     GuessFailed,
     InstanceTooLarge,
-    PackingStuck,
     PreconditionViolated,
 )
 from .geometry import (
@@ -34,7 +33,6 @@ from .geometry import (
     transpose_layout,
     transpose_packing,
     validate_bin,
-    validate_packing,
 )
 from .knapsack import max_area_pack
 from .steinberg import steinberg_pack
@@ -43,13 +41,6 @@ from .steinberg import steinberg_pack
 def _merge(target: BinLayout, sub: BinLayout, dx, dy):
     for p in sub.placements:
         target.add(p.item_id, p.x + dx if dx else p.x, p.y + dy if dy else p.y)
-
-
-def _checked(packing, instance, label):
-    report = validate_packing(packing, instance)
-    if not report.ok:
-        raise PackingStuck(f"{label}: assembled packing failed validation: {report.violations[:3]}")
-    return packing
 
 
 def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing:
@@ -104,7 +95,7 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
         except ConditionViolated as exc:
             raise GuessFailed(f"second bin area condition failed: {exc}") from exc
         _merge(bin2, sub, 0, y)
-    return _checked(Packing([bin1, bin2]), instance, "small-height branch")
+    return Packing([bin1, bin2])
 
 
 def _top_left_positions(chosen):
@@ -117,7 +108,11 @@ def _top_left_positions(chosen):
     return out
 
 
-def pack_wide_high(wide, high, eps, max_enumeration=16):
+# most not-thin high items whose subsets pack_wide_high enumerates
+MAX_ENUMERATION = 16
+
+
+def pack_wide_high(wide, high, eps):
     """One bin holding all wide items plus a high subset of guaranteed width.
 
     Candidate subsets of the not-thin high items are tried in decreasing
@@ -131,7 +126,7 @@ def pack_wide_high(wide, high, eps, max_enumeration=16):
     substantial = [it for it in high if it.width >= eps]
     thin = sorted((it for it in high if it.width < eps), key=lambda it: (-it.height, it.id))
     thin_w = total_width(thin)
-    if len(substantial) > max_enumeration:
+    if len(substantial) > MAX_ENUMERATION:
         raise InstanceTooLarge(f"{len(substantial)} candidate high items to enumerate")
 
     candidates = []
@@ -198,7 +193,7 @@ def pack_large_w(instance: Instance, eps) -> Packing:
         except ConditionViolated as exc:
             raise GuessFailed(f"second bin area condition failed: {exc}") from exc
         _merge(bin2, sub, lw, 0)
-    return _checked(Packing([bin1, bin2]), instance, "wide-branch")
+    return Packing([bin1, bin2])
 
 
 def pack_stack_plus_small(wide, rest) -> BinLayout:
@@ -288,8 +283,7 @@ def pack_small_w(instance: Instance, eps) -> Packing:
             bin2 = pack_stack_plus_small_transposed(classes.high_only, rest)
         except (PreconditionViolated, ConditionViolated) as exc:
             raise GuessFailed(f"case {case}: second bin failed: {exc}") from exc
-        return _checked(Packing([bin1, bin2], (f"case{case}",)), instance,
-                        f"narrow-branch case {case}")
+        return Packing([bin1, bin2], (f"case{case}",))
 
     if total_width(half_tall) >= target:
         # case 1: the half-tall band is wide enough for the top-left corner
@@ -364,7 +358,7 @@ def pack_small_w(instance: Instance, eps) -> Packing:
         bin2 = pack_stack_plus_small_transposed(classes.high_only, group2)
     except (PreconditionViolated, ConditionViolated) as exc:
         raise GuessFailed(f"case 3: layout failed: {exc}") from exc
-    return _checked(Packing([bin1, bin2], ("case3",)), instance, "narrow-branch case 3")
+    return Packing([bin1, bin2], ("case3",))
 
 
 def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
@@ -375,7 +369,7 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
     starts with `delta_width`, `delta_height`, `large_w` or `small_w`.
     GuessFailed from every branch means the instance needs at least two
     bins; a branch that hits a size limit is skipped, and reported only if
-    nothing later succeeds.
+    nothing later succeeds.  The packing is not validated here.
     """
     eps = scalar(eps)
     if not instance.items:
@@ -395,8 +389,6 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
     delta = find_feasible_delta(instance, eps, axis="height")
     if delta is not None:
         try:
-            # pack_small_height validated the transposed packing, and
-            # transposing back keeps it valid
             packing = pack_small_height(flipped, delta, eps, exact_limit=exact_limit)
             return transpose_packing(packing).under("delta_height")
         except GuessFailed:

@@ -5,10 +5,10 @@ bins, packs the first bin with the profit knapsack, separates wide from
 high items in the remaining bins, and tops everything up with the tiny
 items.  Four cases, keyed on how full the last pair of bins ended up,
 decide where the leftover tinies go.  A wrong guess fails loudly and the
-next assignment is tried.  Every assembled packing is validated; one that
-fails is a construction bug and raises PackingStuck.  The returned
-packing's `path` names the case (`case1`..`case4`), then the subcase and
-whether the roles were flipped.
+next assignment is tried.  Packings are returned unvalidated:
+`cli.pack_auto` validates the one it emits.  The returned packing's `path`
+names the case (`case1`..`case4`), then the subcase and whether the roles
+were flipped.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,6 @@ from .errors import (
     ConditionViolated,
     GuessFailed,
     InstanceTooLarge,
-    PackingStuck,
     PreconditionViolated,
 )
 from .geometry import (
@@ -32,7 +31,6 @@ from .geometry import (
     transpose_instance,
     transpose_layout,
     transpose_packing,
-    validate_packing,
 )
 from .knapsack import (
     ProfitItem,
@@ -181,7 +179,7 @@ def _layout_wide_side(items, cache, limit):
 
 
 def _realize(ctx, cache, limit, *path):
-    """Turn the per-bin item sets into a validated Packing along `path`."""
+    """Turn the per-bin item sets into a Packing along `path`."""
     bins = []
     for side, bunch in (("B", ctx.b_bins), ("C", ctx.c_bins)):
         for i, items in enumerate(bunch):
@@ -196,11 +194,7 @@ def _realize(ctx, cache, limit, *path):
             else:
                 layout = _layout_high_side(items, cache, limit)
             bins.append(layout)
-    packing = Packing(bins, path)
-    report = validate_packing(packing, ctx.instance)
-    if not report.ok:
-        raise PackingStuck(f"assembled packing failed validation: {report.violations[:3]}")
-    return packing
+    return Packing(bins, path)
 
 
 def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,

@@ -1,20 +1,53 @@
 """Config resolution, the auto dispatcher, and the command line surface."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import rectbin.cli
+import rectbin.geometry
 from rectbin.cli import main, pack_auto, shelf_pack
 from rectbin.config import SolveConfig, config_from_env
 from rectbin.errors import PackingStuck, PreconditionViolated
 from rectbin.fileio import parse_instance, parse_packing, serialize_instance
-from rectbin.geometry import Instance, Item, ValidationReport, validate_packing
-from rectbin.oracle import GeneratorSpec, certify_opt, gen_instance
+from rectbin.geometry import BinLayout, Instance, Item, Packing, validate_packing
+from rectbin.oracle import (
+    GeneratorSpec,
+    certify_opt,
+    gen_instance,
+    plant_const_case2,
+    plant_const_case4,
+    plant_delta_height,
+    plant_delta_width,
+)
 from rectbin.render_svg import render_bin
 
 F = Fraction
+
+# (instance, provenance, path) of pack_auto: one per branch, two of them
+# (delta_height, flipped) built on a transposed instance
+BRANCHES = [
+    pytest.param(plant_delta_width(0)[0], "opt1", "delta_width", id="delta_width"),
+    pytest.param(plant_delta_height(0)[0], "opt1", "delta_height", id="delta_height"),
+    pytest.param(plant_const_case2(0)[0], "const2", "case2", id="case2"),
+    pytest.param(plant_const_case4(0)[0], "const2", "case4/flip/flipped/spill", id="flipped"),
+    pytest.param(Instance([Item(i, F(3, 5), F(3, 5)) for i in range(5)]), "shelf", "-",
+                 id="shelf"),
+]
+SOLVER = {"opt1": "pack_opt1", "const2": "pack_opt_const", "shelf": "shelf_pack"}
+
+
+def without_first_placement(solve):
+    """solve, with the first placement of the packing it returns dropped."""
+    def broken(*args, **kwargs):
+        packing = solve(*args, **kwargs)
+        first, *rest = packing.bins
+        return Packing([BinLayout(first.width, first.height, first.placements[1:]), *rest],
+                       packing.path)
+    return broken
 
 
 class TestConfig:
@@ -86,6 +119,31 @@ class TestPackAuto:
         assert guaranteed is False
         assert validate_packing(packing, inst).ok
 
+    @pytest.mark.parametrize("inst,provenance,path", BRANCHES)
+    def test_each_solve_validates_once(self, monkeypatch, inst, provenance, path):
+        # every module that binds validate_packing counts into one list
+        calls = []
+        real = rectbin.geometry.validate_packing
+
+        def spy(packing, instance):
+            calls.append(packing)
+            return real(packing, instance)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rectbin") and getattr(module, "validate_packing", None) is real:
+                monkeypatch.setattr(module, "validate_packing", spy)
+        packing, branch, _ = pack_auto(inst, SolveConfig())
+        assert (branch, "/".join(packing.path) or "-") == (provenance, path)
+        assert calls == [packing]
+
+    @pytest.mark.parametrize("inst,provenance,path", BRANCHES)
+    def test_invalid_packing_names_its_branch(self, monkeypatch, inst, provenance, path):
+        name = SOLVER[provenance]
+        monkeypatch.setattr(rectbin.cli, name, without_first_placement(getattr(rectbin.cli, name)))
+        with pytest.raises(PackingStuck, match="missing_item") as info:
+            pack_auto(inst, SolveConfig())
+        assert str(info.value).startswith(f"{provenance} packing (path {path}) failed validation")
+
     def test_never_raises_on_generated_mixes(self):
         rng = random.Random(11)
         for _ in range(15):
@@ -114,13 +172,11 @@ class TestShelf:
         assert len(shelf_pack(inst).bins) == 3
 
     def test_failed_validation_raises(self, monkeypatch):
-        import rectbin.cli
-
-        broken = ValidationReport()
-        broken.add("overlap", (0, 1), "forced for the test")
-        monkeypatch.setattr(rectbin.cli, "validate_packing", lambda packing, instance: broken)
-        with pytest.raises(PackingStuck):
-            shelf_pack(Instance([Item(0, F(1, 2), F(1, 2))]))
+        # five squares above half a side: every guess fails, the fallback packs
+        inst = Instance([Item(i, F(3, 5), F(3, 5)) for i in range(5)])
+        monkeypatch.setattr(rectbin.cli, "shelf_pack", without_first_placement(shelf_pack))
+        with pytest.raises(PackingStuck, match="shelf packing .*item 0 is not placed"):
+            pack_auto(inst, SolveConfig())
 
 
 class TestCommands:
@@ -171,8 +227,6 @@ class TestCommands:
 
     @pytest.mark.parametrize("error", [PackingStuck, PreconditionViolated])
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch, error):
-        import rectbin.cli
-
         def broken(instance, config):
             raise error("forced for the test")
 
@@ -256,6 +310,23 @@ class TestCommands:
         assert main(["pack", "--in", str(inst), "--out", str(pack),
                      "--svg", str(tmp_path / "svg")]) == 0
         assert (tmp_path / "svg").is_dir()
+
+    @pytest.mark.parametrize("command,option", [
+        (["pack", "--in", "a.inst", "--out", "a.pack", "--svg", "-"], "--svg"),
+        (["render", "--in", "a.inst", "--packing", "a.pack", "--out", "-"], "--out"),
+    ])
+    def test_svg_directory_is_not_stdout(self, tmp_path, capsys, monkeypatch, command, option):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.inst").write_text("items 1\n0 1/2 1/2\n")
+        if command[0] == "render":
+            (tmp_path / "a.pack").write_text("bins 1\nbin 0\n0 0 0\n")
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and option in captured.err
+        assert not (tmp_path / "-").exists()
+        if command[0] == "pack":
+            assert not (tmp_path / "a.pack").exists()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         inst = tmp_path / "a.inst"

@@ -82,6 +82,15 @@ def test_empty_layout_ok():
     assert validate_bin(BinLayout(), {}).ok
 
 
+def test_add_coerces_coordinates_exactly():
+    layout = BinLayout()
+    layout.add(0, "1/2", 0)
+    assert layout.placements == [Placement(0, Fraction(1, 2), Fraction(0))]
+    assert isinstance(layout.placements[0].x, Fraction)
+    with pytest.raises(TypeError):
+        layout.add(0, 0.5, 0)
+
+
 def test_two_big_items_overlap():
     items = make_instance([(Fraction(6, 10), Fraction(6, 10))] * 2).by_id()
     layout = BinLayout()

@@ -5,7 +5,10 @@ import pytest
 
 from rectbin.classify import classify, total_width
 import rectbin.opt1
+from rectbin.cli import main, pack_auto
+from rectbin.config import SolveConfig
 from rectbin.errors import GuessFailed, PackingStuck, PreconditionViolated
+from rectbin.fileio import serialize_instance
 from rectbin.geometry import BinLayout, Instance, Item, Placement, validate_bin, validate_packing
 from rectbin.knapsack import exact_pack_single_region
 from rectbin.opt1 import (
@@ -253,10 +256,10 @@ class TestDispatch:
                 assert packing.path == (branch,)
                 assert validate_packing(packing, inst).ok
 
-    def test_failed_assembly_check_is_a_bug(self, monkeypatch):
+    def test_failed_assembly_check_is_a_bug(self, monkeypatch, tmp_path, capsys):
         # six half squares: the cutoff branch leaves two of them to the area
-        # packer for bin 2; put both on one spot and the final check, not a
-        # refuted guess, has to report it
+        # packer for bin 2; put both on one spot and the check in pack_auto,
+        # not a refuted guess, has to report it
         area_packer = rectbin.opt1.steinberg_pack
 
         def at_origin(items, a=1, b=1):
@@ -266,8 +269,18 @@ class TestDispatch:
 
         monkeypatch.setattr(rectbin.opt1, "steinberg_pack", at_origin)
         inst = Instance([Item(i, Fraction(1, 2), Fraction(1, 2)) for i in range(6)])
-        with pytest.raises(PackingStuck, match="overlap"):
-            pack_opt1(inst, EPS)
+        assert not validate_packing(pack_opt1(inst, EPS), inst).ok  # returned unchecked
+        with pytest.raises(PackingStuck, match="overlap") as info:
+            pack_auto(inst, SolveConfig())
+        assert str(info.value).startswith("opt1 packing (path delta_width) failed validation")
+
+        infile, out = tmp_path / "half.inst", tmp_path / "half.pack"
+        infile.write_text(serialize_instance(inst))
+        assert main(["pack", "--in", str(infile), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: opt1 packing") and "overlap" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_never_invalid_on_two_bin_instances(self):
         refused = 0

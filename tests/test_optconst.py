@@ -7,6 +7,8 @@ import pytest
 
 from rectbin.classify import total_width, vol
 import rectbin.optconst
+from rectbin.cli import pack_auto
+from rectbin.config import SolveConfig
 from rectbin.errors import GuessFailed, InstanceTooLarge, PackingStuck, PreconditionViolated
 from rectbin.fileio import serialize_packing
 from rectbin.geometry import (
@@ -14,7 +16,7 @@ from rectbin.geometry import (
     Instance,
     Item,
     Packing,
-    ValidationReport,
+    Placement,
     validate_packing,
 )
 from rectbin.optconst import (
@@ -222,15 +224,24 @@ class TestCaseRouting:
         assert validate_packing(packing, inst).ok
 
     def test_failed_assembly_check_is_a_bug(self, monkeypatch):
-        # a rejected assembled packing is not a refuted assignment: no
-        # further assignment is tried, the error escapes
-        broken = ValidationReport()
-        broken.add("overlap", (0, 1), "forced for the test")
-        monkeypatch.setattr(rectbin.optconst, "validate_packing",
-                            lambda packing, instance: broken)
-        inst, _ = plant_const_case1(0)
-        with pytest.raises(PackingStuck):
-            pack_opt_const(inst, 2)
+        # a bin assembly that stacks every item on the origin: pack_auto
+        # rejects the packing the flipped case returns, on the original
+        # instance, instead of trying a further guess or the fallback
+        assemble = rectbin.optconst._realize
+
+        def at_origin(ctx, cache, limit, *path):
+            packing = assemble(ctx, cache, limit, *path)
+            return Packing([BinLayout(b.width, b.height,
+                                      [Placement(p.item_id, 0, 0) for p in b.placements])
+                            for b in packing.bins], packing.path)
+
+        monkeypatch.setattr(rectbin.optconst, "_realize", at_origin)
+        inst, _ = plant_const_case4(0)
+        assert not validate_packing(pack_opt_const(inst, 2), inst).ok  # returned unchecked
+        with pytest.raises(PackingStuck, match="overlap") as info:
+            pack_auto(inst, SolveConfig())
+        assert str(info.value).startswith(
+            "const2 packing (path case4/flip/flipped/spill) failed validation")
 
     def test_restack_subcase(self):
         # exact-fit second bin plus one stray tiny square: the tall item gets
