@@ -199,6 +199,24 @@ class TestSteps:
         assert spill
         assert total_width(ctx.c_bins[1]) > 1 - 2 * eps
 
+    def test_whole_bin_run_first_fits_the_tiny_smalls(self):
+        # bin 1 keeps its large set whole; the tiny smalls go largest first
+        # to the first of bins 2 and 3 that stays within half its area, so
+        # 8 returns to bin 2 after 6 went on to bin 3, and 7 fits neither
+        its = [Item(0, F(1), F(1)),
+               Item(1, F(1, 5), F(3, 5)), Item(2, F(3, 5), F(1, 5)),
+               Item(3, F(499, 500), HALF), Item(4, F(499, 500), HALF),
+               Item(5, F(1, 40), F(1, 30)), Item(6, F(1, 40), F(1, 30)),
+               Item(7, F(1, 40), F(1, 40)), Item(8, F(1, 100), F(1, 100)),
+               Item(9, F(1, 1000), F(3, 5))]
+        inst = Instance(its)
+        asg = ((its[0],), (its[1], its[2]), (its[3],), (its[4],))
+        ctx = run_steps_1_to_4(inst, 4, asg, whole_bin=1)
+        assert [[it.id for it in b] for b in ctx.b_bins] == [[0], [1, 2], [3, 5, 8], [4, 6]]
+        assert [[it.id for it in c] for c in ctx.c_bins] == [[], [9], [], []]
+        assert [it.id for it in ctx.t_prime] == [7]
+        assert list(ctx.special) == [("B", 1)]
+
 
 class TestCaseRouting:
     @pytest.mark.parametrize("plant,want", [
@@ -256,6 +274,9 @@ class TestCaseRouting:
         assert packing.path == ("case2", "restack")
         assert validate_packing(packing, inst).ok
         assert len(packing.bins) <= 4
+        assert serialize_packing(packing) == (
+            "bins 4\nbin 0\n0 0 0\n1 0 1/2\n2 1/2 0\n3 1/2 1/2\n"
+            "bin 1\n5 0 0\n6 0 499/1000\nbin 2\n7 0 0\nbin 3\n4 0 0\n")
 
     def test_migration_stop_subcase(self):
         # the first move commits and soaks up the thin wide strip, the second
@@ -271,6 +292,10 @@ class TestCaseRouting:
         assert packing.path == ("case4", "stop")
         assert validate_packing(packing, inst).ok
         assert len(packing.bins) <= 4
+        assert serialize_packing(packing) == (
+            "bins 4\nbin 0\n0 0 0\n1 0 1/2\n2 1/2 0\n3 1/2 1/2\n"
+            "bin 1\n4 0 0\n5 0 9/25\n12 0 18/25\nbin 2\n8 0 0\n"
+            "bin 3\n6 0 0\n9 11/25 0\n10 53/120 0\n11 133/300 0\n7 89/200 0\n")
 
     def test_spill_subcase_shows_up_in_the_corpus(self):
         seen = False
@@ -310,6 +335,8 @@ class TestHandlerGeometry:
         ctx.t_prime = []
         packing = _case_both_heavy(ctx, {}, 10)
         assert validate_packing(packing, ctx.instance).ok
+        assert packing.path == ("full",)
+        assert serialize_packing(packing) == "bins 2\nbin 0\n0 0 0\nbin 1\n1 0 0\n2 1/2 0\n"
 
         ctx = bare_ctx(first + highs + [Item(3, F(1, 100), F(1, 100))], first)
         ctx.c_bins[1] = highs
@@ -328,6 +355,8 @@ class TestHandlerGeometry:
         packing = _case_both_heavy(ctx, {}, 10)
         assert packing.path == ("shift",)
         assert validate_packing(packing, ctx.instance).ok
+        assert serialize_packing(packing) == (
+            "bins 3\nbin 0\n0 0 0\nbin 1\n1 0 0\n2 3/10 0\n3 0 3/4\nbin 2\n4 0 0\n")
 
     def test_rebuilt_overflow_uses_the_reserved_strips(self):
         first = [Item(0, F(9, 10), F(9, 10))]
@@ -341,6 +370,10 @@ class TestHandlerGeometry:
         ctx.t_prime = [lookup[i] for i in (2, 3, 4)]
         packing = _finish_rebuilt(ctx, {}, 10)
         assert validate_packing(packing, ctx.instance).ok
+        # the top strip, the right strip, and the area packer above the overflow
+        assert serialize_packing(packing) == (
+            "bins 2\nbin 0\n0 0 0\n"
+            "bin 1\n1 0 0\n2 0 537/541\n3 533/541 0\n4 0 503/1000\n")
 
     def test_thin_high_repack_restacks_and_absorbs(self):
         first = [Item(0, F(9, 10), F(9, 10))]
@@ -353,6 +386,8 @@ class TestHandlerGeometry:
         ctx.t_prime = loose
         packing = _thin_high_repack(ctx, {}, 10)
         assert validate_packing(packing, ctx.instance).ok
+        assert serialize_packing(packing) == (
+            "bins 3\nbin 0\n0 0 0\nbin 1\n3 0 0\n4 0 3/10\nbin 2\n1 0 0\n2 1/100 0\n")
         stacks = [b for b in packing.bins
                   if {p.item_id for p in b.placements} == {1, 2}]
         assert stacks
