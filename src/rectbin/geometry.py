@@ -107,6 +107,28 @@ class BinLayout:
     def add(self, item_id: int, x, y):
         self.placements.append(Placement(item_id, x, y))
 
+    def row(self, items, x, y, top=False):
+        """Place items left to right from x with their bottoms at y (their
+        tops, with top); return the x past the last item."""
+        for it in items:
+            self.placements.append(Placement(it.id, x, y - it.height if top else y))
+            x += it.width
+        return x
+
+    def column(self, items, x, y, right=False):
+        """Stack items upward from y with their left edges at x (their
+        right edges, with right); return the y above the last item."""
+        for it in items:
+            self.placements.append(Placement(it.id, x - it.width if right else x, y))
+            y += it.height
+        return y
+
+    def merge(self, sub, dx, dy):
+        """Copy sub's placements, shifted by (dx, dy)."""
+        for p in sub.placements:
+            self.placements.append(Placement(p.item_id, p.x + dx if dx else p.x,
+                                             p.y + dy if dy else p.y))
+
     def item_ids(self):
         return [p.item_id for p in self.placements]
 

@@ -38,11 +38,6 @@ from .knapsack import max_area_pack
 from .steinberg import steinberg_pack
 
 
-def _merge(target: BinLayout, sub: BinLayout, dx, dy):
-    for p in sub.placements:
-        target.add(p.item_id, p.x + dx if dx else p.x, p.y + dy if dy else p.y)
-
-
 def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing:
     """Two bins when the wide items above the width cutoff have a low stack.
 
@@ -65,10 +60,7 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     if tall_w > 1:
         raise GuessFailed("near-full-height items wider than the bin together")
     bin1 = BinLayout(1, 1)
-    x = Fraction(0)
-    for it in tall:
-        bin1.add(it.id, x, 0)
-        x += it.width
+    bin1.row(tall, 0, 0)
     tall_ids = {it.id for it in tall}
     pool = [it for it in items if it.id not in tall_ids]
 
@@ -76,17 +68,14 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     region_w = 1 - tall_w
     if region_w > 0 and pool:
         picked = max_area_pack(pool, region_w, 1, eps, exact_limit=exact_limit)
-        _merge(bin1, picked.layout, tall_w, 0)
+        bin1.merge(picked.layout, tall_w, 0)
         selected_ids = set(picked.layout.item_ids())
 
     leftover = [it for it in pool if it.id not in selected_ids]
     floor = sorted((it for it in leftover if it.width > width_cutoff),
                    key=lambda it: (-it.width, it.id))
     bin2 = BinLayout(1, 1)
-    y = Fraction(0)
-    for it in floor:
-        bin2.add(it.id, 0, y)
-        y += it.height
+    y = bin2.column(floor, 0, 0)
     floor_ids = {it.id for it in floor}
     rest = [it for it in leftover if it.id not in floor_ids]
     if rest:
@@ -94,18 +83,8 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
             sub = steinberg_pack(rest, 1, 1 - y)
         except ConditionViolated as exc:
             raise GuessFailed(f"second bin area condition failed: {exc}") from exc
-        _merge(bin2, sub, 0, y)
+        bin2.merge(sub, 0, y)
     return Packing([bin1, bin2])
-
-
-def _top_left_positions(chosen):
-    """x offsets for a top-aligned run, tallest first."""
-    out = []
-    x = Fraction(0)
-    for it in sorted(chosen, key=lambda it: (-it.height, it.id)):
-        out.append((it, x, 1 - it.height))
-        x += it.width
-    return out
 
 
 # most not-thin high items whose subsets pack_wide_high enumerates
@@ -139,12 +118,8 @@ def pack_wide_high(wide, high, eps):
 
     def try_layout(chosen):
         layout = BinLayout(1, 1)
-        y = Fraction(0)
-        for it in sorted(wide, key=lambda it: (-it.width, it.id)):
-            layout.add(it.id, 1 - it.width, y)
-            y += it.height
-        for it, x, ytop in _top_left_positions(chosen):
-            layout.add(it.id, x, ytop)
+        layout.column(sorted(wide, key=lambda it: (-it.width, it.id)), 1, 0, right=True)
+        layout.row(sorted(chosen, key=lambda it: (-it.height, it.id)), 0, 1, top=True)
         return layout if validate_bin(layout, all_items).ok else None
 
     for neg_w, _ids, subset in candidates:
@@ -183,16 +158,13 @@ def pack_large_w(instance: Instance, eps) -> Packing:
     if lw > HALF:
         raise GuessFailed("leftover high items wider than half the bin")
     bin2 = BinLayout(1, 1)
-    x = Fraction(0)
-    for it in leftover:
-        bin2.add(it.id, x, 0)
-        x += it.width
+    bin2.row(leftover, 0, 0)
     if classes.small:
         try:
             sub = steinberg_pack(classes.small, 1 - lw, 1)
         except ConditionViolated as exc:
             raise GuessFailed(f"second bin area condition failed: {exc}") from exc
-        _merge(bin2, sub, lw, 0)
+        bin2.merge(sub, lw, 0)
     return Packing([bin1, bin2])
 
 
@@ -209,13 +181,9 @@ def pack_stack_plus_small(wide, rest) -> BinLayout:
     if vol(rest) > HALF - hw / 2:
         raise PreconditionViolated("strip volume bound exceeded")
     layout = BinLayout(1, 1)
-    y = Fraction(0)
-    for it in sorted(wide, key=lambda it: (-it.width, it.id)):
-        layout.add(it.id, 0, y)
-        y += it.height
+    layout.column(sorted(wide, key=lambda it: (-it.width, it.id)), 0, 0)
     if rest:
-        sub = steinberg_pack(rest, 1, 1 - hw)
-        _merge(layout, sub, 0, hw)
+        layout.merge(steinberg_pack(rest, 1, 1 - hw), 0, hw)
     return layout
 
 
@@ -271,10 +239,7 @@ def pack_small_w(instance: Instance, eps) -> Packing:
 
     def right_stack_bin():
         layout = BinLayout(1, 1)
-        y = Fraction(0)
-        for it in stacked:
-            layout.add(it.id, 1 - it.width, y)
-            y += it.height
+        layout.column(stacked, 1, 0, right=True)
         return layout
 
     def finish(bin1, placed_ids, case):

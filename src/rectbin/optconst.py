@@ -13,6 +13,7 @@ were flipped.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .classify import total_width, vol
 from .errors import (
@@ -122,16 +123,38 @@ def _fail(msg):
     raise GuessFailed(msg)
 
 
+_volume = attrgetter("volume")
+_width = attrgetter("width")
+
+
+def _fill(items, bins, load, size, cap, slots, first_fit=False):
+    """Deal items, in order, into bins[s] for s in slots while load[s] +
+    size(item) stays within cap, and return the items that fit nowhere.
+    Next fit moves on from a slot for good once an item overflows it;
+    first fit tries every slot again for each item.  load is kept up to
+    date in place."""
+    left = []
+    pos = 0
+    for it in items:
+        if first_fit:
+            pos = 0
+        while pos < len(slots) and load[slots[pos]] + size(it) > cap:
+            pos += 1
+        if pos == len(slots):
+            left.append(it)
+        else:
+            bins[slots[pos]].append(it)
+            load[slots[pos]] += size(it)
+    return left
+
+
 def _stack_of_highs(items):
     """Floor stack, tallest first; total width must stay within the bin."""
     ordered = sorted(items, key=lambda it: (-it.height, it.id))
     if total_width(ordered) > 1:
         _fail(f"high stack width {total_width(ordered)} exceeds 1")
     out = BinLayout(1, 1)
-    x = ZERO
-    for it in ordered:
-        out.add(it.id, x, ZERO)
-        x += it.width
+    out.row(ordered, ZERO, ZERO)
     return out
 
 
@@ -245,45 +268,19 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     tiny_wide = sorted((it for it in loose if _is_wide(it)), key=lambda it: (-it.width, it.id))
     tiny_high = sorted((it for it in loose if _is_high(it)), key=lambda it: (-it.height, it.id))
     tiny_small = [it for it in loose if not _is_wide(it) and not _is_high(it)]
-    left = []
 
-    slots = [i for i in range(1, ell) if i != whole_bin]
-    pos = 0
+    wide_slots = [i for i in range(1, ell) if i != whole_bin]
     vols = [vol(b) for b in ctx.b_bins]
-    for it in tiny_wide:
-        while pos < len(slots) and vols[slots[pos]] + it.volume > HALF:
-            pos += 1
-        if pos == len(slots):
-            left.append(it)
-        else:
-            ctx.b_bins[slots[pos]].append(it)
-            vols[slots[pos]] += it.volume
-
-    slots = list(range(1, ell)) + ([0] if whole_bin is not None else [])
-    pos = 0
-    widths = [total_width(c) for c in ctx.c_bins]
-    for it in tiny_high:
-        while pos < len(slots) and widths[slots[pos]] + it.width > 1:
-            pos += 1
-        if pos == len(slots):
-            left.append(it)
-        else:
-            ctx.c_bins[slots[pos]].append(it)
-            widths[slots[pos]] += it.width
-
+    left = _fill(tiny_wide, ctx.b_bins, vols, _volume, HALF, wide_slots)
+    high_slots = list(range(1, ell)) + ([0] if whole_bin is not None else [])
+    left += _fill(tiny_high, ctx.c_bins, [total_width(c) for c in ctx.c_bins], _width, 1,
+                  high_slots)
     if whole_bin is None:
         left.extend(tiny_small)
     else:
         # the modified run distributes the leftover tinies right away
-        vols = [vol(b) for b in ctx.b_bins]
-        for it in sorted(tiny_small, key=lambda t: (-t.volume, t.id)):
-            for i in range(1, ell):
-                if i != whole_bin and vols[i] + it.volume <= HALF:
-                    ctx.b_bins[i].append(it)
-                    vols[i] += it.volume
-                    break
-            else:
-                left.append(it)
+        left += _fill(sorted(tiny_small, key=lambda t: (-t.volume, t.id)), ctx.b_bins, vols,
+                      _volume, HALF, wide_slots, first_fit=True)
 
     ctx.t_prime = sorted(left, key=lambda it: it.id)
     return ctx
@@ -294,21 +291,10 @@ def _distribute_rest(ctx, cache, limit, *path):
     leftovers are spread over every bin but the knapsack one."""
     if any(_is_wide(it) or _is_high(it) for it in ctx.t_prime):
         _fail("leftover tiny items still contain wide or high pieces")
-    targets = [("B", i) for i in range(1, ctx.ell)]
-    targets += [("C", i) for i in range(ctx.ell)]
-    vols = {}
-    for side, i in targets:
-        bunch = ctx.b_bins if side == "B" else ctx.c_bins
-        vols[(side, i)] = vol(bunch[i])
-    for it in sorted(ctx.t_prime, key=lambda t: (-t.volume, t.id)):
-        for key in targets:
-            if vols[key] + it.volume <= HALF:
-                side, i = key
-                (ctx.b_bins if side == "B" else ctx.c_bins)[i].append(it)
-                vols[key] += it.volume
-                break
-        else:
-            _fail("tiny leftovers exceed the free half-area capacity")
+    targets = ctx.b_bins[1:] + ctx.c_bins
+    if _fill(sorted(ctx.t_prime, key=lambda t: (-t.volume, t.id)), targets,
+             [vol(b) for b in targets], _volume, HALF, range(len(targets)), first_fit=True):
+        _fail("tiny leftovers exceed the free half-area capacity")
     ctx.t_prime = []
     return _realize(ctx, cache, limit, *path)
 
@@ -334,16 +320,9 @@ def _case_both_heavy(ctx, cache, limit):
         ctx.c_bins[ell - 1] = keep + others
         ctx.special[("C", ell - 1)] = _half_area_high(keep + others)
         spare = BinLayout(1, 1)
-        x = ZERO
-        for it in sorted(shallow, key=lambda s: (-s.height, s.id)):
-            spare.add(it.id, x, ZERO)
-            x += it.width
-        y = Fraction(3, 4)
-        for it in wides:
-            if y + it.height > 1:
-                _fail("wide leftovers do not fit above the moved stack")
-            spare.add(it.id, ZERO, y)
-            y += it.height
+        spare.row(sorted(shallow, key=lambda s: (-s.height, s.id)), ZERO, ZERO)
+        if spare.column(wides, ZERO, Fraction(3, 4)) > 1:
+            _fail("wide leftovers do not fit above the moved stack")
         ctx.c_bins[0] = shallow + wides
         ctx.special[("C", 0)] = spare
         ctx.t_prime = []
@@ -404,32 +383,20 @@ def _finish_rebuilt(ctx, cache, limit):
     if h_prime + r3h > 1 - r1h:
         _fail("overflow stack too tall for the reserved strips")
     spare = BinLayout(1, 1)
-    x = ZERO
-    for it in sorted(overflow, key=lambda s: (-s.height, s.id)):
-        spare.add(it.id, x, ZERO)
-        x += it.width
+    spare.row(sorted(overflow, key=lambda s: (-s.height, s.id)), ZERO, ZERO)
     wides = sorted((it for it in ctx.t_prime if _is_wide(it)),
                    key=lambda it: (-it.width, it.id))
-    y = 1 - r1h
-    for it in wides:
-        if y + it.height > 1:
-            _fail("wide leftovers overflow the top strip")
-        spare.add(it.id, ZERO, y)
-        y += it.height
-    tall = [it for it in ctx.t_prime
-            if not _is_wide(it) and it.height > HALF - 6 * ell * eps]
-    x = 1 - r2w
-    for it in sorted(tall, key=lambda s: (-s.height, s.id)):
-        if x + it.width > 1 or it.height > r2h:
-            _fail("tall leftovers overflow the right strip")
-        spare.add(it.id, x, ZERO)
-        x += it.width
+    if spare.column(wides, ZERO, 1 - r1h) > 1:
+        _fail("wide leftovers overflow the top strip")
+    tall = sorted((it for it in ctx.t_prime
+                   if not _is_wide(it) and it.height > HALF - 6 * ell * eps),
+                  key=lambda s: (-s.height, s.id))
+    if spare.row(tall, 1 - r2w, ZERO) > 1 or any(it.height > r2h for it in tall):
+        _fail("tall leftovers overflow the right strip")
     low_ids = {it.id for it in wides} | {it.id for it in tall}
     low = [it for it in ctx.t_prime if it.id not in low_ids]
     if low:
-        inner = _steinberg(low, r3w, r3h)
-        for p in inner.placements:
-            spare.add(p.item_id, p.x, p.y + h_prime)
+        spare.merge(_steinberg(low, r3w, r3h), 0, h_prime)
     ctx.c_bins[0] = overflow + ctx.t_prime
     ctx.special[("C", 0)] = spare
     ctx.t_prime = []
@@ -446,17 +413,7 @@ def _thin_high_repack(ctx, cache, limit):
         key=lambda it: (-it.height, it.id),
     )
     stacks = [[] for _ in range(ell)]
-    widths = [ZERO] * ell
-    pos = 0
-    spilled = []
-    for it in highs:
-        while pos < ell and widths[pos] + it.width > 1:
-            pos += 1
-        if pos == ell:
-            spilled.append(it)
-        else:
-            stacks[pos].append(it)
-            widths[pos] += it.width
+    spilled = _fill(highs, stacks, [ZERO] * ell, _width, 1, range(ell))
     ctx.c_bins = stacks
     ctx.special = {k: v for k, v in ctx.special.items() if k[0] != "C"}
     keep = [it for it in ctx.t_prime if not _is_high(it)]
@@ -503,20 +460,10 @@ def _case_wide_heavy(ctx, cache, limit):
 
     def regreedy(extra_bin=None, extra_item=None):
         placed = [[] for _ in range(ell)]
-        leftover = []
         caps = [vol(c) for c in ctx.c_bins]
         if extra_bin is not None:
             caps[extra_bin] += extra_item.volume
-        pos = 1
-        for it in pool_high:
-            while pos < ell and caps[pos] + it.volume > HALF:
-                pos += 1
-            if pos == ell:
-                leftover.append(it)
-            else:
-                placed[pos].append(it)
-                caps[pos] += it.volume
-        return placed, leftover
+        return placed, _fill(pool_high, placed, caps, _volume, HALF, range(1, ell))
 
     guard = sum(
         1 for i in range(1, ell) for it in ctx.b_bins[i]

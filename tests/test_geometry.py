@@ -91,6 +91,48 @@ def test_add_coerces_coordinates_exactly():
         layout.add(0, 0.5, 0)
 
 
+F = Fraction
+STRIP = [Item(0, F(1, 4), F(1, 2)), Item(1, F(1, 3), F(1, 5)), Item(2, F(1, 6), F(3, 4))]
+
+
+def test_row_aligns_bottoms_or_tops_and_returns_the_end():
+    layout = BinLayout()
+    assert layout.row(STRIP, F(1, 12), 0) == F(1, 12) + F(3, 4)
+    assert layout.placements == [Placement(0, F(1, 12), 0), Placement(1, F(1, 3), 0),
+                                 Placement(2, F(2, 3), 0)]
+    layout = BinLayout()
+    assert layout.row(STRIP, 0, 1, top=True) == F(3, 4)
+    assert layout.placements == [Placement(0, 0, F(1, 2)), Placement(1, F(1, 4), F(4, 5)),
+                                 Placement(2, F(7, 12), F(1, 4))]
+    assert validate_bin(layout, {it.id: it for it in STRIP}).ok
+    assert layout.row([], F(1, 5), 0) == F(1, 5)
+
+
+def test_column_aligns_left_or_right_edges_and_returns_the_end():
+    layout = BinLayout(1, 2)
+    assert layout.column(STRIP, 0, F(1, 10)) == F(1, 10) + F(29, 20)
+    assert layout.placements == [Placement(0, 0, F(1, 10)), Placement(1, 0, F(3, 5)),
+                                 Placement(2, 0, F(4, 5))]
+    layout = BinLayout(1, 2)
+    assert layout.column(STRIP, 1, 0, right=True) == F(29, 20)
+    assert [p.x for p in layout.placements] == [F(3, 4), F(2, 3), F(5, 6)]
+    assert validate_bin(layout, {it.id: it for it in STRIP}).ok
+    assert layout.column([], 0, F(1, 5), right=True) == F(1, 5)
+
+
+def test_merge_shifts_every_placement():
+    sub = BinLayout(F(1, 2), F(1, 2), [Placement(0, 0, 0), Placement(1, F(1, 4), F(1, 8))])
+    layout = BinLayout()
+    layout.add(2, 0, 0)
+    layout.merge(sub, F(1, 2), F(1, 3))
+    assert layout.placements == [Placement(2, 0, 0), Placement(0, F(1, 2), F(1, 3)),
+                                 Placement(1, F(3, 4), F(11, 24))]
+    layout = BinLayout()
+    layout.merge(sub, 0, 0)
+    assert layout.placements == sub.placements
+    assert all(isinstance(v, Fraction) for p in layout.placements for v in (p.x, p.y))
+
+
 def test_two_big_items_overlap():
     items = make_instance([(Fraction(6, 10), Fraction(6, 10))] * 2).by_id()
     layout = BinLayout()

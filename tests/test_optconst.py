@@ -22,6 +22,7 @@ from rectbin.geometry import (
 from rectbin.optconst import (
     ConstContext,
     _case_both_heavy,
+    _fill,
     _finish_rebuilt,
     _thin_high_repack,
     const_eps,
@@ -120,6 +121,33 @@ class TestEnumeration:
         its = squares(5, F(1, 5))
         with pytest.raises(InstanceTooLarge):
             list(enumerate_large_assignments(its, 2, enumeration_limit=4))
+
+
+class TestFill:
+    # widths 3/5, 1/2, 1/5, 1/10 against a cap of 1 in three slots
+    ITEMS = [Item(i, w, HALF) for i, w in enumerate((F(3, 5), HALF, F(1, 5), F(1, 10)))]
+
+    def deal(self, first_fit, load=None, slots=(0, 1, 2)):
+        bins = [[] for _ in range(3)]
+        load = [F(0)] * 3 if load is None else load
+        left = _fill(self.ITEMS, bins, load, lambda it: it.width, 1, slots, first_fit)
+        return [[it.id for it in b] for b in bins], load, [it.id for it in left]
+
+    def test_next_fit_never_goes_back(self):
+        # 1 overflows slot 0, so 2 and 3 follow it to slot 1 although slot 0 has room
+        assert self.deal(False) == ([[0], [1, 2, 3], []], [F(3, 5), F(4, 5), 0], [])
+
+    def test_first_fit_goes_back(self):
+        assert self.deal(True) == ([[0, 2, 3], [1], []], [F(9, 10), HALF, 0], [])
+
+    def test_leftovers_and_the_slot_order(self):
+        # only slots 2 and 0, in that order, from the given loads: next fit
+        # gives up once it has passed the last slot
+        for first_fit, bins, left in ((False, [[0], [], []], [1, 2, 3]),
+                                      (True, [[0, 2], [], [3]], [1])):
+            got = self.deal(first_fit, [F(0), F(0), F(17, 20)], (2, 0))
+            assert got[0] == bins and got[2] == left
+        assert _fill([], [[]], [F(0)], lambda it: it.width, 1, [0]) == []
 
 
 def first_assignment(instance, ell, eps):
