@@ -54,7 +54,9 @@ class ConstContext:
 
     b_bins[0] is the knapsack bin, c_bins[0] the bin kept free for the
     case handlers.  Indices 1..ell-1 hold the separated wide/high sides
-    of the guessed per-bin large sets.
+    of the guessed per-bin large sets.  cache is the UnitBinMemo of the
+    instance's items and limit the exact-search limit, for every layout
+    the guess asks of unit_bin_layout.
     """
 
     k: int
@@ -67,6 +69,8 @@ class ConstContext:
     t_prime: list = field(default_factory=list)
     b1_layout: BinLayout = None
     special: dict = field(default_factory=dict)
+    cache: UnitBinMemo = None
+    limit: int = 10
 
     def __post_init__(self):
         if self.k < 2:
@@ -179,29 +183,29 @@ def _steinberg(items, a, b):
         raise GuessFailed(f"area condition failed: {exc}") from exc
 
 
-def _layout_high_side(items, cache, limit):
+def _layout_high_side(ctx, items):
     """Bin layout for a C side: a pure stack, the half-area packer, or an
     exact search over what must be a feasible large set."""
     if all(_is_high(it) for it in items):
         return _stack_of_highs(items)
     if vol(items) <= HALF and sum(1 for it in items if _is_wide(it) and not _is_big(it)) == 0:
         return _half_area_high(items)
-    layout = unit_bin_layout(items, cache, limit)
+    layout = unit_bin_layout(items, ctx.cache, ctx.limit)
     if layout is None:
         _fail("mixed high-side bin does not fit")
     return layout
 
 
-def _layout_wide_side(items, cache, limit):
+def _layout_wide_side(ctx, items):
     if vol(items) <= HALF and sum(1 for it in items if _is_high(it) and not _is_big(it)) == 0:
         return _half_area_wide(items)
-    layout = unit_bin_layout(items, cache, limit)
+    layout = unit_bin_layout(items, ctx.cache, ctx.limit)
     if layout is None:
         _fail("wide-side bin does not fit")
     return layout
 
 
-def _realize(ctx, cache, limit, *path):
+def _realize(ctx, *path):
     """Turn the per-bin item sets into a Packing along `path`."""
     bins = []
     for side, bunch in (("B", ctx.b_bins), ("C", ctx.c_bins)):
@@ -213,9 +217,9 @@ def _realize(ctx, cache, limit, *path):
             elif side == "B" and i == 0:
                 layout = ctx.b1_layout
             elif side == "B":
-                layout = _layout_wide_side(items, cache, limit)
+                layout = _layout_wide_side(ctx, items)
             else:
-                layout = _layout_high_side(items, cache, limit)
+                layout = _layout_high_side(ctx, items)
             bins.append(layout)
     return Packing(bins, path)
 
@@ -231,9 +235,8 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     spare bin; leftover tiny items are then spread over the other
     wide-side bins.
     """
-    if cache is None:
-        cache = UnitBinMemo(instance.items)
-    ctx = ConstContext(k=k, ell=ell)
+    ctx = ConstContext(k=k, ell=ell, limit=exact_limit,
+                       cache=UnitBinMemo(instance.items) if cache is None else cache)
     eps = ctx.eps
     ctx.instance = instance
     ctx.assignment = tuple(tuple(part) for part in assignment)
@@ -255,7 +258,7 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     for i in range(1, ell):
         part = ctx.assignment[i]
         if whole_bin == i:
-            layout = unit_bin_layout(part, cache, max(exact_limit, len(part)))
+            layout = unit_bin_layout(part, ctx.cache, max(exact_limit, len(part)))
             if layout is None:
                 _fail("guessed bin content does not fit in one piece")
             ctx.b_bins[i] = list(part)
@@ -286,7 +289,7 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     return ctx
 
 
-def _distribute_rest(ctx, cache, limit, *path):
+def _distribute_rest(ctx, *path):
     """Both last bins are light: no wide or high tinies are left, so the
     leftovers are spread over every bin but the knapsack one."""
     if any(_is_wide(it) or _is_high(it) for it in ctx.t_prime):
@@ -296,10 +299,10 @@ def _distribute_rest(ctx, cache, limit, *path):
              [vol(b) for b in targets], _volume, HALF, range(len(targets)), first_fit=True):
         _fail("tiny leftovers exceed the free half-area capacity")
     ctx.t_prime = []
-    return _realize(ctx, cache, limit, *path)
+    return _realize(ctx, *path)
 
 
-def _case_both_heavy(ctx, cache, limit):
+def _case_both_heavy(ctx):
     """Last bins on both sides are nearly half full; the spare bin takes
     the slack."""
     ell, eps = ctx.ell, ctx.eps
@@ -307,7 +310,7 @@ def _case_both_heavy(ctx, cache, limit):
     if vol(last) > HALF + (2 * ell - 2) * eps:
         if ctx.t_prime:
             _fail("high side too full for any leftovers")
-        return _realize(ctx, cache, limit, "full")
+        return _realize(ctx, "full")
 
     shallow = [it for it in last if it.height <= Fraction(3, 4)]
     if total_width(shallow) >= (4 * ell - 3) * eps:
@@ -326,7 +329,7 @@ def _case_both_heavy(ctx, cache, limit):
         ctx.c_bins[0] = shallow + wides
         ctx.special[("C", 0)] = spare
         ctx.t_prime = []
-        return _realize(ctx, cache, limit, "shift")
+        return _realize(ctx, "shift")
 
     # every remaining stack item is thin, so all highs fit side by side
     towering = [it for it in last + ctx.t_prime if it.height > Fraction(3, 4)]
@@ -340,10 +343,10 @@ def _case_both_heavy(ctx, cache, limit):
         ctx.c_bins[0] = rest
         ctx.special[("C", 0)] = _steinberg(rest, 1, 1)
     ctx.t_prime = []
-    return _realize(ctx, cache, limit, "restack")
+    return _realize(ctx, "restack")
 
 
-def _case_high_heavy(ctx, cache, limit):
+def _case_high_heavy(ctx):
     """Only the high side filled up; leftover tiny highs go to the spare
     bin, directly or after rebuilding the high bins."""
     ell, eps = ctx.ell, ctx.eps
@@ -352,7 +355,7 @@ def _case_high_heavy(ctx, cache, limit):
     if total_width(strand) <= 1:
         ctx.c_bins[0] = ctx.c_bins[0] + strand
         ctx.t_prime = [it for it in ctx.t_prime if not _is_high(it)]
-        return _distribute_rest(ctx, cache, limit, "spill")
+        return _distribute_rest(ctx, "spill")
 
     wide_enough = [
         j for j in range(1, ell)
@@ -361,18 +364,18 @@ def _case_high_heavy(ctx, cache, limit):
     if wide_enough:
         redo = run_steps_1_to_4(
             ctx.instance, ell, ctx.assignment, ctx.k,
-            exact_limit=limit, whole_bin=wide_enough[0], cache=cache,
+            exact_limit=ctx.limit, whole_bin=wide_enough[0], cache=ctx.cache,
         )
-        return _finish_rebuilt(redo, cache, limit).under("rebuild")
-    return _thin_high_repack(ctx, cache, limit).under("thin")
+        return _finish_rebuilt(redo).under("rebuild")
+    return _thin_high_repack(ctx).under("thin")
 
 
-def _finish_rebuilt(ctx, cache, limit):
+def _finish_rebuilt(ctx):
     """After the rebuild run, the spare bin holds the tiny high overflow
     and takes the leftovers in three reserved strips."""
     ell, eps = ctx.ell, ctx.eps
     if not ctx.t_prime:
-        return _realize(ctx, cache, limit)
+        return _realize(ctx)
     overflow = ctx.c_bins[0]
     h_prime = max((it.height for it in overflow), default=ZERO)
     if total_width(overflow) > 1 - 8 * ell * eps:
@@ -400,10 +403,10 @@ def _finish_rebuilt(ctx, cache, limit):
     ctx.c_bins[0] = overflow + ctx.t_prime
     ctx.special[("C", 0)] = spare
     ctx.t_prime = []
-    return _realize(ctx, cache, limit)
+    return _realize(ctx)
 
 
-def _thin_high_repack(ctx, cache, limit):
+def _thin_high_repack(ctx):
     """All highs outside the knapsack bin are thin: rebuild the high bins
     as dense stacks and push what remains into a light wide-side bin."""
     ell, eps = ctx.ell, ctx.eps
@@ -434,16 +437,16 @@ def _thin_high_repack(ctx, cache, limit):
             break
         else:
             _fail("no wide-side bin can absorb the repack leftovers")
-    return _realize(ctx, cache, limit)
+    return _realize(ctx)
 
 
-def _case_wide_heavy(ctx, cache, limit):
+def _case_wide_heavy(ctx):
     """Only the wide side filled up.  Small items migrate from the wide
     bins to the high bins until the tiny wides fit, or until the roles
     flip entirely and the transposed problem lands in an earlier case."""
     ell, eps = ctx.ell, ctx.eps
     if not any(_is_wide(it) for it in ctx.t_prime):
-        return _distribute_rest(ctx, cache, limit, "plain")
+        return _distribute_rest(ctx, "plain")
 
     packed_first = {it.id for it in ctx.b_bins[0]}
     for i in range(1, ell):
@@ -483,8 +486,8 @@ def _case_wide_heavy(ctx, cache, limit):
             ctx.t_prime = sorted(leftover + pool_wide + tiny_small,
                                  key=lambda it: it.id)
             if not any(_is_wide(it) or _is_high(it) for it in ctx.t_prime):
-                return _distribute_rest(ctx, cache, limit, "drained")
-            return _flip_roles(ctx, limit).under("flip")
+                return _distribute_rest(ctx, "drained")
+            return _flip_roles(ctx).under("flip")
         movable.sort(key=lambda pair: (-pair[0].volume, pair[0].id))
         it, i = movable[0]
         _, leftover_after = regreedy(extra_bin=i, extra_item=it)
@@ -511,7 +514,7 @@ def _case_wide_heavy(ctx, cache, limit):
             if missing:
                 _fail("stopping item leaves tinies without a half-full bin")
             ctx.t_prime = []
-            return _realize(ctx, cache, limit, "stop")
+            return _realize(ctx, "stop")
         ctx.b_bins[i] = [r for r in ctx.b_bins[i] if r.id != it.id]
         ctx.c_bins[i] = ctx.c_bins[i] + [it]
         bvol = vol(ctx.b_bins[i])
@@ -522,14 +525,15 @@ def _case_wide_heavy(ctx, cache, limit):
     raise GuessFailed("migration loop failed to settle")
 
 
-def _flip_roles(ctx, limit):
+def _flip_roles(ctx):
     """Transpose the whole state: the separated bins swap sides, the
     knapsack and spare bins stay put, and the earlier cases apply."""
     ell = ctx.ell
     if ctx.c_bins[0]:
         _fail("spare bin unexpectedly occupied before the flip")
-    flipped = ConstContext(k=ctx.k, ell=ell)
+    flipped = ConstContext(k=ctx.k, ell=ell, limit=ctx.limit)
     flipped.instance = transpose_instance(ctx.instance)
+    flipped.cache = UnitBinMemo(flipped.instance.items)  # the same ids with swapped sides
     by_id = {it.id: it for it in flipped.instance.items}
     flipped.assignment = tuple(
         tuple(by_id[it.id] for it in part) for part in ctx.assignment
@@ -541,15 +545,14 @@ def _flip_roles(ctx, limit):
         flipped.c_bins.append([by_id[it.id] for it in ctx.b_bins[i]])
     flipped.b1_layout = transpose_layout(ctx.b1_layout)
     flipped.t_prime = [by_id[it.id] for it in ctx.t_prime]
-    fresh = UnitBinMemo(flipped.instance.items)  # the same ids with swapped sides
     thr = HALF - flipped.eps
     if vol(flipped.c_bins[ell - 1]) >= thr:
         if vol(flipped.b_bins[ell - 1]) >= thr:
-            packed = _case_both_heavy(flipped, fresh, limit)
+            packed = _case_both_heavy(flipped)
         else:
-            packed = _case_high_heavy(flipped, fresh, limit)
+            packed = _case_high_heavy(flipped)
     else:
-        packed = _distribute_rest(flipped, fresh, limit)
+        packed = _distribute_rest(flipped)
     return transpose_packing(packed).under("flipped")
 
 
@@ -585,15 +588,15 @@ def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12):
                    (False, True): 3, (True, False): 4}[(heavy_b, heavy_c)]
         try:
             if not ctx.t_prime:
-                packed = _realize(ctx, cache, exact_limit)
+                packed = _realize(ctx)
             elif case_no == 1:
-                packed = _distribute_rest(ctx, cache, exact_limit)
+                packed = _distribute_rest(ctx)
             elif case_no == 2:
-                packed = _case_both_heavy(ctx, cache, exact_limit)
+                packed = _case_both_heavy(ctx)
             elif case_no == 3:
-                packed = _case_high_heavy(ctx, cache, exact_limit)
+                packed = _case_high_heavy(ctx)
             else:
-                packed = _case_wide_heavy(ctx, cache, exact_limit)
+                packed = _case_wide_heavy(ctx)
         except GuessFailed as exc:
             last_error = exc
             continue

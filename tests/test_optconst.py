@@ -19,6 +19,7 @@ from rectbin.geometry import (
     Placement,
     validate_packing,
 )
+from rectbin.knapsack import UnitBinMemo
 from rectbin.optconst import (
     ConstContext,
     _case_both_heavy,
@@ -275,8 +276,8 @@ class TestCaseRouting:
         # instance, instead of trying a further guess or the fallback
         assemble = rectbin.optconst._realize
 
-        def at_origin(ctx, cache, limit, *path):
-            packing = assemble(ctx, cache, limit, *path)
+        def at_origin(ctx, *path):
+            packing = assemble(ctx, *path)
             return Packing([BinLayout(b.width, b.height,
                                       [Placement(p.item_id, 0, 0) for p in b.placements])
                             for b in packing.bins], packing.path)
@@ -341,13 +342,10 @@ class TestCaseRouting:
 
 def bare_ctx(items, first, k=3, ell=2):
     """Context with the profit bin prebuilt, for driving handlers directly."""
-    ctx = ConstContext(k=k, ell=ell)
+    ctx = ConstContext(k=k, ell=ell, cache=UnitBinMemo(items))
     ctx.instance = Instance(items)
     layout = BinLayout(1, 1)
-    x = F(0)
-    for it in first:
-        layout.add(it.id, x, F(0))
-        x += it.width
+    layout.row(first, 0, 0)
     ctx.b_bins = [list(first)] + [[] for _ in range(ell - 1)]
     ctx.c_bins = [[] for _ in range(ell)]
     ctx.b1_layout = layout
@@ -361,7 +359,7 @@ class TestHandlerGeometry:
         ctx = bare_ctx(first + highs, first)
         ctx.c_bins[1] = highs
         ctx.t_prime = []
-        packing = _case_both_heavy(ctx, {}, 10)
+        packing = _case_both_heavy(ctx)
         assert validate_packing(packing, ctx.instance).ok
         assert packing.path == ("full",)
         assert serialize_packing(packing) == "bins 2\nbin 0\n0 0 0\nbin 1\n1 0 0\n2 1/2 0\n"
@@ -370,7 +368,7 @@ class TestHandlerGeometry:
         ctx.c_bins[1] = highs
         ctx.t_prime = [ctx.instance.by_id()[3]]
         with pytest.raises(GuessFailed):
-            _case_both_heavy(ctx, {}, 10)
+            _case_both_heavy(ctx)
 
     def test_shift_moves_the_shallow_stack(self):
         first = [Item(0, F(9, 10), F(9, 10))]
@@ -380,7 +378,7 @@ class TestHandlerGeometry:
         ctx.c_bins[1] = highs
         lookup = ctx.instance.by_id()
         ctx.t_prime = [lookup[3], lookup[4]]
-        packing = _case_both_heavy(ctx, {}, 10)
+        packing = _case_both_heavy(ctx)
         assert packing.path == ("shift",)
         assert validate_packing(packing, ctx.instance).ok
         assert serialize_packing(packing) == (
@@ -396,7 +394,7 @@ class TestHandlerGeometry:
         ctx.c_bins[0] = overflow
         lookup = ctx.instance.by_id()
         ctx.t_prime = [lookup[i] for i in (2, 3, 4)]
-        packing = _finish_rebuilt(ctx, {}, 10)
+        packing = _finish_rebuilt(ctx)
         assert validate_packing(packing, ctx.instance).ok
         # the top strip, the right strip, and the area packer above the overflow
         assert serialize_packing(packing) == (
@@ -412,7 +410,7 @@ class TestHandlerGeometry:
         ctx.b_bins[1] = side
         ctx.c_bins[1] = thin
         ctx.t_prime = loose
-        packing = _thin_high_repack(ctx, {}, 10)
+        packing = _thin_high_repack(ctx)
         assert validate_packing(packing, ctx.instance).ok
         assert serialize_packing(packing) == (
             "bins 3\nbin 0\n0 0 0\nbin 1\n3 0 0\n4 0 3/10\nbin 2\n1 0 0\n2 1/100 0\n")
