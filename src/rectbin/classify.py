@@ -1,4 +1,4 @@
-"""Item classes (wide/high/small/big), delta sets, and the threshold search.
+"""Item classes (wide/high/small/big), their sums, and the delta search.
 
 An item is wide when its width exceeds 1/2 strictly, high when its height
 does, big when both do, small when neither does.  The delta search looks for
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionViolated
 from .geometry import HALF, Instance, exact_sum, lattice, scaled
 
 # fixed constant of the area guarantee
@@ -47,15 +46,10 @@ def h_max(items) -> Fraction:
 
 @dataclass
 class ItemClasses:
-    items: list
     wide: list  # w > 1/2 (bigs included)
     high: list  # h > 1/2 (bigs included)
     small: list  # w <= 1/2 and h <= 1/2
     big: list  # wide and high at once
-
-    @property
-    def wide_only(self):
-        return [it for it in self.wide if it.height <= HALF]
 
     @property
     def high_only(self):
@@ -75,7 +69,7 @@ def classify(instance: Instance) -> ItemClasses:
             big.append(it)
         if not is_wide and not is_high:
             small.append(it)
-    return ItemClasses(list(instance.items), wide, high, small, big)
+    return ItemClasses(wide, high, small, big)
 
 
 def lower_bound(instance: Instance) -> int:
@@ -88,22 +82,8 @@ def lower_bound(instance: Instance) -> int:
                          total_width(classes.high), len(classes.big)))
 
 
-@dataclass
-class DeltaSets:
-    delta: Fraction
-    gamma: Fraction
-    w_delta: list  # width > 1 - delta
-    h_delta: list  # height > 1 - delta
-
-
 def delta_threshold(delta: Fraction, eps: Fraction) -> Fraction:
     return (delta - eps) / (1 + 2 * delta)
-
-
-def delta_sets(instance: Instance, delta, eps) -> DeltaSets:
-    w_d = [it for it in instance.items if it.width > 1 - delta]
-    h_d = [it for it in instance.items if it.height > 1 - delta]
-    return DeltaSets(delta, delta_threshold(delta, eps), w_d, h_d)
 
 
 def _check_eps(eps):
@@ -111,14 +91,14 @@ def _check_eps(eps):
         raise ValueError(f"eps must lie in (0, 1/200), got {eps}")
 
 
-def find_feasible_delta(instance: Instance, eps, axis="width"):
+def find_feasible_delta(instance: Instance, eps):
     """Smallest candidate delta whose near-full stack fits under gamma.
 
     Candidates are 1 - w_i for items with w_i > 1/2 (kept when inside
     (eps, 1/2)) plus 1/2 itself; the stack height h(W_delta) is a step
     function that only changes at those points, so nothing else needs
-    checking.  Returns None when every candidate fails.  axis="height"
-    runs the transposed search w(H_delta) <= gamma.
+    checking.  Returns None when every candidate fails.  The search on
+    the transposed instance is the height-axis one, w(H_delta) <= gamma.
 
     The search runs on the lattice L of the item sides and 1/2: delta =
     c / L, and the stack S / L.  The items enter the stack widest first as
@@ -126,18 +106,10 @@ def find_feasible_delta(instance: Instance, eps, axis="width"):
     S * (L + 2c) * q <= (c * q - p * L) * L for eps = p / q.
     """
     _check_eps(eps)
-    if axis == "width":
-        along = lambda it: it.width
-        across = lambda it: it.height
-    elif axis == "height":
-        along = lambda it: it.height
-        across = lambda it: it.width
-    else:
-        raise ValueError(f"axis must be 'width' or 'height', got {axis!r}")
     items = instance.items
     L = lattice(items, HALF)
     p, q = eps.numerator, eps.denominator
-    pairs = sorted([(scaled(along(it), L), scaled(across(it), L)) for it in items],
+    pairs = sorted([(scaled(it.width, L), scaled(it.height, L)) for it in items],
                    reverse=True)
     half = L // 2
     candidates = {half}
@@ -156,18 +128,3 @@ def find_feasible_delta(instance: Instance, eps, axis="width"):
             return Fraction(c, L)
     return None
 
-
-def area_guarantee_check(classes: ItemClasses, eps) -> bool:
-    """Whether Vol(W u H) >= 2 xi + (w(H) + h(W)) / 2.
-
-    Only meaningful when the delta search failed on both axes; that is
-    re-verified here and violated callers get an error instead of a
-    misleading boolean.
-    """
-    inst = Instance(list(classes.items))
-    if find_feasible_delta(inst, eps, "width") is not None:
-        raise PreconditionViolated("width-axis delta search succeeds; area bound not applicable")
-    if find_feasible_delta(inst, eps, "height") is not None:
-        raise PreconditionViolated("height-axis delta search succeeds; area bound not applicable")
-    union = [it for it in classes.items if it.width > HALF or it.height > HALF]
-    return vol(union) >= 2 * XI + (total_width(classes.high) + total_height(classes.wide)) / 2

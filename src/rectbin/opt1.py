@@ -341,7 +341,7 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
         return Packing([])
     limit_hit = None
 
-    delta = find_feasible_delta(instance, eps, axis="width")
+    delta = find_feasible_delta(instance, eps)
     if delta is not None:
         try:
             packing = pack_small_height(instance, delta, eps, exact_limit=exact_limit)
@@ -351,7 +351,7 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
         except InstanceTooLarge as exc:
             limit_hit = exc
     flipped = transpose_instance(instance)
-    delta = find_feasible_delta(instance, eps, axis="height")
+    delta = find_feasible_delta(flipped, eps)
     if delta is not None:
         try:
             packing = pack_small_height(flipped, delta, eps, exact_limit=exact_limit)

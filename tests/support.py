@@ -7,6 +7,7 @@ suite does not just test the validator against itself.
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -446,3 +447,49 @@ def reference_best_effort(pitems, a, b):
             chosen.append((it, x, y))
             achieved += pi.profit
     return achieved, chosen
+
+
+# Lemma checks that only tests use.  The solver decides its branches
+# without them; they document what the paper's one-bin argument relies on.
+
+def wide_only(classes):
+    """The wide items of a classify result that are not also high."""
+    return [it for it in classes.wide if it.height <= Fraction(1, 2)]
+
+
+@dataclass
+class DeltaSets:
+    delta: Fraction
+    gamma: Fraction
+    w_delta: list  # width > 1 - delta
+    h_delta: list  # height > 1 - delta
+
+
+def delta_sets(instance, delta, eps) -> DeltaSets:
+    """The items above the width and the height cutoff 1 - delta, with the
+    stack threshold gamma(delta)."""
+    from rectbin.classify import delta_threshold
+
+    w_d = [it for it in instance.items if it.width > 1 - delta]
+    h_d = [it for it in instance.items if it.height > 1 - delta]
+    return DeltaSets(delta, delta_threshold(delta, eps), w_d, h_d)
+
+
+def area_guarantee_check(instance, eps) -> bool:
+    """Whether Vol(W u H) >= 2 xi + (w(H) + h(W)) / 2.
+
+    Only meaningful when the delta search failed on both axes; that is
+    re-verified here and violated callers get an error instead of a
+    misleading boolean.
+    """
+    from rectbin.classify import XI, classify, find_feasible_delta, total_height, total_width, vol
+    from rectbin.errors import PreconditionViolated
+    from rectbin.geometry import transpose_instance
+
+    if find_feasible_delta(instance, eps) is not None:
+        raise PreconditionViolated("width-axis delta search succeeds; area bound not applicable")
+    if find_feasible_delta(transpose_instance(instance), eps) is not None:
+        raise PreconditionViolated("height-axis delta search succeeds; area bound not applicable")
+    classes = classify(instance)
+    union = [it for it in instance.items if it.width > Fraction(1, 2) or it.height > Fraction(1, 2)]
+    return vol(union) >= 2 * XI + (total_width(classes.high) + total_height(classes.wide)) / 2

@@ -21,6 +21,7 @@ from rectbin.geometry import (
     Instance,
     Item,
     Placement,
+    transpose_instance,
     transpose_layout,
     validate_bin,
     validate_packing,
@@ -377,9 +378,9 @@ def test_criterion_07_area_invariant(capfd):
     scan = _opt1_corpus(plant_seeds=40, gen_count=75)
     both_fail = violations = 0
     for inst, wit in scan:
-        if find_feasible_delta(inst, EPS, axis="width") is not None:
+        if find_feasible_delta(inst, EPS) is not None:
             continue
-        if find_feasible_delta(inst, EPS, axis="height") is not None:
+        if find_feasible_delta(transpose_instance(inst), EPS) is not None:
             continue
         if not certify_opt(inst, 1, wit):
             continue
@@ -398,7 +399,7 @@ def test_criterion_07_area_invariant(capfd):
     for s in range(80):
         inst, wit = plant_delta_height(1000 + s)
         assert certify_opt(inst, 1, wit)
-        assert find_feasible_delta(inst, EPS, axis="width") is None
+        assert find_feasible_delta(inst, EPS) is None
         if not total_height(classify(inst).wide) > Fraction(1, 4) - EPS / 2:
             violations += 1
         width_fail += 1

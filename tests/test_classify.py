@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from rectbin.classify import (
     XI,
-    area_guarantee_check,
     classify,
-    delta_sets,
     delta_threshold,
     find_feasible_delta,
     h_max,
@@ -20,10 +18,12 @@ from rectbin.classify import (
     w_max,
 )
 from rectbin.errors import PreconditionViolated
-from rectbin.geometry import Instance
+from rectbin.geometry import Instance, transpose_instance
 from rectbin.oracle import GeneratorSpec, gen_instance
 from support import (
+    area_guarantee_check,
     brute_min_bins,
+    delta_sets,
     dims_strategy,
     make_instance,
     reference_feasible_delta,
@@ -31,6 +31,7 @@ from support import (
     reference_total_height,
     reference_total_width,
     reference_vol,
+    wide_only,
 )
 
 EPS = Fraction(1, 256)
@@ -40,13 +41,13 @@ def test_classify_wide_only():
     classes = classify(make_instance([(Fraction(6, 10), Fraction(3, 10))]))
     assert len(classes.wide) == 1
     assert classes.high == [] and classes.small == [] and classes.big == []
-    assert len(classes.wide_only) == 1
+    assert len(wide_only(classes)) == 1
 
 
 def test_classify_big():
     classes = classify(make_instance([(Fraction(6, 10), Fraction(6, 10))]))
     assert len(classes.wide) == 1 and len(classes.high) == 1 and len(classes.big) == 1
-    assert classes.wide_only == [] and classes.high_only == []
+    assert wide_only(classes) == [] and classes.high_only == []
 
 
 def test_classify_boundary_small():
@@ -60,11 +61,11 @@ def test_classify_boundary_small():
 def test_partition_property(dims):
     classes = classify(make_instance(dims))
     n = len(dims)
-    wide_only = len(classes.wide) - len(classes.big)
-    high_only = len(classes.high) - len(classes.big)
-    assert wide_only + high_only + len(classes.big) + len(classes.small) == n
-    assert len(classes.wide_only) == wide_only
-    assert len(classes.high_only) == high_only
+    wides = len(classes.wide) - len(classes.big)
+    highs = len(classes.high) - len(classes.big)
+    assert wides + highs + len(classes.big) + len(classes.small) == n
+    assert len(wide_only(classes)) == wides
+    assert len(classes.high_only) == highs
 
 
 def test_aggregates():
@@ -84,17 +85,17 @@ def test_delta_threshold_known_value():
 
 def test_delta_no_wide_items():
     inst = make_instance([(Fraction(1, 4), Fraction(1, 4))])
-    assert find_feasible_delta(inst, EPS, "width") == Fraction(1, 2)
+    assert find_feasible_delta(inst, EPS) == Fraction(1, 2)
 
 
 def test_delta_single_wide_item():
     inst = make_instance([(Fraction(9, 10), Fraction(1, 2))])
-    assert find_feasible_delta(inst, EPS, "width") == Fraction(1, 10)
+    assert find_feasible_delta(inst, EPS) == Fraction(1, 10)
 
 
 def test_delta_smallest_candidate_wins():
     inst = make_instance([(Fraction(95, 100), Fraction(1, 2))])
-    assert find_feasible_delta(inst, EPS, "width") == Fraction(1, 20)
+    assert find_feasible_delta(inst, EPS) == Fraction(1, 20)
 
 
 def test_delta_not_found():
@@ -102,20 +103,18 @@ def test_delta_not_found():
     # so the item sits in W_delta at every remaining candidate and the
     # height-1/2 stack beats gamma <= 1/4 everywhere
     inst = make_instance([(Fraction(255, 256), Fraction(1, 2))])
-    assert find_feasible_delta(inst, EPS, "width") is None
+    assert find_feasible_delta(inst, EPS) is None
     # same shape short enough to clear the 1/2 threshold stays feasible
     inst2 = make_instance([(Fraction(255, 256), Fraction(1, 5))])
-    assert find_feasible_delta(inst2, EPS, "width") == Fraction(1, 2)
+    assert find_feasible_delta(inst2, EPS) == Fraction(1, 2)
 
 
 def test_delta_eps_range_enforced():
     inst = make_instance([(Fraction(1, 4), Fraction(1, 4))])
     with pytest.raises(ValueError):
-        find_feasible_delta(inst, Fraction(1, 200), "width")
+        find_feasible_delta(inst, Fraction(1, 200))
     with pytest.raises(ValueError):
-        find_feasible_delta(inst, Fraction(0), "width")
-    with pytest.raises(ValueError):
-        find_feasible_delta(inst, EPS, "diagonal")
+        find_feasible_delta(inst, Fraction(0))
 
 
 def test_delta_sets_membership_strict():
@@ -132,9 +131,9 @@ def test_delta_sets_membership_strict():
 def test_delta_search_agrees_with_step_scan(dims):
     """Independent check: returned delta is feasible and no candidate below it is."""
     inst = make_instance(dims)
-    for axis, along, across in (
-        ("width", lambda r: r.width, lambda r: r.height),
-        ("height", lambda r: r.height, lambda r: r.width),
+    for searched, along, across in (
+        (inst, lambda r: r.width, lambda r: r.height),
+        (transpose_instance(inst), lambda r: r.height, lambda r: r.width),
     ):
         cands = sorted(
             {Fraction(1, 2)}
@@ -151,7 +150,7 @@ def test_delta_search_agrees_with_step_scan(dims):
             <= (d - EPS) / (1 + 2 * d)
         ]
         expected = feasible[0] if feasible else None
-        assert find_feasible_delta(inst, EPS, axis) == expected
+        assert find_feasible_delta(searched, EPS) == expected
 
 
 DENOMINATORS = (2, 3, 5, 7, 64, 1000, 8000, 65536, 999983)
@@ -179,8 +178,8 @@ def test_delta_search_matches_the_fraction_reference():
         m = rng.choice(DENOMINATORS[1:])
         eps = Fraction(rng.randint(1, m - 1), 200 * m)  # in (0, 1/200)
         inst = _boundary_instance(rng, eps)
-        for axis in ("width", "height"):
-            delta = find_feasible_delta(inst, eps, axis)
+        for axis, searched in (("width", inst), ("height", transpose_instance(inst))):
+            delta = find_feasible_delta(searched, eps)
             assert delta == reference_feasible_delta(inst.items, eps, axis)
             found += delta is not None and delta != Fraction(1, 2)
     assert found > 500  # a cutoff below 1/2, not just the fallback, is found often
@@ -196,9 +195,9 @@ def test_delta_search_accepts_a_stack_exactly_at_gamma():
                 continue
             dims = [(w, Fraction(1, 2)), (Fraction(1), delta_threshold(delta, eps))]
             inst = make_instance(dims)
-            assert find_feasible_delta(inst, eps, "width") == delta
+            assert find_feasible_delta(inst, eps) == delta
             flipped = make_instance([(h, w_) for w_, h in dims])
-            assert find_feasible_delta(flipped, eps, "height") == delta
+            assert find_feasible_delta(transpose_instance(flipped), eps) == delta
             assert reference_feasible_delta(inst.items, eps) == delta
 
 
@@ -224,7 +223,7 @@ def test_gamma_at_most_quarter(delta):
 def test_area_guarantee_requires_failed_search():
     inst = make_instance([(Fraction(1, 4), Fraction(1, 4))])
     with pytest.raises(PreconditionViolated):
-        area_guarantee_check(classify(inst), EPS)
+        area_guarantee_check(inst, EPS)
 
 
 def test_area_guarantee_on_tall_wide_stacks():
@@ -236,10 +235,10 @@ def test_area_guarantee_on_tall_wide_stacks():
         (Fraction(1, 2), Fraction(127, 128)),
     ]
     inst = make_instance(dims)
-    assert find_feasible_delta(inst, EPS, "width") is None
-    assert find_feasible_delta(inst, EPS, "height") is None
+    assert find_feasible_delta(inst, EPS) is None
+    assert find_feasible_delta(transpose_instance(inst), EPS) is None
     classes = classify(inst)
-    assert area_guarantee_check(classes, EPS)
+    assert area_guarantee_check(inst, EPS)
     lhs = vol(classes.wide + [it for it in classes.high if it not in classes.wide])
     assert lhs >= 2 * XI + (total_width(classes.high) + total_height(classes.wide)) / 2
 

@@ -4,7 +4,7 @@ from rectbin import oracle
 from rectbin.classify import classify, find_feasible_delta, total_height, total_width
 from rectbin.errors import InstanceTooLarge
 from rectbin.fileio import serialize_packing
-from rectbin.geometry import Instance, Item, validate_packing
+from rectbin.geometry import Instance, Item, transpose_instance, validate_packing
 from rectbin.oracle import (
     GeneratorSpec,
     certify_opt,
@@ -171,7 +171,7 @@ def test_plant_delta_width():
     for seed in range(30):
         inst, wit = plant_delta_width(seed)
         assert validate_packing(wit, inst).ok
-        delta = find_feasible_delta(inst, EPS, axis="width")
+        delta = find_feasible_delta(inst, EPS)
         assert delta is not None
         # the near-full item sits above the chosen cutoff
         assert any(it.width > 1 - delta for it in inst.items)
@@ -181,8 +181,8 @@ def test_plant_delta_height():
     for seed in range(30):
         inst, wit = plant_delta_height(seed)
         assert validate_packing(wit, inst).ok
-        assert find_feasible_delta(inst, EPS, axis="width") is None
-        assert find_feasible_delta(inst, EPS, axis="height") is not None
+        assert find_feasible_delta(inst, EPS) is None
+        assert find_feasible_delta(transpose_instance(inst), EPS) is not None
 
 
 def test_plant_large_w():
