@@ -112,6 +112,8 @@ def _write(path, text):
 
 
 def cmd_gen(args):
+    if args.out == "-" and args.witness == "-":
+        raise ValueError("--out - and --witness - would share stdout: name a file for one")
     spec = GeneratorSpec(seed=args.seed, n=args.n, ell=args.ell, mode=args.mode)
     instance, witness = gen_instance(spec)
     _write(args.out, serialize_instance(instance))
@@ -137,8 +139,10 @@ def cmd_pack(args):
     _write(args.out, serialize_packing(packing))
     if args.svg:
         render_packing(packing, instance, args.svg)
+    # with the packing on stdout, the summary goes to stderr
     print(f"bins {len(packing.bins)} branch {provenance} "
-          f"guaranteed {'yes' if guaranteed else 'no'}")
+          f"guaranteed {'yes' if guaranteed else 'no'}",
+          file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
 

@@ -189,6 +189,25 @@ class TestCommands:
         assert "branch" in out
         assert main(["validate", "--in", str(inst), "--packing", str(pack)]) == 0
 
+    def test_pack_to_stdout_reads_back(self, tmp_path, capsys):
+        # the summary goes to stderr, so stdout holds the packing alone
+        inst = tmp_path / "a.inst"
+        inst.write_text("items 2\n0 1/2 1/2\n1 1/2 1/2\n")
+        assert main(["pack", "--in", str(inst), "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("bins ")
+        assert captured.err.startswith("bins ") and " branch " in captured.err
+        pack = tmp_path / "a.pack"
+        pack.write_text(captured.out)
+        assert main(["validate", "--in", str(inst), "--packing", str(pack)]) == 0
+
+    def test_gen_refuses_one_stdout_for_instance_and_witness(self, capsys):
+        argv = ["gen", "--n", "6", "--seed", "4", "--out", "-", "--witness", "-"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--witness" in captured.err
+
     def test_validate_rejects_corrupt_packing(self, tmp_path, capsys):
         inst = tmp_path / "a.inst"
         pack = tmp_path / "a.pack"
