@@ -281,7 +281,8 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     if whole_bin is None:
         left.extend(tiny_small)
     else:
-        # the modified run distributes the leftover tinies right away
+        # the modified run deals the tiny smalls right away, by first fit
+        # onto the loads that already count the tiny wides
         left += _fill(sorted(tiny_small, key=lambda t: (-t.volume, t.id)), ctx.b_bins, vols,
                       _volume, HALF, wide_slots, first_fit=True)
 
