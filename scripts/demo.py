@@ -19,14 +19,14 @@ from rectbin.oracle import GeneratorSpec, gen_instance
 from rectbin.render_svg import render_packing
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--n", type=int, default=9, help="number of items")
     ap.add_argument("--ell", type=int, default=2, help="bins in the planted witness")
     ap.add_argument("--mode", choices=("guillotine", "shrink"), default="guillotine")
     ap.add_argument("--out", default="demo_out")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     instance, witness = gen_instance(GeneratorSpec(args.seed, args.n, args.ell, args.mode))
     packing, branch, guaranteed = pack_auto(instance, SolveConfig())

@@ -6,8 +6,8 @@ Exit codes: 0 ok, 1 invalid packing, 2 parse error, 3 limits exceeded,
 
 import argparse
 import dataclasses
+import os
 import sys
-from fractions import Fraction
 
 from .config import SolveConfig, config_from_env
 from .errors import GuessFailed, InstanceTooLarge, PackingStuck, ParseError, RectbinError
@@ -32,30 +32,21 @@ def shelf_pack(instance: Instance) -> Packing:
     fresh bin always accepts it.  The packing is not validated here.
     """
     order = sorted(instance.items, key=lambda it: (-it.height, it.id))
-    bins = []  # per bin: (layout, shelves as [x_used, y_base, height], y_used)
+    bins = []  # per bin: (layout, shelves as [x_used, y_base, height])
     for it in order:
-        placed = False
-        for entry in bins:
-            layout, shelves = entry[0], entry[1]
-            for shelf in shelves:
-                if shelf[2] >= it.height and shelf[0] + it.width <= 1:
-                    layout.add(it.id, shelf[0], shelf[1])
-                    shelf[0] += it.width
-                    placed = True
-                    break
-            if placed:
+        for layout, shelves in bins:
+            shelf = next((s for s in shelves if s[2] >= it.height and s[0] + it.width <= 1), None)
+            top = shelves[-1][1] + shelves[-1][2]
+            if shelf is None and top + it.height <= 1:
+                shelf = [0, top, it.height]
+                shelves.append(shelf)
+            if shelf is not None:
                 break
-            if entry[2] + it.height <= 1:
-                layout.add(it.id, 0, entry[2])
-                shelves.append([it.width, entry[2], it.height])
-                entry[2] += it.height
-                placed = True
-                break
-        if not placed:
-            layout = BinLayout(1, 1)
-            layout.add(it.id, 0, 0)
-            bins.append([layout, [[it.width, Fraction(0), it.height]], it.height])
-    return Packing([entry[0] for entry in bins])
+        else:
+            layout, shelf = BinLayout(1, 1), [0, 0, it.height]
+            bins.append((layout, [shelf]))
+        shelf[0] = layout.row([it], shelf[0], shelf[1])
+    return Packing([layout for layout, _ in bins])
 
 
 def pack_auto(instance: Instance, config: SolveConfig):
@@ -114,6 +105,10 @@ def _write(path, text):
 def cmd_gen(args):
     if args.out == "-" and args.witness == "-":
         raise ValueError("--out - and --witness - would share stdout: name a file for one")
+    files = [path for path in (args.out, args.witness) if path and path != "-"]
+    if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
+        raise ValueError(f"--out and --witness name the same file {args.out!r}: "
+                         "the witness would overwrite the instance")
     spec = GeneratorSpec(seed=args.seed, n=args.n, ell=args.ell, mode=args.mode)
     instance, witness = gen_instance(spec)
     _write(args.out, serialize_instance(instance))

@@ -262,15 +262,13 @@ def pack_small_w(instance: Instance, eps) -> Packing:
             if not validate_bin(bin1, items_by_id).ok:
                 raise GuessFailed("case 1: corner item clashes with the wide stack")
         else:
-            x = Fraction(0)
+            x = 0
             for it in half_tall:
-                trial = BinLayout(1, 1, list(bin1.placements))
-                trial.add(it.id, x, 1 - it.height)
-                if not validate_bin(trial, items_by_id).ok:
+                x = bin1.row([it], x, 1, top=True)
+                if not validate_bin(bin1, items_by_id).ok:
+                    bin1.placements.pop()
                     break
-                bin1 = trial
                 placed.append(it)
-                x += it.width
             if total_width(placed) < target:
                 raise GuessFailed("case 1: top run blocked before reaching the target width")
         return finish(bin1, {it.id for it in placed}, 1)

@@ -15,10 +15,13 @@ construction recurses on sub-regions:
   * regions with half-tall items and no half-wide ones run the transposed
     procedure.
   * regions where everything is at most half the region in both directions
-    are handled by a small portfolio of splits (single shelf, guillotine cut
-    with both orientations, a bottom pair plus shelf) with backtracking;
-    every branch re-checks the area condition of its children exactly, and
-    a split is kept only if its layout validates.
+    are handled by a portfolio of guillotine cuts, tried in order with
+    backtracking.  Every step is one cut at x = dx or y = dy: some items go
+    before the cut (one item as a shelf, two in a row or a column, or the
+    largest m items packed recursively into their own strip) and the rest
+    recurse into the region beyond it.  Each recursion re-checks the area
+    condition of its sub-region exactly, and a cut is kept only if its
+    layout validates and holds every item once.
 
 pack_no_wide_half_area covers the companion guarantee: total area at most
 1/2 and no item wider than 1/2 except possibly one that is also taller than
@@ -28,9 +31,11 @@ Returned layouts are not validated here: callers validate the packings
 they go into.
 """
 
+from itertools import combinations
+
 from .classify import h_max, vol, w_max
 from .errors import ConditionViolated, PackingStuck, PreconditionViolated
-from .geometry import HALF, ZERO, BinLayout, Placement, scalar, transpose_layout, validate_bin
+from .geometry import HALF, ONE, ZERO, BinLayout, scalar, transpose_layout, validate_bin
 
 
 def steinberg_condition(items, a, b) -> bool:
@@ -54,23 +59,22 @@ def steinberg_pack(items, a=1, b=1) -> BinLayout:
     items = list(items)
     if not steinberg_condition(items, a, b):
         raise ConditionViolated(f"area condition fails for region {a} x {b}")
-    return BinLayout(a, b, _pack(items, a, b))
+    return _pack(items, a, b)
 
 
 def _pack(items, u, v):
-    """Placements (origin at the region's lower-left) for region (u, v)."""
+    """Layout of region (u, v), origin at its lower-left corner."""
     if not items:
-        return []
+        return BinLayout(u, v)
     if not steinberg_condition(items, u, v):
         # parents establish this for every child they spawn
         raise PackingStuck(f"area condition lost on {u} x {v} sub-region")
     if len(items) == 1:
-        return [Placement(items[0].id, ZERO, ZERO)]
+        return _lined(items, u, v)
     if any(2 * r.width > u for r in items):
         return _pack_wide_anchored(items, u, v)
     if any(2 * r.height > v for r in items):
-        flipped = BinLayout(v, u, _pack([r.transposed() for r in items], v, u))
-        return transpose_layout(flipped).placements
+        return transpose_layout(_pack([r.transposed() for r in items], v, u))
     return _pack_all_small(items, u, v)
 
 
@@ -79,12 +83,8 @@ def _pack_wide_anchored(items, u, v):
         (r for r in items if 2 * r.width > u),
         key=lambda r: (-r.width, -r.height, r.id),
     )
-    out = []
-    y = ZERO
-    for r in wide:
-        out.append(Placement(r.id, ZERO, y))
-        y += r.height
-    h0 = y  # < v: the stack's area alone exceeds u*h0/2
+    out = BinLayout(u, v)
+    h0 = out.column(wide, ZERO, ZERO)  # < v: the stack's area alone exceeds u*h0/2
     rest = [r for r in items if 2 * r.width <= u]
     hangers = sorted(
         (r for r in rest if r.height > v - h0),
@@ -93,131 +93,87 @@ def _pack_wide_anchored(items, u, v):
     c = ZERO
     for t in hangers:
         c += t.width
-        out.append(Placement(t.id, u - c, v - t.height))
+        out.add(t.id, u - c, v - t.height)
     if 2 * c > u:
         # impossible: each hanger eats area beyond the strip budget
         raise PackingStuck("hanger run exceeds half the region width")
-    inner = [r for r in rest if r.height <= v - h0]
-    if inner:
-        for p in _pack(inner, u - c, v - h0):
-            out.append(Placement(p.item_id, p.x, p.y + h0))
+    out.merge(_pack([r for r in rest if r.height <= v - h0], u - c, v - h0), ZERO, h0)
     return out
 
 
 def _pack_all_small(items, u, v):
-    """Portfolio of splits for regions where no item passes half size either way."""
-    total = vol(items)
-    for branch in _small_branches(items, u, v, total):
+    """Portfolio of cuts for regions where no item passes half size either
+    way: the first layout that validates and holds every item once."""
+    by_id = {it.id: it for it in items}
+    for branch in _small_branches(items, u, v, vol(items)):
         try:
-            placed = branch()
+            layout = branch()
         except PackingStuck:
             continue
-        if _quick_ok(placed, items, u, v):
-            return placed
+        if validate_bin(layout, by_id).ok and sorted(layout.item_ids()) == sorted(by_id):
+            return layout
     raise PackingStuck(f"portfolio exhausted on {len(items)} items in {u} x {v}")
 
 
-def _quick_ok(placed, items, u, v):
-    layout = BinLayout(u, v, list(placed))
-    report = validate_bin(layout, {it.id: it for it in items})
-    return report.ok and sorted(layout.item_ids()) == sorted(it.id for it in items)
-
-
 def _small_branches(items, u, v, total):
+    """The portfolio, in order: one item as a shelf below or at the left, a
+    vertical then a horizontal split by size, two items in a row below or
+    in a column at the left.  Each is one _cut."""
+    def without(*picked):
+        return [r for r in items if r not in picked]
+
     tall = max(items, key=lambda r: (r.height, r.width, -r.id))
     if 2 * total <= u * (v - tall.height):
-        yield lambda: _shelf_bottom(items, tall, u, v)
+        yield lambda: _cut(_lined([tall], u, v), without(tall), u, v, ZERO, tall.height)
     broad = max(items, key=lambda r: (r.width, r.height, -r.id))
     if 2 * total <= v * (u - broad.width):
-        yield lambda: _shelf_left(items, broad, u, v)
+        yield lambda: _cut(_lined([broad], u, v), without(broad), u, v, broad.width, ZERO)
 
     by_w = sorted(items, key=lambda r: (-r.width, -r.height, r.id))
     by_h = sorted(items, key=lambda r: (-r.height, -r.width, r.id))
+    for m, cut in _split_cuts(by_w, u, v, total, lambda r: r.width):
+        yield lambda m=m, cut=cut: _cut(_pack(by_w[:m], cut, v), by_w[m:], u, v, cut, ZERO)
+    for m, cut in _split_cuts(by_h, v, u, total, lambda r: r.height):
+        yield lambda m=m, cut=cut: _cut(_pack(by_h[:m], u, cut), by_h[m:], u, v, ZERO, cut)
 
+    for a, c in combinations(by_w, 2):
+        shelf = max(a.height, c.height)
+        if a.width + c.width <= u and 2 * (total - a.volume - c.volume) <= u * (v - shelf):
+            yield lambda a=a, c=c, shelf=shelf: _cut(_lined([a, c], u, v), without(a, c),
+                                                     u, v, ZERO, shelf)
+    for a, c in combinations(by_h, 2):
+        shelf = max(a.width, c.width)
+        if a.height + c.height <= v and 2 * (total - a.volume - c.volume) <= v * (u - shelf):
+            yield lambda a=a, c=c, shelf=shelf: _cut(_lined([a, c], u, v, up=True),
+                                                     without(a, c), u, v, shelf, ZERO)
+
+
+def _split_cuts(ordered, length, side, total, measure):
+    """(m, cut) for each m where ordered[:m] fits before a cut across the
+    region's `length` and ordered[m:] beyond it, both by the area
+    condition; cut is the least such position.  `ordered` is sorted by
+    measure, largest first, so ordered[m] is the largest past the cut."""
     prefix = ZERO
-    wmax_suffix = _suffix_max(by_w, lambda r: r.width)
-    for m in range(1, len(by_w)):
-        prefix += by_w[m - 1].volume
-        lo = max(by_w[0].width, 2 * prefix / v)
-        hi = min(u - wmax_suffix[m], (u * v - 2 * (total - prefix)) / v)
+    for m in range(1, len(ordered)):
+        prefix += ordered[m - 1].volume
+        lo = max(measure(ordered[0]), 2 * prefix / side)
+        hi = min(length - measure(ordered[m]), (length * side - 2 * (total - prefix)) / side)
         if lo <= hi:
-            yield (lambda mm=m, cut=lo: _split_vertical(by_w, mm, cut, u, v))
-    prefix = ZERO
-    hmax_suffix = _suffix_max(by_h, lambda r: r.height)
-    for m in range(1, len(by_h)):
-        prefix += by_h[m - 1].volume
-        lo = max(by_h[0].height, 2 * prefix / u)
-        hi = min(v - hmax_suffix[m], (u * v - 2 * (total - prefix)) / u)
-        if lo <= hi:
-            yield (lambda mm=m, cut=lo: _split_horizontal(by_h, mm, cut, u, v))
-
-    for i in range(len(by_w)):
-        for j in range(i + 1, len(by_w)):
-            ri, rj = by_w[i], by_w[j]
-            rest_area = total - ri.volume - rj.volume
-            if ri.width + rj.width <= u and 2 * rest_area <= u * (v - max(ri.height, rj.height)):
-                yield (lambda a=ri, c=rj: _pair_bottom(items, a, c, u, v))
-    for i in range(len(by_h)):
-        for j in range(i + 1, len(by_h)):
-            ri, rj = by_h[i], by_h[j]
-            rest_area = total - ri.volume - rj.volume
-            if ri.height + rj.height <= v and 2 * rest_area <= v * (u - max(ri.width, rj.width)):
-                yield (lambda a=ri, c=rj: _pair_left(items, a, c, u, v))
+            yield m, lo
 
 
-def _suffix_max(ordered, measure):
-    # out[m] = max measure over ordered[m:], 0 past the end
-    out = [ZERO] * (len(ordered) + 1)
-    for m in range(len(ordered) - 1, -1, -1):
-        out[m] = max(out[m + 1], measure(ordered[m]))
-    return out
+def _lined(items, u, v, up=False):
+    """Region (u, v) holding items from the origin in a row (a column, with up)."""
+    layout = BinLayout(u, v)
+    (layout.column if up else layout.row)(items, ZERO, ZERO)
+    return layout
 
 
-def _shelf_bottom(items, tall, u, v):
-    rest = [r for r in items if r.id != tall.id]
-    out = [Placement(tall.id, ZERO, ZERO)]
-    if rest:
-        out.extend(Placement(p.item_id, p.x, p.y + tall.height) for p in _pack(rest, u, v - tall.height))
-    return out
-
-
-def _shelf_left(items, broad, u, v):
-    rest = [r for r in items if r.id != broad.id]
-    out = [Placement(broad.id, ZERO, ZERO)]
-    if rest:
-        out.extend(Placement(p.item_id, p.x + broad.width, p.y) for p in _pack(rest, u - broad.width, v))
-    return out
-
-
-def _split_vertical(by_w, m, cut, u, v):
-    left, right = by_w[:m], by_w[m:]
-    out = list(_pack(left, cut, v))
-    out.extend(Placement(p.item_id, p.x + cut, p.y) for p in _pack(right, u - cut, v))
-    return out
-
-
-def _split_horizontal(by_h, m, cut, u, v):
-    low, high = by_h[:m], by_h[m:]
-    out = list(_pack(low, u, cut))
-    out.extend(Placement(p.item_id, p.x, p.y + cut) for p in _pack(high, u, v - cut))
-    return out
-
-
-def _pair_bottom(items, a, c, u, v):
-    shelf = max(a.height, c.height)
-    rest = [r for r in items if r.id not in (a.id, c.id)]
-    out = [Placement(a.id, ZERO, ZERO), Placement(c.id, a.width, ZERO)]
-    if rest:
-        out.extend(Placement(p.item_id, p.x, p.y + shelf) for p in _pack(rest, u, v - shelf))
-    return out
-
-
-def _pair_left(items, a, c, u, v):
-    shelf = max(a.width, c.width)
-    rest = [r for r in items if r.id not in (a.id, c.id)]
-    out = [Placement(a.id, ZERO, ZERO), Placement(c.id, ZERO, a.height)]
-    if rest:
-        out.extend(Placement(p.item_id, p.x + shelf, p.y) for p in _pack(rest, u - shelf, v))
+def _cut(placed, rest, u, v, dx, dy):
+    """One guillotine cut of region (u, v) at x = dx or y = dy: the layout
+    `placed` before it, `rest` packed into the region beyond it."""
+    out = BinLayout(u, v, list(placed.placements))
+    out.merge(_pack(rest, u - dx, v - dy), dx, dy)
     return out
 
 
@@ -238,7 +194,7 @@ def pack_no_wide_half_area(items) -> BinLayout:
         return steinberg_pack(items, 1, 1)
     # a one-item wide stack; area above 1/2 would be needed for the hangers
     # to reach past 1 - w(big)
-    return BinLayout(1, 1, _pack_wide_anchored(items, 1, 1))
+    return _pack_wide_anchored(items, ONE, ONE)
 
 
 def pack_no_high_half_area(items) -> BinLayout:

@@ -1,5 +1,6 @@
 """Config resolution, the auto dispatcher, and the command line surface."""
 
+import hashlib
 import random
 import sys
 import time
@@ -12,7 +13,7 @@ import rectbin.geometry
 from rectbin.cli import main, pack_auto, shelf_pack
 from rectbin.config import SolveConfig, config_from_env
 from rectbin.errors import PackingStuck, PreconditionViolated
-from rectbin.fileio import parse_instance, parse_packing, serialize_instance
+from rectbin.fileio import parse_instance, parse_packing, serialize_instance, serialize_packing
 from rectbin.geometry import BinLayout, Instance, Item, Packing, validate_packing
 from rectbin.oracle import (
     GeneratorSpec,
@@ -171,6 +172,27 @@ class TestShelf:
         inst = Instance([Item(i, F(1), F(1)) for i in range(3)])
         assert len(shelf_pack(inst).bins) == 3
 
+    def test_layouts_are_pinned(self):
+        # recorded before the shelves moved onto BinLayout.row
+        rng = random.Random(2028)
+        h = hashlib.sha256()
+        for _ in range(500):
+            items = [Item(i, F(rng.randint(1, 12), 12),
+                          F(rng.randint(1, 12), rng.choice([12, 16, 20])))
+                     for i in range(rng.randint(0, 40))]
+            h.update(serialize_packing(shelf_pack(Instance(items))).encode())
+        assert h.hexdigest() == "b677b14484d8d8474a224d93cffbd6450ba38dad6840127c8792d695d9c56164"
+
+    def test_shelves_fill_first_fit(self):
+        # the 3/4-wide items take a shelf each and fill bin 0's height; the
+        # 1/2 squares share one shelf in bin 1; the last, lowest item goes
+        # back to bin 0's first shelf
+        inst = Instance([Item(i, F(3, 4), F(1, 2)) for i in range(2)]
+                        + [Item(2, F(1, 4), F(1, 4)), Item(3, F(1, 2), F(1, 2)),
+                           Item(4, F(1, 2), F(1, 2))])
+        assert serialize_packing(shelf_pack(inst)) == (
+            "bins 2\nbin 0\n0 0 0\n1 0 1/2\n2 3/4 0\nbin 1\n3 0 0\n4 1/2 0\n")
+
     def test_failed_validation_raises(self, monkeypatch):
         # five squares above half a side: every guess fails, the fallback packs
         inst = Instance([Item(i, F(3, 5), F(3, 5)) for i in range(5)])
@@ -207,6 +229,16 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--witness" in captured.err
+
+    @pytest.mark.parametrize("out, witness", [("F", "F"), ("./F", "F")])
+    def test_gen_refuses_one_file_for_instance_and_witness(self, out, witness, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--n", "6", "--seed", "4", "--out", out, "--witness", witness]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad argument: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_validate_rejects_corrupt_packing(self, tmp_path, capsys):
         inst = tmp_path / "a.inst"
