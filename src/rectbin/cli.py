@@ -51,7 +51,8 @@ def shelf_pack(instance: Instance) -> Packing:
 
 def pack_auto(instance: Instance, config: SolveConfig):
     """Best validated packing available: the single-bin solver, then the
-    constant-bin solver for each guess, then the shelf fallback.
+    constant-bin solver for each guess ell from 2 below k (and at most n,
+    since OPT <= n), then the shelf fallback.
 
     Returns (packing, provenance, guaranteed).  The solvers return their
     packings unvalidated; this validates the one it emits.  The fallback
@@ -74,7 +75,7 @@ def _first_packing(instance, config):
         return packing, "opt1", True
     except (GuessFailed, InstanceTooLarge):
         pass
-    for ell in range(2, config.k):
+    for ell in range(2, min(config.k, len(instance.items) + 1)):  # OPT <= n
         try:
             packing = pack_opt_const(
                 instance, ell, config.k,

@@ -7,6 +7,7 @@ suite does not just test the validator against itself.
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -223,6 +224,35 @@ class SearchBudgetExceeded(Exception):
     """unpruned_region_search placed more boxes than its budget allows."""
 
 
+def reference_feasible_positions(width, height, xs, ys, placed, a, b, floor=None):
+    """knapsack._feasible_positions as it was before the scan skipped wholly
+    blocked columns: every column from the floor on is filtered and scanned."""
+    y_end = bisect_right(ys, b - height)  # ys[:y_end] keep the box below b
+    for x in xs:
+        right = x + width
+        if right > a:
+            break  # xs sorted ascending
+        yi = 0
+        if floor is not None:
+            if x < floor[0]:
+                continue
+            if x == floor[0]:
+                yi = bisect_right(ys, floor[1], 0, y_end)
+        column = [(bottom, top) for left, bottom, r, top in placed if left < right and x < r]
+        while yi < y_end:
+            y = ys[yi]
+            up = y + height
+            jump = None
+            for bottom, top in column:
+                if y < top and bottom < up and (jump is None or top > jump):
+                    jump = top
+            if jump is None:
+                yield (x, y)
+                yi += 1
+            else:
+                yi = bisect_left(ys, jump, yi + 1)
+
+
 def unpruned_region_search(items, a, b, max_placements):
     """The exact region packer without refutations or forward checking:
     the same item order, lattice, normal positions and identical-item
@@ -230,7 +260,7 @@ def unpruned_region_search(items, a, b, max_placements):
     knapsack.exact_pack_single_region, as [(item id, x, y)], or None.
     Raises SearchBudgetExceeded past max_placements placements, so a set
     it cannot settle quickly is skipped the same way on every machine."""
-    from rectbin.knapsack import _axis_positions, _feasible_positions, _lattice
+    from rectbin.knapsack import _axis_positions, _lattice
 
     a, b = Fraction(a), Fraction(b)
     order = sorted(items, key=lambda it: (-it.volume, it.id))
@@ -245,7 +275,7 @@ def unpruned_region_search(items, a, b, max_placements):
             return True
         w, h = sides[i]
         floor = last_pos if i > 0 and sides[i - 1] == sides[i] else None
-        for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+        for x, y in reference_feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
             budget[0] -= 1
             if budget[0] < 0:
                 raise SearchBudgetExceeded(max_placements)
@@ -268,7 +298,7 @@ def reference_profit_search(pitems, a, b, max_placements):
     leaf of maximum profit, which any valid bound leaves unchanged.
     Raises SearchBudgetExceeded past max_placements placements, like
     unpruned_region_search."""
-    from rectbin.knapsack import _axis_positions, _feasible_positions, _lattice
+    from rectbin.knapsack import _axis_positions, _lattice
 
     a, b = Fraction(a), Fraction(b)
     usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
@@ -307,7 +337,7 @@ def reference_profit_search(pitems, a, b, max_placements):
         if not (same and last_excluded):
             floor = last_pos if same else None
             if volumes[i] <= free:
-                for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+                for x, y in reference_feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
                     if bound <= best["profit"]:
                         break
                     budget[0] -= 1
@@ -430,8 +460,6 @@ def reference_feasible_delta(items, eps, axis="width"):
 def reference_best_effort(pitems, a, b):
     """knapsack._best_effort as it was on Fraction boxes: each item in
     order of profit per area at its first corner position, or left out."""
-    from rectbin.knapsack import _feasible_positions
-
     order = sorted(pitems, key=lambda pi: (-(pi.profit / pi.item.volume), -pi.profit, pi.item.id))
     placed = []
     chosen = []
@@ -440,7 +468,7 @@ def reference_best_effort(pitems, a, b):
         it = pi.item
         xs = sorted({Fraction(0)} | {right for _, _, right, _ in placed})
         ys = sorted({Fraction(0)} | {top for _, _, _, top in placed})
-        spot = next(_feasible_positions(it.width, it.height, xs, ys, placed, a, b), None)
+        spot = next(reference_feasible_positions(it.width, it.height, xs, ys, placed, a, b), None)
         if spot is not None:
             x, y = spot
             placed.append((x, y, x + it.width, y + it.height))

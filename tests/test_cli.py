@@ -1,7 +1,9 @@
 """Config resolution, the auto dispatcher, and the command line surface."""
 
 import hashlib
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -378,6 +380,41 @@ class TestCommands:
         assert not (tmp_path / "-").exists()
         if command[0] == "pack":
             assert not (tmp_path / "a.pack").exists()
+
+    def test_pack_guesses_stop_at_the_item_count(self, tmp_path, capsys, monkeypatch):
+        # OPT <= n, so no guess runs past ell = n: a huge --k tries the
+        # guesses of k = n + 1 and packs the same bytes
+        inst = tmp_path / "a.inst"
+        inst.write_text(serialize_instance(Instance([Item(i, F(3, 5), F(3, 5))
+                                                     for i in range(13)])))
+        guesses = []
+        pack_opt_const = rectbin.cli.pack_opt_const
+
+        def spy(instance, ell, *args, **kwargs):
+            guesses.append(ell)
+            return pack_opt_const(instance, ell, *args, **kwargs)
+
+        monkeypatch.setattr(rectbin.cli, "pack_opt_const", spy)
+        packs = []
+        for k in (14, 10 ** 9):
+            guesses.clear()
+            out = tmp_path / f"k{k}.pack"
+            start = time.perf_counter()
+            assert main(["pack", "--in", str(inst), "--out", str(out), "--k", str(k)]) == 0
+            assert time.perf_counter() - start < 1.0
+            assert guesses == list(range(2, 14))
+            packs.append(out.read_bytes())
+        assert packs[0] == packs[1]
+
+    def test_module_entry_point(self):
+        # `python3 -m rectbin` runs the command line
+        src = os.path.dirname(os.path.dirname(rectbin.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        done = subprocess.run([sys.executable, "-m", "rectbin", "gen", "--n", "3", "--seed", "1",
+                               "--out", "-"], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert len(parse_instance(done.stdout).items) == 3
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         inst = tmp_path / "a.inst"
