@@ -20,13 +20,13 @@ multiple d of the denominators, with each coordinate x turned back into
 Fraction(x, d) for a layout that is found.  The profit solver and
 exact_pack_single_region take the least common multiple of their call's
 denominators.  The unit-bin memo (UnitBinMemo) holds one lattice per item
-set, built once per solve, and a memo miss tests the area bound, orders
-the items and searches on it with no Fraction arithmetic.  Multiplying by
-a positive constant keeps every sum and comparison as it was, so the
-search is as exact as over Fractions, visits positions in the same order
-and returns the same first solution on any lattice that holds the values;
-a subset's own lattice divides its item set's.  A placed box is the tuple
-(left, bottom, right, top).
+set, built once per solve, and a memo miss extends a smaller layout or
+tests the area bound, orders the items and searches on it, all with no
+Fraction arithmetic.  Multiplying by a positive constant keeps every sum
+and comparison as it was, so the search is as exact as over Fractions,
+visits positions in the same order and returns the same first solution
+on any lattice that holds the values; a subset's own lattice divides its
+item set's.  A placed box is the tuple (left, bottom, right, top).
 
 The profit solver is branch and bound: items in non-increasing area order,
 include (at each feasible normal position, x before y) or exclude; the
@@ -77,6 +77,18 @@ the items, the placement is dropped.  The same pass runs on vertical
 strips with heights when the horizontal one did not prune.  The slack is
 one int on the lattice.  The forward check and the waste check only
 remove subtrees without a solution, so the first layout is unchanged.
+
+The oracle and the constant-OPT branch grow each part one item at a time
+through the unit-bin memo.  A miss first looks up the set less its last
+item in search order.  When that set's layout came from its search's
+first descent, with no backtracking, the last item goes to its first
+feasible position among the corners of those boxes (0, right edges,
+tops), and a spot found there gives the set's own first layout, because
+on a first descent both searches place the shared boxes alike
+(_extended says why).  Otherwise the refutations and the search run.
+The memo keeps lattice boxes; unit_bin_layout builds a Fraction
+BinLayout for each call, and canonical_partitions only asks whether a
+part fits.
 """
 
 import math
@@ -438,17 +450,25 @@ def _first_layout(boxes, a, b, d):
     lattice 1/d that holds a and b, placed by non-increasing area, then id:
     _search_lattice with its Fraction boundary.  None when they do not fit."""
     order = sorted(boxes, key=lambda box: (-box[1][0] * box[1][1], box[0]))
-    placed = _search_lattice([side for _, side in order], scaled(a, d), scaled(b, d))
+    placed, _ = _search_lattice([side for _, side in order], scaled(a, d), scaled(b, d))
     if placed is None:
         return None
+    return _layout(a, b, d, [i for i, _ in order], placed)
+
+
+def _layout(a, b, d, ids, placed):
+    """The BinLayout in region (a, b) of the boxes placed on lattice 1/d,
+    placed[k] holding item ids[k]."""
     return BinLayout(a, b, [Placement(i, Fraction(x, d), Fraction(y, d))
-                            for (i, _), (x, y, _, _) in zip(order, placed)])
+                            for i, (x, y, _, _) in zip(ids, placed)])
 
 
 def _search_lattice(sides, a, b):
     """The first layout of the (width, height) boxes, placed in the given
     order, in region (a, b), all ints on one lattice whose area bound
-    holds: the placed boxes as (left, bottom, right, top), or None.
+    holds: (placed, backtracked), with placed the boxes as (left, bottom,
+    right, top), or None, and backtracked False when the first descent,
+    each box at its first feasible position, found the layout.
 
     The refutations of _refuted answer None without a search.  Once the
     search has backtracked, a placement that leaves some later box shape no
@@ -458,7 +478,7 @@ def _search_lattice(sides, a, b):
     unchanged.
     """
     if _refuted(sides, a, b):
-        return None
+        return None, False
     xs = _axis_positions([w for w, _ in sides], a)
     ys = _axis_positions([h for _, h in sides], b)
     slack = a * b - sum(w * h for w, h in sides)
@@ -498,42 +518,94 @@ def _search_lattice(sides, a, b):
             placed.pop()
         return False
 
-    return placed if rec(0, None, None) else None
+    return (placed if rec(0, None, None) else None), backtracked
 
 
 class UnitBinMemo(dict):
-    """{frozenset of item ids: unit-bin BinLayout, or None when the set
-    does not fit} for one item set, which also carries that set's lattice:
-    d, the least common multiple of every side denominator, and sides, the
-    (width * d, height * d) ints of each item id.  A subset's own lattice
-    divides d, and scaling its boxes and the bin by one positive int keeps
-    every sum, comparison and visit order, so the search on this lattice
-    finds the subset's first layout."""
+    """{frozenset of item ids: None when the set does not fit the unit bin,
+    else (ids, boxes, first)} for one item set, which also carries that
+    set's lattice: d, the least common multiple of every side denominator,
+    sides, the (width * d, height * d) ints of each item id, and rank, each
+    id's place (-w * h, id) in search order.  boxes[k] is the lattice box
+    (left, bottom, right, top) of item ids[k], ids in search order, and
+    first is True when the search's first descent found the layout.  A
+    subset's own lattice divides d, and scaling its boxes and the bin by one
+    positive int keeps every sum, comparison and visit order, so the search
+    on this lattice finds the subset's first layout."""
 
     def __init__(self, items):
         super().__init__()
         self.d = lattice(items)
         self.sides = {it.id: (scaled(it.width, self.d), scaled(it.height, self.d))
                       for it in items}
+        self.rank = {i: (-w * h, i) for i, (w, h) in self.sides.items()}
+
+
+def _extended(key, cache):
+    """The memo value of key from that of key less its last item in search
+    order, or None when that set is not memoized with a first-descent
+    layout or the item finds no spot.
+
+    On a first descent each box sits at its first feasible position.
+    Sliding a box at a feasible position down to 0 or the nearest top below
+    it, or left to 0 or the nearest right edge, keeps it feasible and moves
+    it earlier in lex order, so a first position is such a corner (under a
+    twin's floor too, as the twin before it sits at its own first
+    position).  Each corner is a sum of the sides of distinct earlier
+    boxes, a candidate of the smaller set and of key alike, so both
+    searches place the shared boxes the same way.  The last item at its
+    first feasible position, a corner of those boxes, completes key's own
+    first descent: the result is key's first layout."""
+    last = max(key, key=cache.rank.__getitem__)
+    base = cache.get(key - {last}) if len(key) > 1 else ((), (), True)
+    if base is None or not base[2]:
+        return None
+    ids, boxes, _ = base
+    sides, d = cache.sides, cache.d
+    w, h = sides[last]
+    floor = boxes[-1][:2] if ids and sides[ids[-1]] == (w, h) else None
+    xs = sorted({0, *(right for _, _, right, _ in boxes)})
+    ys = sorted({0, *(top for _, _, _, top in boxes)})
+    spot = next(_feasible_positions(w, h, xs, ys, boxes, d, d, floor), None)
+    if spot is None:
+        return None
+    x, y = spot
+    return ids + (last,), boxes + ((x, y, x + w, y + h),), True
+
+
+def _unit_bin_entry(key, cache, limit):
+    """The memo value of the id set key in cache, a UnitBinMemo, found on
+    a miss by _extended, then by the refutations and the search."""
+    if key in cache:
+        return cache[key]
+    entry = _extended(key, cache) if key and len(key) <= limit else None
+    d, sides = cache.d, cache.sides
+    # a set that extends fits, so no subset of it is refuted
+    if entry is None and not (sum(w * h for w, h in map(sides.__getitem__, key)) > d * d
+                              or any(cache.get(key - {i}, ()) is None for i in key)):
+        if len(key) > limit:
+            raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
+        ids = tuple(sorted(key, key=cache.rank.__getitem__))
+        placed, backtracked = _search_lattice([sides[i] for i in ids], d, d)
+        if placed is not None:
+            entry = ids, tuple(placed), not backtracked
+    cache[key] = entry
+    return entry
 
 
 def unit_bin_layout(items, cache, limit):
     """exact_pack_single_region's unit-bin layout of items, or None when
     they do not fit; memoized in cache, a UnitBinMemo holding the items, by
-    the set of item ids.  A set one item larger than a set the cache
-    refutes is refuted without a search.  A miss runs on the cache's
-    lattice; Fractions are built only for a layout that is found."""
-    key = frozenset(it.id for it in items)
-    if key not in cache:
-        d, sides = cache.d, cache.sides
-        if (sum(w * h for w, h in map(sides.__getitem__, key)) > d * d
-                or any(cache.get(key - {i}, ()) is None for i in key)):
-            cache[key] = None
-        elif len(key) > limit:
-            raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
-        else:
-            cache[key] = _first_layout([(i, sides[i]) for i in key], ONE, ONE, d)
-    return cache[key]
+    the set of item ids.  A miss first extends the first-descent layout of
+    the set less its last item in search order (_extended).  Failing that,
+    a set one item larger than a set the cache refutes is refuted without a
+    search, and otherwise searched on the cache's lattice.  The memo holds
+    lattice boxes; each call builds the Fraction layout anew."""
+    entry = _unit_bin_entry(frozenset(it.id for it in items), cache, limit)
+    if entry is None:
+        return None
+    ids, boxes, _ = entry
+    return _layout(ONE, ONE, cache.d, ids, boxes)
 
 
 def canonical_partitions(items, bins, cache, limit, labeled=0):
@@ -543,8 +615,8 @@ def canonical_partitions(items, bins, cache, limit, labeled=0):
     order, so splits come out in lexicographic order of that assignment.
     The first `labeled` parts are distinct bins; the rest are
     interchangeable, so an empty one opens only after the one before it
-    holds an item.  A part grows only while unit_bin_layout accepts it,
-    so no split extends a part that does not fit; cache is the
+    holds an item.  A part grows only while the unit-bin memo says it
+    fits, so no split extends a part that does not fit; cache is the
     UnitBinMemo of an item set that holds items.
     """
     parts = [[] for _ in range(bins)]
@@ -561,7 +633,7 @@ def canonical_partitions(items, bins, cache, limit, labeled=0):
                     break  # every later unlabeled part is empty as well
                 opened = True
             part.append(it)
-            if unit_bin_layout(part, cache, limit) is not None:
+            if _unit_bin_entry(frozenset(x.id for x in part), cache, limit) is not None:
                 yield from rec(i + 1)
             part.pop()
 

@@ -737,8 +737,87 @@ def test_canonical_partitions_match_brute_force():
                        for split in canonical_partitions(items, bins, cache, 6, labeled)]
                 assert got == brute_canonical_splits(items, bins, labeled), (trial, items)
         by_id = {it.id: it for it in items}
-        for key, layout in cache.items():
-            assert (layout is not None) == naive_fits([by_id[i] for i in key], 1, 1)
+        for key in list(cache):
+            subset = [by_id[i] for i in key]
+            layout = unit_bin_layout(subset, cache, 6)
+            assert (layout is not None) == naive_fits(subset, 1, 1)
             if layout is not None:
                 assert validate_bin(layout, by_id).ok and sorted(layout.item_ids()) == sorted(key)
-                assert unit_bin_layout([by_id[i] for i in key], cache, 6) is layout
+            assert unit_bin_layout(subset, cache, 6) == layout
+            assert layout == exact_pack_single_region(subset, 1, 1)
+
+
+# cuts of a piece, as a share of its side, on the boundary denominators
+TILING_CUTS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2) - Fraction(1, 1000),
+               Fraction(255, 256), Fraction(1, 100)]
+
+
+def unit_tiling(rng, n):
+    """Sides of n pieces that tile the unit bin: a random piece is cut in
+    two, across or up, at a random share of TILING_CUTS (halves make
+    twins)."""
+    pieces = [(Fraction(1), Fraction(1))]
+    while len(pieces) < n:
+        w, h = pieces.pop(rng.randrange(len(pieces)))
+        cut = rng.choice(TILING_CUTS)
+        if rng.random() < 0.5:
+            pieces += [(w * cut, h), (w * (1 - cut), h)]
+        else:
+            pieces += [(w, h * cut), (w, h * (1 - cut))]
+    return pieces
+
+
+def growth_set(rng):
+    """1-8 items: a dense guillotine tiling, or boundary sides with twins
+    and items of full width or height."""
+    n = rng.randint(1, 8)
+    if rng.random() < 0.4:
+        sides = unit_tiling(rng, n)
+    else:
+        sides = []
+        for _ in range(n):
+            roll = rng.random()
+            if sides and roll < 0.25:
+                sides.append(sides[-1])  # a twin
+            elif roll < 0.4:
+                side = rand_frac(rng, Fraction(1, 100), Fraction(1, 2), rng.choice([3, 7, 256]))
+                sides.append((Fraction(1), side) if rng.random() < 0.5 else (side, Fraction(1)))
+            else:
+                sides.append(tuple(rng.choice(BOUNDARY_SIDES) if rng.random() < 0.3 else
+                                   rand_frac(rng, Fraction(1, 100), Fraction(3, 5),
+                                             rng.choice([3, 7, 256, 1000]))
+                                   for _ in range(2)))
+    return [Item(i, w, h) for i, (w, h) in enumerate(sides)]
+
+
+def test_memo_growth_matches_the_region_packer(monkeypatch):
+    # each item set grows one item at a time through one memo, in search
+    # order, where the set less its last item is the previous step, and
+    # in a shuffled order; every answer is the from-scratch layout
+    searches = 0
+    search_lattice = knapsack._search_lattice
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return search_lattice(*args)
+
+    monkeypatch.setattr(knapsack, "_search_lattice", counted)
+    rng = random.Random(1414)
+    extended = searched = 0
+    for trial in range(150):
+        items = growth_set(rng)
+        memo = UnitBinMemo(items)
+        shuffled = rng.sample(items, len(items))
+        for order in (sorted(items, key=lambda it: (-it.volume, it.id)), shuffled):
+            for size in range(1, len(order) + 1):
+                subset = order[:size]
+                before, fresh = searches, frozenset(it.id for it in subset) not in memo
+                got = unit_bin_layout(subset, memo, 8)
+                if fresh and got is not None:
+                    if searches == before:
+                        extended += 1
+                    else:
+                        searched += 1
+                assert got == exact_pack_single_region(subset, 1, 1), (trial, subset)
+    assert extended > 2 * searched > 100
