@@ -430,8 +430,8 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
 
     Complete search over normal positions with identical-item symmetry
     breaking; deterministic first solution.  It puts the items on the
-    lattice of this call and tests the area bound; _first_layout does the
-    rest.
+    lattice of this call, tests the area bound and runs _search_lattice on
+    the items by non-increasing area, then id.
     """
     items = list(items)
     a, b = scalar(a), scalar(b)
@@ -442,18 +442,11 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     d, a_d, b_d, sides = _lattice(items, a, b)
     if sum(w * h for w, h in sides) > a_d * b_d:
         return None
-    return _first_layout([(it.id, side) for it, side in zip(items, sides)], a, b, d)
-
-
-def _first_layout(boxes, a, b, d):
-    """The first layout in region (a, b) of boxes, (id, (w, h)) pairs on a
-    lattice 1/d that holds a and b, placed by non-increasing area, then id:
-    _search_lattice with its Fraction boundary.  None when they do not fit."""
-    order = sorted(boxes, key=lambda box: (-box[1][0] * box[1][1], box[0]))
-    placed, _ = _search_lattice([side for _, side in order], scaled(a, d), scaled(b, d))
+    order = sorted(zip(items, sides), key=lambda pair: (-pair[1][0] * pair[1][1], pair[0].id))
+    placed, _ = _search_lattice([side for _, side in order], a_d, b_d)
     if placed is None:
         return None
-    return _layout(a, b, d, [i for i, _ in order], placed)
+    return _layout(a, b, d, [it.id for it, _ in order], placed)
 
 
 def _layout(a, b, d, ids, placed):
