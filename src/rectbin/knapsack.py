@@ -17,16 +17,17 @@ perfbench's deadline test needs it to stay slow on one input.
 
 Both exact searches run on an integer lattice: every side times a common
 multiple d of the denominators, with each coordinate x turned back into
-Fraction(x, d) for a layout that is found.  The profit solver and
-exact_pack_single_region take the least common multiple of their call's
-denominators.  The unit-bin memo (UnitBinMemo) holds one lattice per item
-set, built once per solve, and a memo miss extends a smaller layout or
-tests the area bound, orders the items and searches on it, all with no
-Fraction arithmetic.  Multiplying by a positive constant keeps every sum
-and comparison as it was, so the search is as exact as over Fractions,
-visits positions in the same order and returns the same first solution
-on any lattice that holds the values; a subset's own lattice divides its
-item set's.  A placed box is the tuple (left, bottom, right, top).
+Fraction(x, d) for a layout that is found.  The profit solver takes the
+least common multiple of its call's denominators.  The region memo
+(UnitBinMemo) holds one lattice per item set and region, built once per
+solve for the unit bin, or once per exact_pack_single_region call, and a
+memo miss tests the area bound, then extends a smaller layout or orders
+the items and searches on it, all with no Fraction arithmetic.
+Multiplying by a positive constant keeps every sum and comparison as it
+was, so the search is as exact as over Fractions, visits positions in the
+same order and returns the same first solution on any lattice that holds
+the values; a subset's own lattice divides its item set's.  A placed box
+is the tuple (left, bottom, right, top).
 
 The profit solver is branch and bound: items in non-increasing area order,
 include (at each feasible normal position, x before y) or exclude; the
@@ -39,18 +40,19 @@ two-dimensional knapsack), read by bisection from that suffix's Pareto
 frontier of (volume, profit), computed once per solve.  It is never looser
 than the ratio bound min(remaining profit, best ratio * free area), and
 any valid bound leaves the first leaf of maximum profit unchanged.
-Before the search, a set whose volume fits the region is handed whole to
-the region packer below.  Its first layout, when there is one, is the
-search's first leaf with every item included, which is then the answer:
-both place the items in the same order at the same normal positions, and
-the two differ only in which identical items they keep in lex order,
-which a first layout does anyway (swapping two same-shape items that are
-out of order gives an earlier layout).  At desk scale this is exact;
-beyond exact_limit a greedy fallback runs and the result is kept only
-when it provably meets the (1 - eps) * OPT - eps contract.  The greedy
-(_best_effort) places each item, in order of profit per area, at its first
-position among the corners of the boxes already placed; it runs on the
-lattice of its call too and builds Fractions only for the items it places.
+Before the search, the whole set is handed to the region packer below,
+whose area bound turns away a set too large.  Its first layout, when
+there is one, is the search's first leaf with every item included, which
+is then the answer: both place the items in the same order at the same
+normal positions, and the two differ only in which identical items they
+keep in lex order, which a first layout does anyway (swapping two
+same-shape items that are out of order gives an earlier layout).  At
+desk scale this is exact; beyond exact_limit a greedy fallback runs and
+the result is kept only when it provably meets the (1 - eps) * OPT - eps
+contract.  The greedy (_best_effort) places each item, in order of profit
+per area, at its first position among the corners of the boxes already
+placed; it runs on the lattice of its call too and builds Fractions only
+for the items it places.
 
 The region packer first cuts out every item of full region height as a
 column and every item of full width as a row, narrowing the region (no
@@ -78,17 +80,17 @@ strips with heights when the horizontal one did not prune.  The slack is
 one int on the lattice.  The forward check and the waste check only
 remove subtrees without a solution, so the first layout is unchanged.
 
-The oracle and the constant-OPT branch grow each part one item at a time
-through the unit-bin memo.  A miss first looks up the set less its last
-item in search order.  When that set's layout came from its search's
-first descent, with no backtracking, the last item goes to its first
-feasible position among the corners of those boxes (0, right edges,
-tops), and a spot found there gives the set's own first layout, because
-on a first descent both searches place the shared boxes alike
-(_extended says why).  Otherwise the refutations and the search run.
-The memo keeps lattice boxes; unit_bin_layout builds a Fraction
-BinLayout for each call, and canonical_partitions only asks whether a
-part fits.
+Every exact region search goes through the memo: exact_pack_single_region
+with a memo of its own, and the oracle and the constant-OPT branch, which
+grow each part one item at a time, with one unit-bin memo per solve.  A
+miss first tests the area bound, then looks up the set less its last item
+in search order.  When that set has a layout, the last item goes to its
+first feasible position among the corners of those boxes (0, right edges,
+tops), and a spot found there gives the set's own first layout, which
+then starts with the smaller set's (_extended says why).  Otherwise the
+refutations and the search run.  The memo keeps lattice boxes;
+unit_bin_layout builds a Fraction BinLayout for each call, and
+canonical_partitions only asks whether a part fits.
 """
 
 import math
@@ -97,7 +99,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .classify import vol
 from .errors import InstanceTooLarge
 from .geometry import ONE, ZERO, BinLayout, Placement, exact_sum, lattice, scalar, scaled
 
@@ -304,12 +305,11 @@ def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
         raise ValueError("eps must be positive")
     usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
     if len(pitems) <= exact_limit:
-        if vol([pi.item for pi in usable]) <= a * b:
-            # the first all-included leaf of the search, when one exists
+        # the first all-included leaf of the search, when one exists
+        layout = exact_pack_single_region([pi.item for pi in usable], a, b, exact_limit)
+        if layout is not None:
             order = [pi.item for pi in sorted(usable, key=_order_key)]
-            layout = exact_pack_single_region(order, a, b, exact_limit)
-            if layout is not None:
-                return KnapsackResult(order, layout, exact_sum([pi.profit for pi in usable]), True)
+            return KnapsackResult(order, layout, exact_sum([pi.profit for pi in usable]), True)
         profit, selected, placements = _solve_exact(usable, a, b)
         return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
     achieved, placed = _best_effort(usable, a, b)
@@ -429,39 +429,20 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     """A validating layout of every item in region (a, b), or None.
 
     Complete search over normal positions with identical-item symmetry
-    breaking; deterministic first solution.  It puts the items on the
-    lattice of this call, tests the area bound and runs _search_lattice on
-    the items by non-increasing area, then id.
+    breaking; deterministic first solution.  The items go through a fresh
+    UnitBinMemo of this call's items and region, so the lattice, the area
+    bound, the search order and the layout are the memo's.
     """
     items = list(items)
-    a, b = scalar(a), scalar(b)
     if len(items) > exact_limit:
         raise InstanceTooLarge(f"{len(items)} items exceed the exact limit {exact_limit}")
-    if not items:
-        return BinLayout(a, b)
-    d, a_d, b_d, sides = _lattice(items, a, b)
-    if sum(w * h for w, h in sides) > a_d * b_d:
-        return None
-    order = sorted(zip(items, sides), key=lambda pair: (-pair[1][0] * pair[1][1], pair[0].id))
-    placed, _ = _search_lattice([side for _, side in order], a_d, b_d)
-    if placed is None:
-        return None
-    return _layout(a, b, d, [it.id for it, _ in order], placed)
-
-
-def _layout(a, b, d, ids, placed):
-    """The BinLayout in region (a, b) of the boxes placed on lattice 1/d,
-    placed[k] holding item ids[k]."""
-    return BinLayout(a, b, [Placement(i, Fraction(x, d), Fraction(y, d))
-                            for i, (x, y, _, _) in zip(ids, placed)])
+    return unit_bin_layout(items, UnitBinMemo(items, a, b), exact_limit)
 
 
 def _search_lattice(sides, a, b):
     """The first layout of the (width, height) boxes, placed in the given
     order, in region (a, b), all ints on one lattice whose area bound
-    holds: (placed, backtracked), with placed the boxes as (left, bottom,
-    right, top), or None, and backtracked False when the first descent,
-    each box at its first feasible position, found the layout.
+    holds: the boxes as (left, bottom, right, top), or None.
 
     The refutations of _refuted answer None without a search.  Once the
     search has backtracked, a placement that leaves some later box shape no
@@ -471,7 +452,7 @@ def _search_lattice(sides, a, b):
     unchanged.
     """
     if _refuted(sides, a, b):
-        return None, False
+        return None
     xs = _axis_positions([w for w, _ in sides], a)
     ys = _axis_positions([h for _, h in sides], b)
     slack = a * b - sum(w * h for w, h in sides)
@@ -511,24 +492,28 @@ def _search_lattice(sides, a, b):
             placed.pop()
         return False
 
-    return (placed if rec(0, None, None) else None), backtracked
+    return placed if rec(0, None, None) else None
 
 
 class UnitBinMemo(dict):
-    """{frozenset of item ids: None when the set does not fit the unit bin,
-    else (ids, boxes, first)} for one item set, which also carries that
-    set's lattice: d, the least common multiple of every side denominator,
-    sides, the (width * d, height * d) ints of each item id, and rank, each
-    id's place (-w * h, id) in search order.  boxes[k] is the lattice box
-    (left, bottom, right, top) of item ids[k], ids in search order, and
-    first is True when the search's first descent found the layout.  A
-    subset's own lattice divides d, and scaling its boxes and the bin by one
-    positive int keeps every sum, comparison and visit order, so the search
-    on this lattice finds the subset's first layout."""
+    """{frozenset of item ids: None when the set does not fit the region,
+    else (ids, boxes)} for one item set and region (a, b), the unit bin
+    unless given.  It also carries their lattice: d, the least common
+    multiple of the denominators of every side and of a and b, the region
+    (a, b) as Fractions, a and b as the ints a * d and b * d, sides, the
+    (width * d, height * d) ints of each item id, and rank, each id's place
+    (-w * h, id) in search order.  boxes[k] is the lattice box (left,
+    bottom, right, top) of item ids[k], ids in search order, and every
+    stored layout is its set's first layout.  A subset's own lattice
+    divides d, and scaling its boxes and the region by one positive int
+    keeps every sum, comparison and visit order, so the search on this
+    lattice finds the subset's first layout."""
 
-    def __init__(self, items):
+    def __init__(self, items, a=ONE, b=ONE):
         super().__init__()
-        self.d = lattice(items)
+        a, b = self.region = scalar(a), scalar(b)
+        self.d = lattice(items, a, b)
+        self.a, self.b = scaled(a, self.d), scaled(b, self.d)
         self.sides = {it.id: (scaled(it.width, self.d), scaled(it.height, self.d))
                       for it in items}
         self.rank = {i: (-w * h, i) for i, (w, h) in self.sides.items()}
@@ -536,69 +521,76 @@ class UnitBinMemo(dict):
 
 def _extended(key, cache):
     """The memo value of key from that of key less its last item in search
-    order, or None when that set is not memoized with a first-descent
-    layout or the item finds no spot.
+    order, or None when that set is not memoized with a layout or the item
+    finds no spot among the corners of its boxes (0 and right edges across,
+    0 and tops up).
 
-    On a first descent each box sits at its first feasible position.
-    Sliding a box at a feasible position down to 0 or the nearest top below
-    it, or left to 0 or the nearest right edge, keeps it feasible and moves
-    it earlier in lex order, so a first position is such a corner (under a
-    twin's floor too, as the twin before it sits at its own first
-    position).  Each corner is a sum of the sides of distinct earlier
-    boxes, a candidate of the smaller set and of key alike, so both
-    searches place the shared boxes the same way.  The last item at its
-    first feasible position, a corner of those boxes, completes key's own
-    first descent: the result is key's first layout."""
+    Why the result is key's first layout.  Compacting any layout down and
+    left moves every box no later in lex order and lands each box on its
+    set's own subset-sum candidates; sorting each run of twins back into
+    floor order then only moves the sequence earlier.  So the first layout
+    L of the smaller set admits no such move, and each corner of L is a sum
+    of the sides of distinct boxes, which is also a candidate of key.  The
+    same argument shows that key's first layout starts with L whenever L
+    leaves the last item a spot: the smaller part of any layout of key is
+    no earlier than its compacted form, which is no earlier than L.  The
+    item's first feasible position there is a corner of L, since sliding
+    it down and left lands it on one no later.  Under a twin's floor too:
+    were that corner below the floor, the twin could move to it, which
+    would give a layout of the smaller set earlier than L."""
     last = max(key, key=cache.rank.__getitem__)
-    base = cache.get(key - {last}) if len(key) > 1 else ((), (), True)
-    if base is None or not base[2]:
+    base = cache.get(key - {last}) if len(key) > 1 else ((), ())
+    if base is None:
         return None
-    ids, boxes, _ = base
-    sides, d = cache.sides, cache.d
+    ids, boxes = base
+    sides = cache.sides
     w, h = sides[last]
     floor = boxes[-1][:2] if ids and sides[ids[-1]] == (w, h) else None
     xs = sorted({0, *(right for _, _, right, _ in boxes)})
     ys = sorted({0, *(top for _, _, _, top in boxes)})
-    spot = next(_feasible_positions(w, h, xs, ys, boxes, d, d, floor), None)
+    spot = next(_feasible_positions(w, h, xs, ys, boxes, cache.a, cache.b, floor), None)
     if spot is None:
         return None
     x, y = spot
-    return ids + (last,), boxes + ((x, y, x + w, y + h),), True
+    return ids + (last,), boxes + ((x, y, x + w, y + h),)
 
 
 def _unit_bin_entry(key, cache, limit):
     """The memo value of the id set key in cache, a UnitBinMemo, found on
-    a miss by _extended, then by the refutations and the search."""
+    a miss by the area bound, then _extended, then the refutations and the
+    search."""
     if key in cache:
         return cache[key]
-    entry = _extended(key, cache) if key and len(key) <= limit else None
-    d, sides = cache.d, cache.sides
-    # a set that extends fits, so no subset of it is refuted
-    if entry is None and not (sum(w * h for w, h in map(sides.__getitem__, key)) > d * d
-                              or any(cache.get(key - {i}, ()) is None for i in key)):
-        if len(key) > limit:
-            raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
-        ids = tuple(sorted(key, key=cache.rank.__getitem__))
-        placed, backtracked = _search_lattice([sides[i] for i in ids], d, d)
-        if placed is not None:
-            entry = ids, tuple(placed), not backtracked
+    sides, entry = cache.sides, None
+    if sum(w * h for w, h in map(sides.__getitem__, key)) <= cache.a * cache.b:
+        entry = _extended(key, cache) if key and len(key) <= limit else None
+        # a set that extends fits, so no subset of it is refuted
+        if entry is None and not any(cache.get(key - {i}, ()) is None for i in key):
+            if len(key) > limit:
+                raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
+            ids = tuple(sorted(key, key=cache.rank.__getitem__))
+            placed = _search_lattice([sides[i] for i in ids], cache.a, cache.b)
+            if placed is not None:
+                entry = ids, tuple(placed)
     cache[key] = entry
     return entry
 
 
 def unit_bin_layout(items, cache, limit):
-    """exact_pack_single_region's unit-bin layout of items, or None when
-    they do not fit; memoized in cache, a UnitBinMemo holding the items, by
-    the set of item ids.  A miss first extends the first-descent layout of
-    the set less its last item in search order (_extended).  Failing that,
-    a set one item larger than a set the cache refutes is refuted without a
-    search, and otherwise searched on the cache's lattice.  The memo holds
-    lattice boxes; each call builds the Fraction layout anew."""
+    """exact_pack_single_region's layout of items in the region of cache, a
+    UnitBinMemo holding the items, or None when they do not fit; memoized
+    by the set of item ids.  A miss first tests the area bound, then
+    extends the layout of the set less its last item in search order
+    (_extended).  Failing that, a set one item larger than a set the cache
+    refutes is refuted without a search, and otherwise searched on the
+    cache's lattice.  The memo holds lattice boxes; each call builds the
+    Fraction layout anew."""
     entry = _unit_bin_entry(frozenset(it.id for it in items), cache, limit)
     if entry is None:
         return None
-    ids, boxes, _ = entry
-    return _layout(ONE, ONE, cache.d, ids, boxes)
+    d = cache.d
+    return BinLayout(*cache.region, [Placement(i, Fraction(x, d), Fraction(y, d))
+                                     for i, (x, y, _, _) in zip(*entry)])
 
 
 def canonical_partitions(items, bins, cache, limit, labeled=0):

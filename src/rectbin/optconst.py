@@ -299,7 +299,6 @@ def _distribute_rest(ctx, *path):
     if _fill(sorted(ctx.t_prime, key=lambda t: (-t.volume, t.id)), targets,
              [vol(b) for b in targets], _volume, HALF, range(len(targets)), first_fit=True):
         _fail("tiny leftovers exceed the free half-area capacity")
-    ctx.t_prime = []
     return _realize(ctx, *path)
 
 
@@ -329,7 +328,6 @@ def _case_both_heavy(ctx):
             _fail("wide leftovers do not fit above the moved stack")
         ctx.c_bins[0] = shallow + wides
         ctx.special[("C", 0)] = spare
-        ctx.t_prime = []
         return _realize(ctx, "shift")
 
     # every remaining stack item is thin, so all highs fit side by side
@@ -343,7 +341,6 @@ def _case_both_heavy(ctx):
     if rest:
         ctx.c_bins[0] = rest
         ctx.special[("C", 0)] = _steinberg(rest, 1, 1)
-    ctx.t_prime = []
     return _realize(ctx, "restack")
 
 
@@ -403,7 +400,6 @@ def _finish_rebuilt(ctx):
         spare.merge(_steinberg(low, r3w, r3h), 0, h_prime)
     ctx.c_bins[0] = overflow + ctx.t_prime
     ctx.special[("C", 0)] = spare
-    ctx.t_prime = []
     return _realize(ctx)
 
 
@@ -434,7 +430,6 @@ def _thin_high_repack(ctx):
                 continue
             ctx.b_bins[i] = ctx.b_bins[i] + ctx.t_prime
             ctx.special[("B", i)] = layout
-            ctx.t_prime = []
             break
         else:
             _fail("no wide-side bin can absorb the repack leftovers")
@@ -514,7 +509,6 @@ def _case_wide_heavy(ctx):
                     missing.append(t)
             if missing:
                 _fail("stopping item leaves tinies without a half-full bin")
-            ctx.t_prime = []
             return _realize(ctx, "stop")
         ctx.b_bins[i] = [r for r in ctx.b_bins[i] if r.id != it.id]
         ctx.c_bins[i] = ctx.c_bins[i] + [it]

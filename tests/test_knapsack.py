@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from rectbin import knapsack
+from rectbin.classify import vol
 from rectbin.errors import InstanceTooLarge
-from rectbin.geometry import Instance, Item, validate_bin, validate_packing
+from rectbin.geometry import BinLayout, Instance, Item, validate_bin, validate_packing
 from rectbin.knapsack import (
     KnapsackResult,
     ProfitItem,
@@ -280,7 +281,7 @@ def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
             w = a if 0.1 <= kind < 0.2 else side(a)
             h = b if kind < 0.1 else side(b)
             items.append(Item(i, w, h))
-        if knapsack.vol(items) > a * b:
+        if vol(items) > a * b:
             continue
         try:
             expected = unpruned_region_search(items, a, b, max_placements=1000)
@@ -609,7 +610,7 @@ def test_refutations_skip_the_search(monkeypatch, sides, a, b):
 
     monkeypatch.setattr(knapsack, "_feasible_positions", no_search)
     items = [Item(i, w, h) for i, (w, h) in enumerate(sides)]
-    assert knapsack.vol(items) <= Fraction(a) * b
+    assert vol(items) <= Fraction(a) * b
     assert exact_pack_single_region(items, a, b) is None
 
 
@@ -692,6 +693,25 @@ def test_unit_bin_memo_matches_the_region_packer():
                     assert unit_bin_layout(subset, memo, 6) == expected, (trial, subset)
                     fits += expected is not None
     assert 800 < fits < 2000
+    # a memo of another region: each subset on the lattice of the whole
+    # instance and the region, against a fresh search of the subset alone
+    fits = 0
+    for trial, (a, b) in enumerate(itertools.product(BOUNDARY_REGIONS[1:4], repeat=2)):
+        items = [Item(i, *(rng.choice(BOUNDARY_SIDES) if rng.random() < 0.3 else
+                           rand_frac(rng, Fraction(1, 100), Fraction(3, 4), rng.choice([3, 7, 64, 1000]))
+                           for _ in range(2)))
+                 for i in range(6)]
+        memo = UnitBinMemo(items, a, b)
+        for size in range(1, len(items) + 1):
+            for subset in itertools.combinations(items, size):
+                expected = exact_pack_single_region(subset, a, b)
+                got = unit_bin_layout(subset, memo, 6)
+                assert got == expected, (trial, subset, a, b)
+                if got is not None:
+                    fits += 1
+                    assert (got.width, got.height) == (a, b)
+                    assert validate_bin(got, {it.id: it for it in items}).ok
+    assert 50 < fits < 500
 
 
 # exact_min_bins on this instance, recorded before the memo had a lattice
@@ -711,7 +731,6 @@ def test_exact_min_bins_runs_without_fraction_area_or_call_lattice(monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("Fraction work on a memo miss")
 
-    monkeypatch.setattr(knapsack, "vol", banned)
     monkeypatch.setattr(knapsack, "_lattice", banned)
     instance = Instance([Item(i, w, h) for i, (w, h) in enumerate(LATTICE_GOLDEN_ITEMS)])
     count, packing = exact_min_bins(instance)
@@ -821,3 +840,42 @@ def test_memo_growth_matches_the_region_packer(monkeypatch):
                         searched += 1
                 assert got == exact_pack_single_region(subset, 1, 1), (trial, subset)
     assert extended > 2 * searched > 100
+
+
+def test_memo_extends_every_layout_that_starts_the_next(monkeypatch):
+    # grown in search order, each set's plain first layout, less its last
+    # item, is the memoized layout of the smaller set on most steps; the
+    # memo then places the last item without a search, also where the
+    # smaller set's search backtracked
+    searches = 0
+    search_lattice = knapsack._search_lattice
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return search_lattice(*args)
+
+    monkeypatch.setattr(knapsack, "_search_lattice", counted)
+    rng = random.Random(1414)
+    steps = 0
+    for trial in range(400):
+        items = growth_set(rng)
+        memo = UnitBinMemo(items)
+        order = sorted(items, key=lambda it: (-it.volume, it.id))
+        for size in range(1, len(order) + 1):
+            subset = order[:size]
+            try:
+                expected = unpruned_region_search(subset, 1, 1, max_placements=5000)
+            except SearchBudgetExceeded:
+                expected = None
+            # a memo hit: the previous step
+            base = unit_bin_layout(subset[:-1], memo, 8) if size > 1 else BinLayout()
+            starts = (expected is not None and base is not None
+                      and [(p.item_id, p.x, p.y) for p in base.placements] == expected[:-1])
+            before = searches
+            got = unit_bin_layout(subset, memo, 8)
+            if starts:
+                steps += 1
+                assert searches == before, (trial, subset)
+                assert [(p.item_id, p.x, p.y) for p in got.placements] == expected
+    assert steps > 800
