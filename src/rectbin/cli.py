@@ -56,8 +56,10 @@ def pack_auto(instance: Instance, config: SolveConfig):
 
     Returns (packing, provenance, guaranteed).  The solvers return their
     packings unvalidated; this validates the one it emits.  The fallback
-    never fails, so this raises only on a solver bug: PackingStuck when
-    the packing fails validation.
+    never fails, so this raises only on a bug: PackingStuck when the
+    packing fails validation or a construction is stuck (steinberg's
+    "portfolio exhausted", say), and a plain PreconditionViolated, which
+    marks a caller bug inside the solvers.
     """
     packing, provenance, guaranteed = _first_packing(instance, config)
     report = validate_packing(packing, instance)
@@ -163,12 +165,8 @@ def cmd_oracle(args):
         raise ValueError(f"--max-bins must be at least 1, got {args.max_bins}")
     instance = parse_instance(_read(args.infile))
     config = config_from_env()
-    try:
-        found = exact_min_bins(instance, max_bins=args.max_bins,
-                               oracle_limit=config.oracle_limit)
-    except InstanceTooLarge as exc:
-        print(f"limits exceeded: {exc}", file=sys.stderr)
-        return 3
+    found = exact_min_bins(instance, max_bins=args.max_bins,
+                           oracle_limit=config.oracle_limit)
     if found is None:
         print(f"opt > {args.max_bins}")
     else:

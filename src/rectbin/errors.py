@@ -15,11 +15,19 @@ class GuessFailed(RectbinError):
 
 
 class PreconditionViolated(RectbinError):
-    """A caller invoked an operation without establishing its precondition."""
+    """A caller invoked an operation without establishing its precondition.
+
+    Raised as this class itself, it is a caller bug that the solvers let
+    through; its subclass ConditionViolated is a failed guess instead.
+    """
 
 
-class ConditionViolated(PreconditionViolated):
-    """A packing condition that must hold on entry does not hold."""
+class ConditionViolated(PreconditionViolated, GuessFailed):
+    """A packer's sufficient condition does not hold for its input.
+
+    A correct guess only hands packers input that meets their conditions,
+    so the solvers treat this as any other GuessFailed.
+    """
 
 
 class PackingStuck(RectbinError):

@@ -1,7 +1,9 @@
 """Two-bin packing for instances that fit into a single bin.
 
-A step that fails its runtime check raises GuessFailed so the caller can
-try the next branch (or conclude the instance needs more than one bin).
+Every branch is sure to succeed when OPT = 1, so a step that fails its
+runtime check raises GuessFailed, and a packer whose condition does not
+hold raises ConditionViolated, which is one; the caller then tries the
+next branch (or concludes the instance needs more than one bin).
 Packings are returned unvalidated: `cli.pack_auto` validates the one it
 emits.  A returned packing's `path` names its branch.
 """
@@ -79,11 +81,7 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     floor_ids = {it.id for it in floor}
     rest = [it for it in leftover if it.id not in floor_ids]
     if rest:
-        try:
-            sub = steinberg_pack(rest, 1, 1 - y)
-        except ConditionViolated as exc:
-            raise GuessFailed(f"second bin area condition failed: {exc}") from exc
-        bin2.merge(sub, 0, y)
+        bin2.merge(steinberg_pack(rest, 1, 1 - y), 0, y)
     return Packing([bin1, bin2])
 
 
@@ -143,12 +141,10 @@ def pack_large_w(instance: Instance, eps) -> Packing:
     """Two bins when both the wide stack and the high row exceed half."""
     eps = scalar(eps)
     classes = classify(instance)
-    if not classes.wide or not classes.high:
-        raise PreconditionViolated("needs both wide and high items")
     hw = total_height(classes.wide)
     wh = total_width(classes.high)
-    if not (hw >= wh > HALF):
-        raise PreconditionViolated(f"needs h(W) >= w(H) > 1/2, got {hw}, {wh}")
+    if not (hw >= wh > HALF):  # implies both classes are present
+        raise ConditionViolated(f"needs h(W) >= w(H) > 1/2, got {hw}, {wh}")
 
     bin1, chosen = pack_wide_high(classes.wide, classes.high_only, eps)
     chosen_ids = {it.id for it in chosen}
@@ -160,11 +156,7 @@ def pack_large_w(instance: Instance, eps) -> Packing:
     bin2 = BinLayout(1, 1)
     bin2.row(leftover, 0, 0)
     if classes.small:
-        try:
-            sub = steinberg_pack(classes.small, 1 - lw, 1)
-        except ConditionViolated as exc:
-            raise GuessFailed(f"second bin area condition failed: {exc}") from exc
-        bin2.merge(sub, lw, 0)
+        bin2.merge(steinberg_pack(classes.small, 1 - lw, 1), lw, 0)
     return Packing([bin1, bin2])
 
 
@@ -174,12 +166,12 @@ def pack_stack_plus_small(wide, rest) -> BinLayout:
     rest = list(rest)
     hw = total_height(wide)
     if hw > 1:
-        raise PreconditionViolated("stack taller than the bin")
+        raise ConditionViolated("stack taller than the bin")
     for it in rest:
         if it.width > HALF or it.height > 1 - hw:
-            raise PreconditionViolated(f"item {it.id} does not fit the strip above the stack")
+            raise ConditionViolated(f"item {it.id} does not fit the strip above the stack")
     if vol(rest) > HALF - hw / 2:
-        raise PreconditionViolated("strip volume bound exceeded")
+        raise ConditionViolated("strip volume bound exceeded")
     layout = BinLayout(1, 1)
     layout.column(sorted(wide, key=lambda it: (-it.width, it.id)), 0, 0)
     if rest:
@@ -214,11 +206,11 @@ def pack_small_w(instance: Instance, eps) -> Packing:
     eps = scalar(eps)
     classes = classify(instance)
     if not classes.wide or not classes.high:
-        raise PreconditionViolated("needs both wide and high items")
+        raise ConditionViolated("needs both wide and high items")
     hw = total_height(classes.wide)
     wh = total_width(classes.high)
     if hw < wh or wh > HALF:
-        raise PreconditionViolated(f"needs h(W) >= w(H) and w(H) <= 1/2, got {hw}, {wh}")
+        raise ConditionViolated(f"needs h(W) >= w(H) and w(H) <= 1/2, got {hw}, {wh}")
     if hw > 1:
         raise GuessFailed("wide stack taller than the bin")
 
@@ -244,10 +236,7 @@ def pack_small_w(instance: Instance, eps) -> Packing:
 
     def finish(bin1, placed_ids, case):
         rest = [it for it in smalls if it.id not in placed_ids]
-        try:
-            bin2 = pack_stack_plus_small_transposed(classes.high_only, rest)
-        except (PreconditionViolated, ConditionViolated) as exc:
-            raise GuessFailed(f"case {case}: second bin failed: {exc}") from exc
+        bin2 = pack_stack_plus_small_transposed(classes.high_only, rest)
         return Packing([bin1, bin2], (f"case{case}",))
 
     if total_width(half_tall) >= target:
@@ -316,11 +305,8 @@ def pack_small_w(instance: Instance, eps) -> Packing:
         else:
             group2.append(it)
             vol2 += it.volume
-    try:
-        bin1 = pack_stack_plus_small(classes.wide, group1)
-        bin2 = pack_stack_plus_small_transposed(classes.high_only, group2)
-    except (PreconditionViolated, ConditionViolated) as exc:
-        raise GuessFailed(f"case 3: layout failed: {exc}") from exc
+    bin1 = pack_stack_plus_small(classes.wide, group1)
+    bin2 = pack_stack_plus_small_transposed(classes.high_only, group2)
     return Packing([bin1, bin2], ("case3",))
 
 
@@ -330,9 +316,11 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
     Tries the width-axis cutoff, the height-axis cutoff, then the branch for
     whichever of the wide/high aggregates dominates; the packing's path
     starts with `delta_width`, `delta_height`, `large_w` or `small_w`.
-    GuessFailed from every branch means the instance needs at least two
-    bins; a branch that hits a size limit is skipped, and reported only if
-    nothing later succeeds.  The packing is not validated here.
+    GuessFailed from every branch, a refused packer condition included,
+    means the instance needs at least two bins; a branch that hits a size
+    limit is skipped, and reported only if nothing later succeeds.  A plain
+    PreconditionViolated is a caller bug and passes through.  The packing
+    is not validated here.
     """
     eps = scalar(eps)
     if not instance.items:
@@ -370,10 +358,6 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
             packing = pack_large_w(work, eps).under("large_w")
         else:
             packing = pack_small_w(work, eps).under("small_w")
-    except PreconditionViolated as exc:
-        if limit_hit is not None:
-            raise limit_hit
-        raise GuessFailed(f"no branch applies: {exc}") from exc
     except (GuessFailed, InstanceTooLarge):
         # a skipped cutoff branch might have worked with higher limits, so
         # the limit report takes precedence over a plain failure

@@ -4,8 +4,10 @@ The solver guesses how the large items (area above eps) split across ell
 bins, packs the first bin with the profit knapsack, separates wide from
 high items in the remaining bins, and tops everything up with the tiny
 items.  Four cases, keyed on how full the last pair of bins ended up,
-decide where the leftover tinies go.  A wrong guess fails loudly and the
-next assignment is tried.  Packings are returned unvalidated:
+decide where the leftover tinies go.  Every step is sure to succeed
+when OPT = ell, so a failed check or a refused packer condition
+(ConditionViolated) is a GuessFailed and the next assignment is tried;
+a plain PreconditionViolated is a caller bug.  Packings are unvalidated:
 `cli.pack_auto` validates the one it emits.  The returned packing's `path`
 names the case (`case1`..`case4`), then the subcase and whether the roles
 were flipped.
@@ -123,10 +125,6 @@ def enumerate_large_assignments(large, ell, enumeration_limit=12, cache=None):
                                     enumeration_limit, labeled=1)
 
 
-def _fail(msg):
-    raise GuessFailed(msg)
-
-
 _volume = attrgetter("volume")
 _width = attrgetter("width")
 
@@ -156,31 +154,10 @@ def _stack_of_highs(items):
     """Floor stack, tallest first; total width must stay within the bin."""
     ordered = sorted(items, key=lambda it: (-it.height, it.id))
     if total_width(ordered) > 1:
-        _fail(f"high stack width {total_width(ordered)} exceeds 1")
+        raise GuessFailed(f"high stack width {total_width(ordered)} exceeds 1")
     out = BinLayout(1, 1)
     out.row(ordered, ZERO, ZERO)
     return out
-
-
-def _half_area_high(items):
-    try:
-        return pack_no_wide_half_area(items)
-    except PreconditionViolated as exc:
-        raise GuessFailed(f"half-area high bin rejected: {exc}") from exc
-
-
-def _half_area_wide(items):
-    try:
-        return pack_no_high_half_area(items)
-    except PreconditionViolated as exc:
-        raise GuessFailed(f"half-area wide bin rejected: {exc}") from exc
-
-
-def _steinberg(items, a, b):
-    try:
-        return steinberg_pack(items, a, b)
-    except ConditionViolated as exc:
-        raise GuessFailed(f"area condition failed: {exc}") from exc
 
 
 def _layout_high_side(ctx, items):
@@ -189,19 +166,19 @@ def _layout_high_side(ctx, items):
     if all(_is_high(it) for it in items):
         return _stack_of_highs(items)
     if vol(items) <= HALF and sum(1 for it in items if _is_wide(it) and not _is_big(it)) == 0:
-        return _half_area_high(items)
+        return pack_no_wide_half_area(items)
     layout = unit_bin_layout(items, ctx.cache, ctx.limit)
     if layout is None:
-        _fail("mixed high-side bin does not fit")
+        raise GuessFailed("mixed high-side bin does not fit")
     return layout
 
 
 def _layout_wide_side(ctx, items):
     if vol(items) <= HALF and sum(1 for it in items if _is_high(it) and not _is_big(it)) == 0:
-        return _half_area_wide(items)
+        return pack_no_high_half_area(items)
     layout = unit_bin_layout(items, ctx.cache, ctx.limit)
     if layout is None:
-        _fail("wide-side bin does not fit")
+        raise GuessFailed("wide-side bin does not fit")
     return layout
 
 
@@ -250,7 +227,7 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     result = max_profit_pack(pitems, 1, 1, eps * eps / (1 + 2 * eps), exact_limit)
     packed_ids = {it.id for it in result.selected}
     if not all(it.id in packed_ids for it in ctx.assignment[0]):
-        _fail("profit bin dropped an assigned large item")
+        raise GuessFailed("profit bin dropped an assigned large item")
     ctx.b_bins = [list(result.selected)] + [[] for _ in range(ell - 1)]
     ctx.c_bins = [[] for _ in range(ell)]
     ctx.b1_layout = result.layout
@@ -260,7 +237,7 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
         if whole_bin == i:
             layout = unit_bin_layout(part, ctx.cache, max(exact_limit, len(part)))
             if layout is None:
-                _fail("guessed bin content does not fit in one piece")
+                raise GuessFailed("guessed bin content does not fit in one piece")
             ctx.b_bins[i] = list(part)
             ctx.special[("B", i)] = layout
         else:
@@ -294,11 +271,11 @@ def _distribute_rest(ctx, *path):
     """Both last bins are light: no wide or high tinies are left, so the
     leftovers are spread over every bin but the knapsack one."""
     if any(_is_wide(it) or _is_high(it) for it in ctx.t_prime):
-        _fail("leftover tiny items still contain wide or high pieces")
+        raise GuessFailed("leftover tiny items still contain wide or high pieces")
     targets = ctx.b_bins[1:] + ctx.c_bins
     if _fill(sorted(ctx.t_prime, key=lambda t: (-t.volume, t.id)), targets,
              [vol(b) for b in targets], _volume, HALF, range(len(targets)), first_fit=True):
-        _fail("tiny leftovers exceed the free half-area capacity")
+        raise GuessFailed("tiny leftovers exceed the free half-area capacity")
     return _realize(ctx, *path)
 
 
@@ -309,7 +286,7 @@ def _case_both_heavy(ctx):
     last = ctx.c_bins[ell - 1]
     if vol(last) > HALF + (2 * ell - 2) * eps:
         if ctx.t_prime:
-            _fail("high side too full for any leftovers")
+            raise GuessFailed("high side too full for any leftovers")
         return _realize(ctx, "full")
 
     shallow = [it for it in last if it.height <= Fraction(3, 4)]
@@ -321,11 +298,11 @@ def _case_both_heavy(ctx):
                        key=lambda it: (-it.width, it.id))
         others = [it for it in ctx.t_prime if not _is_wide(it)]
         ctx.c_bins[ell - 1] = keep + others
-        ctx.special[("C", ell - 1)] = _half_area_high(keep + others)
+        ctx.special[("C", ell - 1)] = pack_no_wide_half_area(keep + others)
         spare = BinLayout(1, 1)
         spare.row(sorted(shallow, key=lambda s: (-s.height, s.id)), ZERO, ZERO)
         if spare.column(wides, ZERO, Fraction(3, 4)) > 1:
-            _fail("wide leftovers do not fit above the moved stack")
+            raise GuessFailed("wide leftovers do not fit above the moved stack")
         ctx.c_bins[0] = shallow + wides
         ctx.special[("C", 0)] = spare
         return _realize(ctx, "shift")
@@ -333,14 +310,14 @@ def _case_both_heavy(ctx):
     # every remaining stack item is thin, so all highs fit side by side
     towering = [it for it in last + ctx.t_prime if it.height > Fraction(3, 4)]
     if total_width(towering) > Fraction(2, 3) + (Fraction(16 * ell, 3) - 4) * eps:
-        _fail("tall items wider than the restack argument allows")
+        raise GuessFailed("tall items wider than the restack argument allows")
     highs = [it for it in last + ctx.t_prime if _is_high(it)]
     rest = [it for it in ctx.t_prime if not _is_high(it)]
     ctx.c_bins[ell - 1] = highs
     ctx.special[("C", ell - 1)] = _stack_of_highs(highs)
     if rest:
         ctx.c_bins[0] = rest
-        ctx.special[("C", 0)] = _steinberg(rest, 1, 1)
+        ctx.special[("C", 0)] = steinberg_pack(rest, 1, 1)
     return _realize(ctx, "restack")
 
 
@@ -377,27 +354,27 @@ def _finish_rebuilt(ctx):
     overflow = ctx.c_bins[0]
     h_prime = max((it.height for it in overflow), default=ZERO)
     if total_width(overflow) > 1 - 8 * ell * eps:
-        _fail("tiny high overflow leaves no side strip")
+        raise GuessFailed("tiny high overflow leaves no side strip")
     r1w, r1h = ctx.r1
     r2w, r2h = ctx.r2
     r3w, r3h = ctx.r3
     if h_prime + r3h > 1 - r1h:
-        _fail("overflow stack too tall for the reserved strips")
+        raise GuessFailed("overflow stack too tall for the reserved strips")
     spare = BinLayout(1, 1)
     spare.row(sorted(overflow, key=lambda s: (-s.height, s.id)), ZERO, ZERO)
     wides = sorted((it for it in ctx.t_prime if _is_wide(it)),
                    key=lambda it: (-it.width, it.id))
     if spare.column(wides, ZERO, 1 - r1h) > 1:
-        _fail("wide leftovers overflow the top strip")
+        raise GuessFailed("wide leftovers overflow the top strip")
     tall = sorted((it for it in ctx.t_prime
                    if not _is_wide(it) and it.height > HALF - 6 * ell * eps),
                   key=lambda s: (-s.height, s.id))
     if spare.row(tall, 1 - r2w, ZERO) > 1 or any(it.height > r2h for it in tall):
-        _fail("tall leftovers overflow the right strip")
+        raise GuessFailed("tall leftovers overflow the right strip")
     low_ids = {it.id for it in wides} | {it.id for it in tall}
     low = [it for it in ctx.t_prime if it.id not in low_ids]
     if low:
-        spare.merge(_steinberg(low, r3w, r3h), 0, h_prime)
+        spare.merge(steinberg_pack(low, r3w, r3h), 0, h_prime)
     ctx.c_bins[0] = overflow + ctx.t_prime
     ctx.special[("C", 0)] = spare
     return _realize(ctx)
@@ -432,7 +409,7 @@ def _thin_high_repack(ctx):
             ctx.special[("B", i)] = layout
             break
         else:
-            _fail("no wide-side bin can absorb the repack leftovers")
+            raise GuessFailed("no wide-side bin can absorb the repack leftovers")
     return _realize(ctx)
 
 
@@ -508,7 +485,7 @@ def _case_wide_heavy(ctx):
                 else:
                     missing.append(t)
             if missing:
-                _fail("stopping item leaves tinies without a half-full bin")
+                raise GuessFailed("stopping item leaves tinies without a half-full bin")
             return _realize(ctx, "stop")
         ctx.b_bins[i] = [r for r in ctx.b_bins[i] if r.id != it.id]
         ctx.c_bins[i] = ctx.c_bins[i] + [it]
@@ -525,7 +502,7 @@ def _flip_roles(ctx):
     knapsack and spare bins stay put, and the earlier cases apply."""
     ell = ctx.ell
     if ctx.c_bins[0]:
-        _fail("spare bin unexpectedly occupied before the flip")
+        raise GuessFailed("spare bin unexpectedly occupied before the flip")
     flipped = ConstContext(k=ctx.k, ell=ell, limit=ctx.limit)
     flipped.instance = transpose_instance(ctx.instance)
     flipped.cache = UnitBinMemo(flipped.instance.items)  # the same ids with swapped sides
@@ -570,18 +547,10 @@ def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12):
         try:
             ctx = run_steps_1_to_4(instance, ell, assignment, k,
                                    exact_limit=exact_limit, cache=cache)
-        except GuessFailed as exc:
-            last_error = exc
-            continue
-        except InstanceTooLarge as exc:
-            limit_hits += 1
-            last_error = exc
-            continue
-        heavy_b = vol(ctx.b_bins[ell - 1]) >= thr
-        heavy_c = vol(ctx.c_bins[ell - 1]) >= thr
-        case_no = {(False, False): 1, (True, True): 2,
-                   (False, True): 3, (True, False): 4}[(heavy_b, heavy_c)]
-        try:
+            heavy_b = vol(ctx.b_bins[ell - 1]) >= thr
+            heavy_c = vol(ctx.c_bins[ell - 1]) >= thr
+            case_no = {(False, False): 1, (True, True): 2,
+                       (False, True): 3, (True, False): 4}[(heavy_b, heavy_c)]
             if not ctx.t_prime:
                 packed = _realize(ctx)
             elif case_no == 1:

@@ -27,14 +27,15 @@ pack_no_wide_half_area covers the companion guarantee: total area at most
 1/2 and no item wider than 1/2 except possibly one that is also taller than
 1/2.  The area condition can fail for such inputs, so the big item is
 stacked bottom-left directly and the hanger argument absorbs the rest.
-Returned layouts are not validated here: callers validate the packings
-they go into.
+Both entry points refuse input outside their condition with
+ConditionViolated.  Returned layouts are not validated here: callers
+validate the packings they go into.
 """
 
 from itertools import combinations
 
 from .classify import h_max, vol, w_max
-from .errors import ConditionViolated, PackingStuck, PreconditionViolated
+from .errors import ConditionViolated, PackingStuck
 from .geometry import HALF, ONE, ZERO, BinLayout, scalar, transpose_layout, validate_bin
 
 
@@ -183,12 +184,12 @@ def pack_no_wide_half_area(items) -> BinLayout:
     items = list(items)
     total = vol(items)
     if total > HALF:
-        raise PreconditionViolated(f"total area {total} exceeds 1/2")
+        raise ConditionViolated(f"total area {total} exceeds 1/2")
     wides = [r for r in items if r.width > HALF]
     if any(r.height <= HALF for r in wides):
-        raise PreconditionViolated("a wide non-big item is present")
+        raise ConditionViolated("a wide non-big item is present")
     if len(wides) > 1:
-        raise PreconditionViolated(f"{len(wides)} items wider than 1/2")
+        raise ConditionViolated(f"{len(wides)} items wider than 1/2")
     if not wides:
         # area condition holds outright: no width deficiency is possible
         return steinberg_pack(items, 1, 1)

@@ -315,11 +315,15 @@ class TestCommands:
         assert main(["oracle", "--in", str(inst), "--max-bins", "3"]) == 0
         assert capsys.readouterr().out.strip() == "opt 2"
 
-    def test_oracle_limit_exit_code(self, tmp_path, capsys):
+    def test_oracle_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ORACLE_LIMIT", raising=False)
         inst = tmp_path / "a.inst"
         lines = ["items 12"] + [f"{i} 1/2 1/2" for i in range(12)]
         inst.write_text("\n".join(lines) + "\n")
         assert main(["oracle", "--in", str(inst), "--max-bins", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "limits exceeded: 12 items exceed the oracle limit 8\n"
+        assert captured.out == ""
 
     def test_render_produces_one_file_per_bin(self, tmp_path):
         inst = tmp_path / "a.inst"

@@ -7,7 +7,7 @@ from rectbin.classify import classify, total_width
 import rectbin.opt1
 from rectbin.cli import main, pack_auto
 from rectbin.config import SolveConfig
-from rectbin.errors import GuessFailed, PackingStuck, PreconditionViolated
+from rectbin.errors import ConditionViolated, GuessFailed, PackingStuck, PreconditionViolated
 from rectbin.fileio import serialize_instance
 from rectbin.geometry import BinLayout, Instance, Item, Placement, validate_bin, validate_packing
 from rectbin.knapsack import exact_pack_single_region
@@ -55,14 +55,16 @@ class TestSmallHeight:
 
     def test_delta_out_of_range(self):
         inst = Instance(items_of([("1/4", "1/4")]))
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated) as info:
             pack_small_height(inst, Fraction(3, 4), EPS)
+        assert not isinstance(info.value, GuessFailed)  # a caller bug
 
     def test_tall_cutoff_stack_rejected(self):
         # two items wider than the cutoff with a tall joint stack
         inst = Instance(items_of([("9/10", "2/5"), ("9/10", "2/5")]))
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated) as info:
             pack_small_height(inst, Fraction(1, 5), EPS)
+        assert not isinstance(info.value, GuessFailed)
 
     def test_generated_single_bin_instances(self):
         packed = 0
@@ -244,6 +246,34 @@ class TestSmallW:
         # w(H) = 0.55 > 1/2: not this branch's territory
         with pytest.raises(PreconditionViolated):
             pack_small_w(inst, EPS)
+
+
+# a stack of height 1/2, then strip items one too tall and five over the
+# volume bound; single-class instances for the wide/high branches
+STACK = items_of([("3/4", "1/2")])
+TALL_REST = [Item(9, Fraction(1, 4), Fraction(3, 5))]
+HEAVY_REST = [Item(1 + i, Fraction(1, 4), Fraction(1, 4)) for i in range(5)]
+WIDE_ONLY = Instance(items_of([("3/5", "1/4")]))
+HIGH_ONLY = Instance(items_of([("1/4", "3/5")]))
+
+
+class TestRefusals:
+    """A packer whose sufficient condition fails raises ConditionViolated,
+    which both except clauses catch."""
+
+    @pytest.mark.parametrize("caught", [GuessFailed, PreconditionViolated])
+    @pytest.mark.parametrize("refused", [
+        pytest.param(lambda: pack_stack_plus_small(STACK, TALL_REST), id="strip_item_too_tall"),
+        pytest.param(lambda: pack_stack_plus_small(STACK, HEAVY_REST), id="strip_volume"),
+        pytest.param(lambda: pack_large_w(WIDE_ONLY, EPS), id="large_w_no_high"),
+        pytest.param(lambda: pack_large_w(HIGH_ONLY, EPS), id="large_w_no_wide"),
+        pytest.param(lambda: pack_small_w(WIDE_ONLY, EPS), id="small_w_no_high"),
+        pytest.param(lambda: pack_small_w(HIGH_ONLY, EPS), id="small_w_no_wide"),
+    ])
+    def test_refused_condition_is_a_failed_guess(self, refused, caught):
+        with pytest.raises(caught) as info:
+            refused()
+        assert isinstance(info.value, ConditionViolated)
 
 
 class TestDispatch:

@@ -466,8 +466,15 @@ class TestSoundness:
 class TestEdgesAndDeterminism:
     def test_single_bin_request_rejected(self):
         inst = Instance([Item(0, HALF, HALF)])
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated) as info:
             pack_opt_const(inst, 1)
+        assert not isinstance(info.value, GuessFailed)  # a caller bug
+
+    def test_assignment_part_count_is_a_caller_bug(self):
+        inst = Instance([Item(0, HALF, HALF)])
+        with pytest.raises(PreconditionViolated) as info:
+            run_steps_1_to_4(inst, 2, [inst.items])
+        assert not isinstance(info.value, GuessFailed)
 
     def test_empty_instance(self):
         assert pack_opt_const(Instance([]), 2).bins == []

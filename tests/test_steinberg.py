@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rectbin import steinberg
-from rectbin.errors import ConditionViolated, PackingStuck, PreconditionViolated
+from rectbin.errors import ConditionViolated, GuessFailed, PackingStuck, PreconditionViolated
 from rectbin.fileio import serialize_packing
 from rectbin.geometry import BinLayout, Item, Packing, Placement, validate_bin
 from rectbin.steinberg import (
@@ -153,6 +153,25 @@ def test_half_area_rejects_two_wide():
     ]
     with pytest.raises(PreconditionViolated):
         pack_no_wide_half_area(items)
+
+
+# above area 1/2, and wide but not big: both refused by the half-area packers
+BIG = Item(0, Fraction(3, 4), Fraction(3, 4))
+FLAT = Item(0, Fraction(3, 4), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("caught", [GuessFailed, PreconditionViolated])
+@pytest.mark.parametrize("pack, items", [
+    pytest.param(steinberg_pack, [Item(0, Fraction(9, 10), Fraction(9, 10))], id="area"),
+    pytest.param(pack_no_wide_half_area, [BIG], id="no_wide_volume"),
+    pytest.param(pack_no_wide_half_area, [FLAT], id="no_wide_not_big"),
+    pytest.param(pack_no_high_half_area, [BIG], id="no_high_volume"),
+    pytest.param(pack_no_high_half_area, [FLAT.transposed()], id="no_high_not_big"),
+])
+def test_refused_condition_is_a_failed_guess(pack, items, caught):
+    with pytest.raises(caught) as info:
+        pack(items)
+    assert isinstance(info.value, ConditionViolated)
 
 
 def test_half_area_random_sets():
