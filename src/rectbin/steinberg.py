@@ -188,13 +188,11 @@ def pack_no_wide_half_area(items) -> BinLayout:
     wides = [r for r in items if r.width > HALF]
     if any(r.height <= HALF for r in wides):
         raise ConditionViolated("a wide non-big item is present")
-    if len(wides) > 1:
-        raise ConditionViolated(f"{len(wides)} items wider than 1/2")
     if not wides:
         # area condition holds outright: no width deficiency is possible
         return steinberg_pack(items, 1, 1)
-    # a one-item wide stack; area above 1/2 would be needed for the hangers
-    # to reach past 1 - w(big)
+    # a one-item wide stack, as two bigs would pass area 1/2; area above 1/2
+    # would be needed for the hangers to reach past 1 - w(big)
     return _pack_wide_anchored(items, ONE, ONE)
 
 
