@@ -1,9 +1,14 @@
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from rectbin import oracle
 from rectbin.classify import classify, find_feasible_delta, total_height, total_width
 from rectbin.errors import InstanceTooLarge
-from rectbin.fileio import serialize_packing
+from rectbin.fileio import serialize_instance, serialize_packing
 from rectbin.geometry import Instance, Item, transpose_instance, validate_packing
 from rectbin.oracle import (
     GeneratorSpec,
@@ -257,3 +262,67 @@ def test_exact_min_bins_tail_golden_output(spec, count, expected):
     inst, _ = gen_instance(GeneratorSpec(seed=seed, n=n, ell=ell, mode="shrink"))
     found, witness = exact_min_bins(inst)
     assert (found, serialize_packing(witness)) == (count, expected)
+
+
+# sha256 digests of the benchmark pools (perfbench/corpus.py's build_pool at
+# each workload's size in perfbench/run.py), of every plant for seeds 0-99
+# and of a few large gen_instance specs.  The pools are built from the
+# generators' rng draws, so any change to the draw order or to the layouts
+# changes the benchmark's inputs; these pin them byte for byte.
+POOL_SHA256 = {
+    "one_bin": "3d1adbb567c1e66305b91657ed78e057bc6887caf0f41f2f093dcf52f4e686fa",
+    "two_bin": "5f4767b8fe4648decb341ca61b1e209d166ee155f2f16827e14778981bf3b0a5",
+    "oracle": "dcced02193c3d9627a5860a8acd78be287188d9d1ad21f834645eb59a3a0f57c",
+}
+PLANT_SHA256 = {
+    "plant_const_case1": "f610ae317d08c7c09e059776fed433bd4698605c8ca6bb070ff7430e6da8978a",
+    "plant_const_case2": "236e01d7acc88a20436070a3f97fd1a0bbbda23d1f285de65229e921fb58fc0e",
+    "plant_const_case3": "2ccbdbbdaf6fb9f74fedb89b9419d48744d4675ff22ae613a2e04ccd351c07f5",
+    "plant_const_case4": "7d1e9c6c7e50fd66ecb4a355c12bc4dbd0380699ad3de764a88b0786be77bd9f",
+    "plant_delta_height": "4b7223141c6895e16195a196dbdf3847761c6bf1179027a962eebd41af4aef49",
+    "plant_delta_width": "050f4ad17a98f0d01bc7f98dc285d1a7a69b063c4c307e0df7665f4cd3dce044",
+    "plant_large_w": "c74ccc324173158e81e5021781c87ab7de9bc765f0f5e89a1aabfb605df16d12",
+    "plant_small_w_case1": "34f52ad8c9eacb2c868bda54fb589d3d159b35b2f97032f598ac6280a5189b16",
+    "plant_small_w_case2": "2dc27efb14eef177bb9e5779963fdd39364b5c80ec7f0df6645aec0bb030b6b0",
+    "plant_small_w_case3": "c9218ad5011e15bca42d195e0c595f349e6115a12660afbaf346b9d7b9698728",
+}
+GEN_SHA256 = {
+    (1, 4000, 1, "shrink"): "13e4914e7806f9751e4393bf3f85ff49e4f1246db2d7c65a9886f322c8d17773",
+    (2, 4000, 1, "shrink"): "39be3ff3afad7a3fbb52cceebb693523ee9ddca0b77e9dde8ce68fc1cc0e8d7a",
+    (3, 4000, 1, "shrink"): "a0a44baebc8aaec1d615c6d98cd27520109d31510e87e0af2e2389c64436e9e5",
+    (1, 40, 5, "guillotine"): "7023844232d1570d6c61c47171b65ef5820a96b387d710e06b19e027e93348a2",
+    (1, 40, 5, "shrink"): "0379604ead2cd9d5aad36e56709788a4f051b0f6ab595bbdefeb14afe4202ba5",
+    (2, 40, 5, "guillotine"): "c4ddbb22ab3619e5ef740692d95903fbe4ea7594f87c09a985b7796c2b5618c3",
+    (2, 40, 5, "shrink"): "4ceff4cec341d0632976ae7885a3e955430c7ad581a7d4809338266790749281",
+}
+
+
+def _perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pools_and_plants_are_pinned():
+    corpus, run = _perfbench("corpus"), _perfbench("run")
+    pools = {workload: _sha256(json.dumps(corpus.build_pool(workload, run.WORKLOADS[workload][1]),
+                                          sort_keys=True))
+             for workload in POOL_SHA256}
+    assert pools == POOL_SHA256
+    plants = {}
+    for name in PLANT_SHA256:
+        texts = (serialize_instance(inst) + serialize_packing(wit)
+                 for inst, wit in map(getattr(oracle, name), range(100)))
+        plants[name] = _sha256("".join(texts))
+    assert plants == PLANT_SHA256
+    assert sorted(name for name in dir(oracle) if name.startswith("plant_")) == sorted(plants)
+    generated = {spec: _sha256(serialize_instance(inst) + serialize_packing(wit))
+                 for spec in GEN_SHA256
+                 for inst, wit in [gen_instance(GeneratorSpec(*spec))]}
+    assert generated == GEN_SHA256
