@@ -9,7 +9,8 @@ Both files are `.perfbench_out/outputs-<workload>-<seed>.json`, written by
 digests are keyed by pool index, so runs with different seeds compare too.
 Only the pool indices that both runs completed are compared.  Prints the
 matched, mismatched and one-side-only counts and the first mismatched
-indices; exits 1 when any digest differs, 0 otherwise.
+indices; exits 1 when any digest differs, 0 otherwise.  If stdout closes
+early (`... | head -1`), it ends with exit 1 and no traceback.
 
 When both files carry a `solves` list, it also prints the per-entry
 solve-time ratio change/parent over the pool indices that both runs
@@ -20,6 +21,7 @@ largest ratios, largest first.
 
 import json
 import math
+import os
 import statistics
 import sys
 
@@ -71,4 +73,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: end without a traceback, and point stdout
+        # at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -20,6 +20,9 @@ With --outputs FILE it also writes FILE in the format of the benchmark's
 solve as `solves` (pool index, status, seconds).  With a generous cap,
 `scripts/compare_outputs.py` then compares two commits over the whole
 pool, including entries that a benchmark run completes on one side only.
+
+If stdout closes early (`... | head -1`), the run stops at the next line it
+prints, with exit 1 and no traceback, and writes no --outputs file.
 """
 
 import argparse
@@ -87,4 +90,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: end without a traceback, and point stdout
+        # at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

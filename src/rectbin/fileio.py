@@ -3,6 +3,9 @@
 Both formats are line oriented and bit exact: every number is a rational
 written as `p/q` (or a plain integer), and decimals in input are read as
 p/10^d without rounding.  parse(serialize(x)) returns x unchanged.
+Numbers and ids are written in ASCII digits: a token with any non-ASCII
+character is refused, though int() and Fraction() read the digits of every
+script.
 Numbers are bounded so that both hold: a decimal exponent above
 MAX_EXPONENT in magnitude is refused before 10**N is built (a large N would
 stall the parser), and so is a number whose numerator or denominator has
@@ -24,24 +27,25 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
 def _plain_rational(text):
-    """A token of ASCII digits, or of ASCII digits `/` ASCII digits, as an
-    exact Fraction built from int(); None for any other token.  Fraction(text)
+    """An ASCII token of digits, or of digits `/` digits, as an exact
+    Fraction built from int(); None for any other token.  Fraction(text)
     reads such a token with the same int() calls, so value and errors agree."""
-    if text.isascii():
-        if text.isdigit():
-            return Fraction(int(text))
-        p, slash, q = text.partition("/")
-        if slash and p.isdigit() and q.isdigit():
-            return Fraction(int(p), int(q))
+    if text.isdigit():
+        return Fraction(int(text))
+    p, slash, q = text.partition("/")
+    if slash and p.isdigit() and q.isdigit():
+        return Fraction(int(p), int(q))
     return None
 
 
 def parse_rational(text):
-    """text as an exact Fraction (`p/q`, an integer or a decimal), within
-    the number bounds above; ValueError otherwise.  Shared by every reader
-    of numbers from outside the program.  A plain `p/q` or integer token is
-    read by _plain_rational; any other goes through Fraction(text)."""
+    """text as an exact Fraction (`p/q`, an integer or a decimal, in ASCII),
+    within the number bounds above; ValueError otherwise.  Shared by every
+    reader of numbers from outside the program.  A plain `p/q` or integer
+    token is read by _plain_rational; any other goes through Fraction(text)."""
     try:
+        if not text.isascii():
+            raise ValueError(text)
         value = _plain_rational(text)
         huge = False
         if value is None:
@@ -66,10 +70,12 @@ def _rational(tok, lineno):
 
 
 def _int(tok, lineno):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(lineno, f"bad integer {tok!r}") from None
+    if tok.isascii():
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    raise ParseError(lineno, f"bad integer {tok!r}")
 
 
 def _rows(text):

@@ -6,7 +6,10 @@ suite does not just test the validator against itself.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,6 +223,23 @@ def brute_canonical_splits(items, bins, labeled=0):
     return out
 
 
+def run_with_closed_stdout(argv, unbuffered):
+    """(exit code, stderr) of a script run whose stdout is a pipe with its
+    read end already closed, so that the first write to it fails.  With
+    unbuffered stdout the print fails; otherwise the flush does."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *argv], stdout=write, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
 class SearchBudgetExceeded(Exception):
     """unpruned_region_search placed more boxes than its budget allows."""
 
@@ -399,9 +419,12 @@ _REFERENCE_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
 def reference_parse_rational(text):
-    """fileio.parse_rational read entirely through Fraction(text)."""
+    """fileio.parse_rational read entirely through Fraction(text), after
+    the same refusal of a non-ASCII token."""
     exponent = _REFERENCE_EXPONENT.search(text)
     try:
+        if not text.isascii():
+            raise ValueError(text)
         huge = exponent is not None and abs(int(exponent.group(1))) > 4299
         value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from support import run_with_closed_stdout
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 
 
@@ -99,3 +101,9 @@ def test_no_ratio_line_unless_both_runs_carry_solves(compare, tmp_path, capsys):
     empty = outputs(tmp_path, "empty.json", dict(DIGESTS), [[0, "deadline", 0.3]])
     assert compare([parent, empty]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "solve_time_ratio entries 0"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path, unbuffered):
+    parent = outputs(tmp_path, "parent.json", DIGESTS)
+    assert run_with_closed_stdout([str(SCRIPT), parent, parent], unbuffered) == (1, "")

@@ -76,6 +76,19 @@ class TestInstanceFormat:
             parse_instance(f"items 1\n0 {tok} 1/2\n")
         assert info.value.line_no == 2
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("items \u0661\n0 1/2 1/2\n", 1, "bad integer '\u0661'"),
+        ("items \uff11\n0 1/2 1/2\n", 1, "bad integer '\uff11'"),
+        ("items 1\n\u0661 1/2 1/2\n", 2, "bad integer '\u0661'"),
+        ("items 1\n1 \u0661/\u0662 1/2\n", 2, "bad rational '\u0661/\u0662'"),
+        ("items 1\n1 1/2 \u0660.\u0665\n", 2, "bad rational '\u0660.\u0665'"),
+    ])
+    def test_non_ascii_digits_are_refused(self, text, line, message):
+        # int() and Fraction() read the digits of any script
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert (info.value.line_no, info.value.message) == (line, message)
+
     def test_exponent_at_bound_is_exact(self):
         inst = parse_instance("items 1\n0 1e-4299 25e-2\n")
         assert inst.items[0].width == F(1, 10**4299)
@@ -110,6 +123,14 @@ class TestRational:
         assert (value, error) == _outcome(reference_parse_rational, tok)
         if value is not None:
             assert str(value) == str(reference_parse_rational(tok))
+
+    @pytest.mark.parametrize("tok", ["\u0661/\u0662", "\uff11/\uff12", "\u0661",
+                                     "\u0660.\u0665", "1e\u0665", "1e-\u0661\u0660\u0660\u0660\u0660"])
+    def test_non_ascii_tokens_are_bad_rationals(self, tok):
+        for parse in (parse_rational, reference_parse_rational):
+            with pytest.raises(ValueError) as info:
+                parse(tok)
+            assert str(info.value) == f"bad rational {tok!r}"
 
     def test_long_parts_fail_with_the_parser_message(self):
         # int()'s own limit text must not leak out
@@ -160,3 +181,14 @@ class TestPackingFormat:
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_packing(text)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("bins \u0661\nbin 0\n", 1, "bad integer '\u0661'"),
+        ("bins 1\nbin \u0660\n", 2, "bad integer '\u0660'"),
+        ("bins 1\nbin 0\n\u0660 0 0\n", 3, "bad integer '\u0660'"),
+        ("bins 1\nbin 0\n0 \u0660 0\n", 3, "bad rational '\u0660'"),
+    ])
+    def test_non_ascii_digits_are_refused(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_packing(text)
+        assert (info.value.line_no, info.value.message) == (line, message)

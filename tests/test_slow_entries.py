@@ -6,9 +6,12 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from rectbin import oracle
 from rectbin.fileio import parse_instance, serialize_instance, serialize_packing
 from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
+from support import run_with_closed_stdout
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "slow_entries.py"
 
@@ -69,3 +72,11 @@ def test_outputs_file_holds_the_digests_of_completed_entries(monkeypatch, tmp_pa
         expected[str(entry["pool_index"])] = hashlib.sha256(text.encode()).hexdigest()
     assert written["per_entry_sha256"] == expected
     assert [solve[:2] for solve in written["solves"]] == [[0, "ok"], [1, "error"], [3, "ok"]]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_ends_without_a_traceback(unbuffered):
+    # a 0.1 ms cap lists entries at once; the first listed line or the
+    # flush after the summary meets the closed pipe
+    argv = [str(SCRIPT), "oracle", "--cap", "0.0001"]
+    assert run_with_closed_stdout(argv, unbuffered) == (1, "")
