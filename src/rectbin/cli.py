@@ -13,6 +13,7 @@ from .config import SolveConfig, config_from_env
 from .errors import GuessFailed, InstanceTooLarge, PackingStuck, ParseError, RectbinError
 from .fileio import (
     parse_instance,
+    parse_int,
     parse_packing,
     parse_rational,
     serialize_instance,
@@ -195,16 +196,16 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate an instance with a known packing")
     p.add_argument("--mode", choices=("guillotine", "shrink"), default="guillotine")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--ell", type=parse_int, default=1)
+    p.add_argument("--seed", type=parse_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--witness", help="also write the generator's packing")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("pack", help="pack an instance file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=parse_int)
     p.add_argument("--eps", help="accuracy for the single-bin solver, p/q")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", help="directory for one SVG per bin")
@@ -217,7 +218,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exact minimum bin count (small n)")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-bins", type=int, default=4)
+    p.add_argument("--max-bins", type=parse_int, default=4)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("render", help="draw a valid packing as SVG files")

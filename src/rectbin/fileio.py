@@ -62,20 +62,23 @@ def parse_rational(text):
     return value
 
 
-def _rational(tok, lineno):
+def parse_int(text):
+    """text as int() reads it, for an ASCII token; ValueError otherwise.
+    Shared by every reader of integers from outside the program."""
     try:
-        return parse_rational(tok)
+        if text.isascii():
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"bad integer {text!r}")
+
+
+def _token(parse, tok, lineno):
+    """parse(tok), with its ValueError as a ParseError of line lineno."""
+    try:
+        return parse(tok)
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
-
-
-def _int(tok, lineno):
-    if tok.isascii():
-        try:
-            return int(tok)
-        except ValueError:
-            pass
-    raise ParseError(lineno, f"bad integer {tok!r}")
 
 
 def _rows(text):
@@ -93,7 +96,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(1, "empty input, expected `items N`") from None
     if len(head) != 2 or head[0] != "items":
         raise ParseError(lineno, f"expected `items N`, got {' '.join(head)!r}")
-    n = _int(head[1], lineno)
+    n = _token(parse_int, head[1], lineno)
     if n < 0:
         raise ParseError(lineno, f"item count {n} is negative")
     items = []
@@ -106,9 +109,9 @@ def parse_instance(text: str) -> Instance:
             ) from None
         if len(row) != 3:
             raise ParseError(lineno, f"expected `ID W H`, got {' '.join(row)!r}")
-        ident = _int(row[0], lineno)
-        w = _rational(row[1], lineno)
-        h = _rational(row[2], lineno)
+        ident = _token(parse_int, row[0], lineno)
+        w = _token(parse_rational, row[1], lineno)
+        h = _token(parse_rational, row[2], lineno)
         try:
             items.append(Item(ident, w, h))
         except ValueError as exc:
@@ -136,14 +139,14 @@ def parse_packing(text: str) -> Packing:
         raise ParseError(1, "empty input, expected `bins B`") from None
     if len(head) != 2 or head[0] != "bins":
         raise ParseError(head_line, f"expected `bins B`, got {' '.join(head)!r}")
-    count = _int(head[1], head_line)
+    count = _token(parse_int, head[1], head_line)
     bins = []
     current = None
     for lineno, row in rows:
         if row[0] == "bin":
             if len(row) != 2:
                 raise ParseError(lineno, "expected `bin I`")
-            idx = _int(row[1], lineno)
+            idx = _token(parse_int, row[1], lineno)
             if idx != len(bins):
                 raise ParseError(
                     lineno, f"bin {idx} out of order, expected {len(bins)}"
@@ -157,9 +160,9 @@ def parse_packing(text: str) -> Packing:
                 raise ParseError(
                     lineno, f"expected `ID X Y`, got {' '.join(row)!r}"
                 )
-            ident = _int(row[0], lineno)
-            x = _rational(row[1], lineno)
-            y = _rational(row[2], lineno)
+            ident = _token(parse_int, row[0], lineno)
+            x = _token(parse_rational, row[1], lineno)
+            y = _token(parse_rational, row[2], lineno)
             current.add(ident, x, y)
     if len(bins) != count:
         raise ParseError(head_line, f"header declared {count} bins, file has {len(bins)}")

@@ -83,14 +83,15 @@ remove subtrees without a solution, so the first layout is unchanged.
 Every exact region search goes through the memo: exact_pack_single_region
 with a memo of its own, and the oracle and the constant-OPT branch, which
 grow each part one item at a time, with one unit-bin memo per solve.  A
-miss first tests the area bound, then looks up the set less its last item
-in search order.  When that set has a layout, the last item goes to its
-first feasible position among the corners of those boxes (0, right edges,
-tops), and a spot found there gives the set's own first layout, which
-then starts with the smaller set's (_extended says why).  Otherwise the
-refutations and the search run.  The memo keeps lattice boxes;
-unit_bin_layout builds a Fraction BinLayout for each call, and
-canonical_partitions only asks whether a part fits.
+miss tests the area bound and the exact limit, then settles the set less
+its last item in search order first, down to the empty set that every
+memo holds.  A set that holds a refuted set is refuted.  Otherwise the
+last item goes to its first feasible position among the corners of the
+smaller set's boxes (0, right edges, tops), which gives the set's own
+first layout (_extended says why), or else the refutations and the
+search run.  The memo keeps lattice boxes; unit_bin_layout builds a
+Fraction BinLayout for each call, and canonical_partitions only asks
+whether a part fits.
 """
 
 import math
@@ -431,11 +432,9 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
     Complete search over normal positions with identical-item symmetry
     breaking; deterministic first solution.  The items go through a fresh
     UnitBinMemo of this call's items and region, so the lattice, the area
-    bound, the search order and the layout are the memo's.
+    bound, the exact limit, the search order and the layout are the memo's.
     """
     items = list(items)
-    if len(items) > exact_limit:
-        raise InstanceTooLarge(f"{len(items)} items exceed the exact limit {exact_limit}")
     return unit_bin_layout(items, UnitBinMemo(items, a, b), exact_limit)
 
 
@@ -507,10 +506,11 @@ class UnitBinMemo(dict):
     stored layout is its set's first layout.  A subset's own lattice
     divides d, and scaling its boxes and the region by one positive int
     keeps every sum, comparison and visit order, so the search on this
-    lattice finds the subset's first layout."""
+    lattice finds the subset's first layout.  The empty set is stored from
+    the start, with the empty layout, so every miss has a prefix to extend."""
 
     def __init__(self, items, a=ONE, b=ONE):
-        super().__init__()
+        super().__init__({frozenset(): ((), ())})
         a, b = self.region = scalar(a), scalar(b)
         self.d = lattice(items, a, b)
         self.a, self.b = scaled(a, self.d), scaled(b, self.d)
@@ -519,33 +519,28 @@ class UnitBinMemo(dict):
         self.rank = {i: (-w * h, i) for i, (w, h) in self.sides.items()}
 
 
-def _extended(key, cache):
-    """The memo value of key from that of key less its last item in search
-    order, or None when that set is not memoized with a layout or the item
-    finds no spot among the corners of its boxes (0 and right edges across,
-    0 and tops up).
+def _extended(base, last, cache):
+    """The memo value of base's set plus last, where base is that set's
+    first layout and last comes after all of its items in search order:
+    last at its first feasible position among the corners of base's boxes
+    (0 and right edges across, 0 and tops up), or None when it finds none.
 
-    Why the result is key's first layout.  Compacting any layout down and
-    left moves every box no later in lex order and lands each box on its
-    set's own subset-sum candidates; sorting each run of twins back into
-    floor order then only moves the sequence earlier.  So the first layout
-    L of the smaller set admits no such move, and each corner of L is a sum
-    of the sides of distinct boxes, which is also a candidate of key.  The
-    same argument shows that key's first layout starts with L whenever L
-    leaves the last item a spot: the smaller part of any layout of key is
-    no earlier than its compacted form, which is no earlier than L.  The
-    item's first feasible position there is a corner of L, since sliding
-    it down and left lands it on one no later.  Under a twin's floor too:
-    were that corner below the floor, the twin could move to it, which
-    would give a layout of the smaller set earlier than L."""
-    last = max(key, key=cache.rank.__getitem__)
-    base = cache.get(key - {last}) if len(key) > 1 else ((), ())
-    if base is None:
-        return None
+    Why the result is the set's first layout.  Compacting any layout down
+    and left moves every box no later in lex order and lands each box on
+    its set's own subset-sum candidates; sorting each run of twins back
+    into floor order then only moves the sequence earlier.  So base, the
+    first layout L of the smaller set, admits no such move, and each corner
+    of L is a sum of the sides of distinct boxes, which is also a candidate
+    of the set.  The same argument shows that the set's first layout starts
+    with L whenever L leaves the last item a spot: the smaller part of any
+    layout of the set is no earlier than its compacted form, which is no
+    earlier than L.  The item's first feasible position there is a corner
+    of L, since sliding it down and left lands it on one no later.  Under a
+    twin's floor too: were that corner below the floor, the twin could move
+    to it, which would give a layout of the smaller set earlier than L."""
     ids, boxes = base
-    sides = cache.sides
-    w, h = sides[last]
-    floor = boxes[-1][:2] if ids and sides[ids[-1]] == (w, h) else None
+    w, h = cache.sides[last]
+    floor = boxes[-1][:2] if ids and cache.sides[ids[-1]] == (w, h) else None
     xs = sorted({0, *(right for _, _, right, _ in boxes)})
     ys = sorted({0, *(top for _, _, _, top in boxes)})
     spot = next(_feasible_positions(w, h, xs, ys, boxes, cache.a, cache.b, floor), None)
@@ -556,22 +551,23 @@ def _extended(key, cache):
 
 
 def _unit_bin_entry(key, cache, limit):
-    """The memo value of the id set key in cache, a UnitBinMemo, found on
-    a miss by the area bound, then _extended, then the refutations and the
-    search."""
+    """The memo value of the id set key in cache, a UnitBinMemo.  A miss
+    recurses on the set less key's last item, as the module docstring says."""
     if key in cache:
         return cache[key]
     sides, entry = cache.sides, None
     if sum(w * h for w, h in map(sides.__getitem__, key)) <= cache.a * cache.b:
-        entry = _extended(key, cache) if key and len(key) <= limit else None
-        # a set that extends fits, so no subset of it is refuted
-        if entry is None and not any(cache.get(key - {i}, ()) is None for i in key):
-            if len(key) > limit:
-                raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
-            ids = tuple(sorted(key, key=cache.rank.__getitem__))
-            placed = _search_lattice([sides[i] for i in ids], cache.a, cache.b)
-            if placed is not None:
-                entry = ids, tuple(placed)
+        if len(key) > limit:
+            raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
+        last = max(key, key=cache.rank.__getitem__)
+        base = _unit_bin_entry(key - {last}, cache, limit)
+        if base is not None:
+            entry = _extended(base, last, cache)
+            if entry is None:
+                ids = base[0] + (last,)  # base's ids are in search order
+                placed = _search_lattice([sides[i] for i in ids], cache.a, cache.b)
+                if placed is not None:
+                    entry = ids, tuple(placed)
     cache[key] = entry
     return entry
 
@@ -579,12 +575,8 @@ def _unit_bin_entry(key, cache, limit):
 def unit_bin_layout(items, cache, limit):
     """exact_pack_single_region's layout of items in the region of cache, a
     UnitBinMemo holding the items, or None when they do not fit; memoized
-    by the set of item ids.  A miss first tests the area bound, then
-    extends the layout of the set less its last item in search order
-    (_extended).  Failing that, a set one item larger than a set the cache
-    refutes is refuted without a search, and otherwise searched on the
-    cache's lattice.  The memo holds lattice boxes; each call builds the
-    Fraction layout anew."""
+    by the set of item ids (_unit_bin_entry).  The memo holds lattice
+    boxes; each call builds the Fraction layout anew."""
     entry = _unit_bin_entry(frozenset(it.id for it in items), cache, limit)
     if entry is None:
         return None

@@ -13,7 +13,7 @@ import pytest
 import rectbin.cli
 import rectbin.geometry
 from rectbin.cli import main, pack_auto, shelf_pack
-from rectbin.config import SolveConfig, config_from_env
+from rectbin.config import MAX_LIMIT, SolveConfig, config_from_env
 from rectbin.errors import PackingStuck, PreconditionViolated
 from rectbin.fileio import parse_instance, parse_packing, serialize_instance, serialize_packing
 from rectbin.geometry import BinLayout, Instance, Item, Packing, validate_packing
@@ -89,6 +89,21 @@ class TestConfig:
         # 16610-bit denominator
         with pytest.raises(ValueError, match="EPS_OPT1"):
             config_from_env({"EPS_OPT1": raw})
+
+    def test_env_integers_are_ascii(self):
+        # int() would read the Arabic-Indic three as 3
+        with pytest.raises(ValueError, match="K: bad integer '\u0663'"):
+            config_from_env({"K": "\u0663"})
+        with pytest.raises(ValueError, match="EXACT_LIMIT"):
+            config_from_env({"EXACT_LIMIT": "\u0661\u0660"})
+
+    @pytest.mark.parametrize("name", ["exact_limit", "enumeration_limit", "oracle_limit"])
+    def test_limits_have_a_maximum(self, name):
+        assert getattr(SolveConfig(**{name: MAX_LIMIT}), name) == MAX_LIMIT
+        with pytest.raises(ValueError, match=f"{name} must lie in \\[1, {MAX_LIMIT}\\]"):
+            SolveConfig(**{name: MAX_LIMIT + 1})
+        with pytest.raises(ValueError, match=name):
+            config_from_env({name.upper(): str(MAX_LIMIT + 1)})
 
     def test_env_eps_at_bound_is_exact(self):
         cfg = config_from_env({"EPS_OPT1": "1e-4299"})
@@ -324,6 +339,37 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == "limits exceeded: 12 items exceed the oracle limit 8\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--seed", "1", "--out", "-", "--n", "\u0664"],
+        ["pack", "--in", "-", "--out", "-", "--k", "\u0663"],
+        ["oracle", "--in", "-", "--max-bins", "\u0662"],
+    ])
+    def test_integer_options_are_ascii(self, argv, capsys):
+        # the non-ASCII value comes last, after its option
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {argv[-2]}: invalid" in captured.err
+
+    @pytest.mark.parametrize("command,variable", [("pack", "EXACT_LIMIT"), ("oracle", "ORACLE_LIMIT")])
+    def test_a_limit_past_the_maximum_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                              variable):
+        # 1200 items of 1/40 x 1/40 once ended in a RecursionError
+        # traceback under a limit of 2000
+        monkeypatch.setenv(variable, "2000")
+        inst = tmp_path / "a.inst"
+        inst.write_text(serialize_instance(Instance([Item(i, F(1, 40), F(1, 40))
+                                                     for i in range(1200)])))
+        out = tmp_path / "a.pack"
+        argv = [command, "--in", str(inst)]
+        argv += ["--out", str(out)] if command == "pack" else ["--max-bins", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"bad argument: {variable.lower()} must lie in "
+                                f"[1, {MAX_LIMIT}], got 2000\n")
+        assert captured.out == "" and not out.exists()
 
     def test_render_produces_one_file_per_bin(self, tmp_path):
         inst = tmp_path / "a.inst"

@@ -6,6 +6,7 @@ import pytest
 
 from rectbin import knapsack
 from rectbin.classify import vol
+from rectbin.config import MAX_LIMIT
 from rectbin.errors import InstanceTooLarge
 from rectbin.geometry import BinLayout, Instance, Item, validate_bin, validate_packing
 from rectbin.knapsack import (
@@ -118,6 +119,19 @@ def test_area_monotone_in_region():
         small = max_area_pack(items, a1, 1, Fraction(1, 100))
         large = max_area_pack(items, a2, 1, Fraction(1, 100))
         assert large.achieved_profit >= small.achieved_profit
+
+
+def test_the_exact_searches_run_at_the_maximum_limit():
+    # MAX_LIMIT squares of 1/16 tile the unit bin; each search recurses
+    # once per item, and the memo once more per item of a missed set
+    items = [Item(i, Fraction(1, 16), Fraction(1, 16)) for i in range(MAX_LIMIT)]
+    by_id = {it.id: it for it in items}
+    layout = exact_pack_single_region(items, 1, 1, MAX_LIMIT)
+    assert validate_bin(layout, by_id).ok and len(layout.placements) == MAX_LIMIT
+    count, packing = exact_min_bins(Instance(items), max_bins=1, oracle_limit=MAX_LIMIT)
+    assert count == 1 and validate_packing(packing, Instance(items)).ok
+    placed = knapsack._search_lattice([(1, 1)] * MAX_LIMIT, 16, 16)
+    assert sorted(placed) == [(x, y, x + 1, y + 1) for x in range(16) for y in range(16)]
 
 
 def test_exact_pack_center_conflict():
@@ -605,10 +619,12 @@ def test_profit_search_matches_reference():
       (Fraction(11, 32), Fraction(51, 64))], 1, 1),
 ])
 def test_refutations_skip_the_search(monkeypatch, sides, a, b):
+    # the corner extensions of the prefixes still scan positions; the full
+    # search, which first builds every subset-sum coordinate, must not run
     def no_search(*args, **kwargs):
-        raise AssertionError("the position search ran")
+        raise AssertionError("the full search ran")
 
-    monkeypatch.setattr(knapsack, "_feasible_positions", no_search)
+    monkeypatch.setattr(knapsack, "_axis_positions", no_search)
     items = [Item(i, w, h) for i, (w, h) in enumerate(sides)]
     assert vol(items) <= Fraction(a) * b
     assert exact_pack_single_region(items, a, b) is None
@@ -667,9 +683,38 @@ def test_unit_bin_layout_refutes_a_superset_of_a_refuted_set(monkeypatch):
     monkeypatch.setattr(knapsack, "_search_lattice", no_search)
     assert unit_bin_layout(crowd + [extra], cache, 6) is None
     assert cache[frozenset({0, 1, 2})] is None
-    # a set whose subsets the cache does not refute is searched
-    with pytest.raises(AssertionError, match="region packer"):
-        unit_bin_layout([crowd[0], extra], cache, 6)
+    # a set whose prefix fits is extended at a corner of the prefix's layout
+    layout = unit_bin_layout([crowd[0], extra], cache, 6)
+    assert [(p.item_id, p.x, p.y) for p in layout.placements] == [
+        (0, 0, 0), (2, 0, Fraction(3, 5))]
+
+
+def test_a_miss_memoizes_every_prefix_of_its_key():
+    items = [Item(0, Fraction(1, 4), Fraction(1, 2)), Item(1, Fraction(1, 2), Fraction(1, 2)),
+             Item(2, Fraction(1, 8), Fraction(1, 8)), Item(3, Fraction(1, 3), Fraction(1, 4))]
+    memo = UnitBinMemo(items)
+    assert unit_bin_layout(items, memo, 6) is not None
+    order = [1, 0, 3, 2]  # search order: area descending, then id
+    assert set(memo) == {frozenset(order[:size]) for size in range(len(order) + 1)}
+    by_id = {it.id: it for it in items}
+    for key in memo:
+        assert unit_bin_layout([by_id[i] for i in key], memo, 6) == \
+            exact_pack_single_region([by_id[i] for i in key], 1, 1)
+
+
+def test_a_set_whose_prefix_is_refuted_is_not_searched(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the region packer ran")
+
+    crowd = [Item(i, Fraction(3, 5), Fraction(3, 5)) for i in range(2)]
+    extras = [Item(2, Fraction(1, 8), Fraction(1, 8)), Item(3, Fraction(1, 9), Fraction(1, 9))]
+    memo = UnitBinMemo(crowd + extras)
+    assert unit_bin_layout(crowd, memo, 6) is None  # refuted by a search
+    monkeypatch.setattr(knapsack, "_search_lattice", no_search)
+    # neither {0, 1, 2, 3} nor any set one item smaller is memoized; the
+    # prefix {0, 1, 2} is computed and holds the refuted {0, 1}
+    assert unit_bin_layout(crowd + extras, memo, 6) is None
+    assert memo[frozenset({0, 1, 2})] is None
 
 
 def test_unit_bin_memo_matches_the_region_packer():
@@ -812,7 +857,8 @@ def growth_set(rng):
 def test_memo_growth_matches_the_region_packer(monkeypatch):
     # each item set grows one item at a time through one memo, in search
     # order, where the set less its last item is the previous step, and
-    # in a shuffled order; every answer is the from-scratch layout
+    # in a shuffled order; every answer is the first layout of the plain
+    # search, and nearly every new layout is an extension
     searches = 0
     search_lattice = knapsack._search_lattice
 
@@ -838,8 +884,10 @@ def test_memo_growth_matches_the_region_packer(monkeypatch):
                         extended += 1
                     else:
                         searched += 1
-                assert got == exact_pack_single_region(subset, 1, 1), (trial, subset)
-    assert extended > 2 * searched > 100
+                expected = unpruned_region_search(subset, 1, 1, max_placements=5000)
+                got = got and [(p.item_id, p.x, p.y) for p in got.placements]
+                assert got == expected, (trial, subset)
+    assert extended > 50 * searched > 0  # 838 and 7
 
 
 def test_memo_extends_every_layout_that_starts_the_next(monkeypatch):

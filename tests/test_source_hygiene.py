@@ -1,14 +1,21 @@
-"""Source checks on src/rectbin: no unused import, no orphaned private function.
+"""Source checks on src/rectbin: no unused import, no orphaned private
+function, and every function that the benchmark traces still bound.
 
-Both guard deletions: removing the last caller of a helper or the last use
-of an imported name should remove the helper or the import with it.
+The first two guard deletions: removing the last caller of a helper or the
+last use of an imported name should remove the helper or the import with
+it.  The third names a traced function that a change renamed or deleted,
+which would otherwise fail only inside a traced benchmark worker; it reads
+perfbench/trace_layers.py without importing or changing it.
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rectbin"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rectbin"
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -49,3 +56,15 @@ def test_every_private_function_is_referenced():
                and not fn.name.startswith("__")
                and everywhere[fn.name] == Counter(_referenced_names([fn]))[fn.name]]
     assert orphans == []
+
+
+def test_every_traced_function_is_bound():
+    tree = ast.parse((ROOT / "perfbench" / "trace_layers.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    missing = [f"{module}.{name}" for module, names in layers.items() for name in names
+               if not inspect.isfunction(getattr(importlib.import_module(f"rectbin.{module}"),
+                                                 name, None))]
+    assert layers
+    assert missing == []
