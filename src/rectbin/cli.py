@@ -189,6 +189,20 @@ def cmd_render(args):
     return 0
 
 
+class _BadOption(Exception):
+    """A bad option value.  argparse answers a ValueError from an option's
+    type with its usage block and the type's function name; this exception
+    passes through parse_args, and main prints it on one line."""
+
+
+def _int_option(text):
+    """An integer option, read by parse_int."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise _BadOption(exc) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="rectbin",
                                      description="two-dimensional bin packing")
@@ -196,16 +210,16 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate an instance with a known packing")
     p.add_argument("--mode", choices=("guillotine", "shrink"), default="guillotine")
-    p.add_argument("--n", type=parse_int, required=True)
-    p.add_argument("--ell", type=parse_int, default=1)
-    p.add_argument("--seed", type=parse_int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--ell", type=_int_option, default=1)
+    p.add_argument("--seed", type=_int_option, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--witness", help="also write the generator's packing")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("pack", help="pack an instance file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=parse_int)
+    p.add_argument("--k", type=_int_option)
     p.add_argument("--eps", help="accuracy for the single-bin solver, p/q")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", help="directory for one SVG per bin")
@@ -218,7 +232,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exact minimum bin count (small n)")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-bins", type=parse_int, default=4)
+    p.add_argument("--max-bins", type=_int_option, default=4)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("render", help="draw a valid packing as SVG files")
@@ -230,9 +244,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -240,7 +253,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, _BadOption) as exc:
         print(f"bad argument: {exc}", file=sys.stderr)
         return 2
     except InstanceTooLarge as exc:

@@ -54,18 +54,25 @@ per area, at its first position among the corners of the boxes already
 placed; it runs on the lattice of its call too and builds Fractions only
 for the items it places.
 
-The region packer first cuts out every item of full region height as a
-column and every item of full width as a row, narrowing the region (no
-other item can share such an item's x or y range), and then tries exact
-refutations on what is left: an item larger than the narrowed region, two
-items that can sit neither side by side nor one above the other, items
-wider than half the region whose heights add up past it, and the
-transposed stack.  The cut only refutes; a set that survives is searched
-whole in the original region.  Once the search has backtracked, it checks
-forward: after each placement every later item shape must keep a feasible
-normal position, or the placement is dropped.  A shape's first feasible
-position only moves later as boxes are added, so each shape carries its
-first spot down the recursion and its scan resumes there.
+The region packer first tries to refute a set, with two of the packing
+class conditions of Fekete & Schepers (2004).  It cuts out every column,
+an item that no other item fits above or below (one of full region
+height, say), and every row, the same across.  Every other item sits
+wholly beside a column, so the set fits exactly when the column fits the
+region and the rest fits the region narrowed by its width.  A column that
+does not fit refutes the set.  What is left is refuted by a clique: take
+an item and every item at least as high whose height added to its own
+passes the region's height.  No two of these can sit one above the
+other, so they share a y value, and their widths must add up to at most
+the region's width; likewise transposed.  This covers an item too large
+for the region, two items that fit neither side by side nor stacked, and
+the stacks of items wider or higher than half the region.  The cut only
+refutes; a set that survives is searched whole in the original region.
+Once the search has backtracked, it checks forward: after each placement
+every later item shape must keep a feasible normal position, or the
+placement is dropped.  A shape's first feasible position only moves later
+as boxes are added, so each shape carries its first spot down the
+recursion and its scan resumes there.
 
 While two or more items are left, a placement that the forward check
 accepts must also pass a wasted-space check (Korf 2003; Huang & Korf
@@ -98,7 +105,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InstanceTooLarge
 from .geometry import ONE, ZERO, BinLayout, Placement, exact_sum, lattice, scalar, scaled
@@ -335,41 +341,56 @@ def max_area_pack(items, a, b, eps, exact_limit=10) -> KnapsackResult:
 
 
 def _without_full_sides(sides, a, b):
-    """(sides, a, b) with each box of full region height cut out as a
-    column and each box of full width as a row, until none is left.  No
-    other box can share the x range of a full-height box, so sliding the
-    columns to one end shows that the rest fits the narrowed region exactly
-    when the whole set fits (a, b); likewise for rows."""
+    """(sides, a, b) with each column and each row cut out, until none is
+    left, or None when a box cut out does not fit the region left.
+
+    A box is a column when no other box fits above or below it, h + (the
+    least other height) > b, as a box of full height is.  Every other box
+    then sits wholly left or right of it, so sliding those on its right
+    past it shows that the set fits (a, b) exactly when the box fits and
+    the rest fits (a - w, b).  A row is the same across: w + (the least
+    other width) > a, and the rest fits (a, b - h)."""
     sides = list(sides)
     while True:
-        full = next(((w, h) for w, h in sides if h == b or w == a), None)
-        if full is None:
-            return sides, a, b
-        sides.remove(full)
-        if full[1] == b:
-            a -= full[0]
+        for k, (w, h) in enumerate(sides):
+            rest = sides[:k] + sides[k + 1:]
+            column = h + min([y for _, y in rest], default=0) > b
+            if column or w + min([x for x, _ in rest], default=0) > a:
+                break
         else:
-            b -= full[1]
+            return sides, a, b
+        if w > a or h > b:
+            return None
+        sides = rest
+        if column:
+            a -= w
+        else:
+            b -= h
+
+
+def _clique(sides, a, b):
+    """True when some box k and the boxes j with h_j >= h_k and
+    h_j + h_k > b are wider together than a.  No two of these boxes can sit
+    one above the other, so their y ranges meet pairwise and thus share a
+    y value, and the boxes lie side by side along it."""
+    for k, (w, h) in enumerate(sides):
+        if w + sum(x for j, (x, y) in enumerate(sides) if j != k and y >= h and y + h > b) > a:
+            return True
+    return False
 
 
 def _refuted(sides, a, b):
     """True when no layout of these (width, height) boxes in region (a, b)
-    can exist, by one of four exact proofs, each applied after the
-    full-side reduction of _without_full_sides.  A box may be wider or
-    higher than the narrowed region.  Two boxes with w_i + w_j > a and
-    h_i + h_j > b can sit neither side by side nor one above the other.
-    Boxes wider than a/2 all cross the vertical midline, so they stack and
-    their heights must add up to at most b; likewise the widths of boxes
-    higher than b/2 must add up to at most a."""
-    sides, a, b = _without_full_sides(sides, a, b)
-    if any(w > a or h > b for w, h in sides):
+    can exist: a box cut out by _without_full_sides does not fit, or a
+    clique of what is left is too wide (_clique) or, transposed, too high.
+    A box too large for the region is cut out and refuted; two boxes with
+    w_i + w_j > a and h_i + h_j > b, and the boxes higher than b/2 (wider
+    than a/2), are cliques."""
+    cut = _without_full_sides(sides, a, b)
+    if cut is None:
         return True
-    for (w1, h1), (w2, h2) in combinations(sides, 2):
-        if w1 + w2 > a and h1 + h2 > b:
-            return True
-    if sum(h for w, h in sides if 2 * w > a) > b:
-        return True
-    return sum(w for w, h in sides if 2 * h > b) > a
+    sides, a, b = cut
+    return _clique(sides, a, b) or _clique([(h, w) for w, h in sides], b, a)
 
 
 def _first_spots(shapes, prior, box, xs, ys, placed, a, b):
@@ -443,12 +464,12 @@ def _search_lattice(sides, a, b):
     order, in region (a, b), all ints on one lattice whose area bound
     holds: the boxes as (left, bottom, right, top), or None.
 
-    The refutations of _refuted answer None without a search.  Once the
-    search has backtracked, a placement that leaves some later box shape no
-    feasible position is dropped (forward checking), and so is one that
-    wastes more free area than the boxes leave spare (_wasted).  Both
-    prune only subtrees without a solution, so the first solution is
-    unchanged.
+    A set that _refuted refutes, by a column or row cut or by a clique,
+    gets None without a search.  Once the search has backtracked, a
+    placement that leaves some later box shape no feasible position is
+    dropped (forward checking), and so is one that wastes more free area
+    than the boxes leave spare (_wasted).  Both prune only subtrees without
+    a solution, so the first solution is unchanged.
     """
     if _refuted(sides, a, b):
         return None

@@ -286,8 +286,10 @@ def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
                 return s
         return rand_frac(rng, limit / 20, limit * Fraction(3, 5), rng.choice([3, 5, 7, 64, 1000]))
 
+    # 1000 sets, since the cut and the clique refute many sets before the
+    # forward check sees them
     compared = fits = full = checked_sets = 0
-    while compared < 500:
+    while compared < 1000:
         a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
         items = []
         for i in range(rng.randint(5, 8)):
@@ -309,7 +311,7 @@ def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
         fits += layout is not None
         full += any(it.width == a or it.height == b for it in items)
         checked_sets += len(checks) > before
-    assert 150 < fits < 350 and full > 150
+    assert 300 < fits < 700 and full > 300
     assert checked_sets > 50 and sum(checks) > 1000  # sets forward checked, placements dropped
 
 
@@ -617,6 +619,12 @@ def test_profit_search_matches_reference():
       (Fraction(3, 64), Fraction(1)), (Fraction(1, 32), Fraction(1)),
       (Fraction(15, 256), Fraction(1, 2)), (Fraction(11, 32), Fraction(91, 512)),
       (Fraction(11, 32), Fraction(51, 64))], 1, 1),
+    # two_bin pool entry 153: the 1/8 x 63/64 item is a column (no other
+    # item fits above it), then the 5/8-wide item is a row in the 7/8-wide
+    # region, then the 23/32-wide item is a column in the 23/64-high one,
+    # and leaves 5/32 across for the 9/32-wide item
+    ([(Fraction(5, 8), Fraction(41, 64)), (Fraction(23, 32), Fraction(23, 64)),
+      (Fraction(1, 8), Fraction(63, 64)), (Fraction(9, 32), Fraction(23, 64))], 1, 1),
 ])
 def test_refutations_skip_the_search(monkeypatch, sides, a, b):
     # the corner extensions of the prefixes still scan positions; the full
@@ -628,6 +636,47 @@ def test_refutations_skip_the_search(monkeypatch, sides, a, b):
     items = [Item(i, w, h) for i, (w, h) in enumerate(sides)]
     assert vol(items) <= Fraction(a) * b
     assert exact_pack_single_region(items, a, b) is None
+
+
+def test_a_clique_refutes_a_set_that_no_pair_or_stack_refutes():
+    # oracle pool entry 631, on its 256 x 256 lattice: no two items
+    # exclude each other and no stack of items wider or higher than half
+    # passes the region, but 224x172, 18x192 and 29x64 pairwise cannot sit
+    # one above the other and are 271 wide together
+    sides = [(224, 172), (256, 32), (160, 28), (18, 192), (224, 9), (29, 64)]
+    assert knapsack._refuted(sides, 256, 256)
+    assert knapsack._without_full_sides(sides, 256, 256) == (
+        [(224, 172), (160, 28), (18, 192), (224, 9), (29, 64)], 256, 224)
+    assert knapsack._clique([(224, 172), (18, 192), (29, 64)], 256, 224)
+
+
+def test_refuted_sets_have_no_layout():
+    # every set that the cut or a clique refutes, on boundary sides and in
+    # regions off the unit bin, is one the plain search finds no layout
+    # for; a set that search cannot settle within 20000 placements is
+    # skipped, the same way on every machine
+    rng = random.Random(19)
+    sides = [Fraction(1, 2), Fraction(499, 1000), Fraction(501, 1000), Fraction(255, 256),
+             Fraction(1, 100)]
+    checked = 0
+    for _ in range(3000):
+        a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
+        items = []
+        for i in range(rng.randint(2, 6)):
+            w = rng.choice(sides) * a if rng.random() < 0.6 else rand_frac(rng, a / 20, a, 64)
+            h = rng.choice(sides) * b if rng.random() < 0.6 else rand_frac(rng, b / 20, b, 64)
+            items.append(Item(i, min(w, Fraction(1)), min(h, Fraction(1))))
+        if vol(items) > a * b:
+            continue
+        _, a_d, b_d, lattice_sides = knapsack._lattice(items, a, b)
+        if not knapsack._refuted(lattice_sides, a_d, b_d):
+            continue
+        try:
+            assert unpruned_region_search(items, a, b, max_placements=20000) is None, (items, a, b)
+        except SearchBudgetExceeded:
+            continue
+        checked += 1
+    assert checked >= 500
 
 
 def test_exact_min_bins_pair_that_cannot_share():
