@@ -66,8 +66,12 @@ passes the region's height.  No two of these can sit one above the
 other, so they share a y value, and their widths must add up to at most
 the region's width; likewise transposed.  This covers an item too large
 for the region, two items that fit neither side by side nor stacked, and
-the stacks of items wider or higher than half the region.  The cut only
-refutes; a set that survives is searched whole in the original region.
+the stacks of items wider or higher than half the region.  While the
+first item of a set that survives is a column or a row, it goes to the
+corner of the region left, which narrows past it.  The first layout is
+the lex-least (_extended), a column fits at the corner when the set fits
+(the items left of it slide past it), and no other item meets its x
+range, so the rest lies as its own first layout; a row likewise, upward.
 Once the search has backtracked, it checks forward: after each placement
 every later item shape must keep a feasible normal position, or the
 placement is dropped.  A shape's first feasible position only moves later
@@ -344,28 +348,36 @@ def _without_full_sides(sides, a, b):
     """(sides, a, b) with each column and each row cut out, until none is
     left, or None when a box cut out does not fit the region left.
 
-    A box is a column when no other box fits above or below it, h + (the
-    least other height) > b, as a box of full height is.  Every other box
-    then sits wholly left or right of it, so sliding those on its right
-    past it shows that the set fits (a, b) exactly when the box fits and
-    the rest fits (a - w, b).  A row is the same across: w + (the least
-    other width) > a, and the rest fits (a, b - h)."""
+    A box is a column when no other box fits above or below it (_past), as
+    a box of full height is.  Every other box then sits wholly left or
+    right of it, so sliding those on its left past it shows that the set
+    fits (a, b) exactly when the box fits and the rest fits (a - w, b),
+    with the box at x = 0.  A row is the same across: the rest fits
+    (a, b - h), with the box at y = 0."""
     sides = list(sides)
     while True:
         for k, (w, h) in enumerate(sides):
-            rest = sides[:k] + sides[k + 1:]
-            column = h + min([y for _, y in rest], default=0) > b
-            if column or w + min([x for x, _ in rest], default=0) > a:
+            step = _past(sides, k, a, b)
+            if step:
                 break
         else:
             return sides, a, b
         if w > a or h > b:
             return None
-        sides = rest
-        if column:
-            a -= w
-        else:
-            b -= h
+        del sides[k]
+        a, b = a - step[0], b - step[1]
+
+
+def _past(sides, k, a, b):
+    """How far region (a, b) narrows past box k, (across, up): (w, 0) when
+    k is a column, h + (the least other height) > b, and (0, h) when it is
+    a row, w + (the least other width) > a; else None."""
+    w, h = sides[k]
+    rest = sides[:k] + sides[k + 1:]
+    if h + min([y for _, y in rest], default=0) > b:
+        return w, 0
+    if w + min([x for x, _ in rest], default=0) > a:
+        return 0, h
 
 
 def _clique(sides, a, b):
@@ -465,17 +477,28 @@ def _search_lattice(sides, a, b):
     holds: the boxes as (left, bottom, right, top), or None.
 
     A set that _refuted refutes, by a column or row cut or by a clique,
-    gets None without a search.  Once the search has backtracked, a
-    placement that leaves some later box shape no feasible position is
-    dropped (forward checking), and so is one that wastes more free area
-    than the boxes leave spare (_wasted).  Both prune only subtrees without
-    a solution, so the first solution is unchanged.
+    gets None without a search.  Each leading column or row (_past) goes
+    to the corner of the region left, which narrows past it, and the rest
+    is searched there, under its own area bound.  Once the search has
+    backtracked, a placement that leaves some later box shape no feasible
+    position is dropped (forward checking), and so is one that wastes more
+    free area than the boxes leave spare (_wasted).  Both prune only
+    subtrees without a solution, so the first solution is unchanged.
     """
     if _refuted(sides, a, b):
         return None
+    # _refuted's cut took out these same boxes first, in the same regions,
+    # and each fit
+    peeled, x0, y0 = [], 0, 0  # the corner of the region left
+    while sides and (step := _past(sides, 0, a, b)):
+        (w, h), sides = sides[0], sides[1:]
+        peeled.append((x0, y0, x0 + w, y0 + h))
+        x0, y0, a, b = x0 + step[0], y0 + step[1], a - step[0], b - step[1]
+    slack = a * b - sum(w * h for w, h in sides)
+    if slack < 0:
+        return None
     xs = _axis_positions([w for w, _ in sides], a)
     ys = _axis_positions([h for _, h in sides], b)
-    slack = a * b - sum(w * h for w, h in sides)
     placed = []  # placed[i] is the box of sides[i]
 
     def wasted(i):
@@ -512,7 +535,9 @@ def _search_lattice(sides, a, b):
             placed.pop()
         return False
 
-    return placed if rec(0, None, None) else None
+    if not rec(0, None, None):
+        return None
+    return peeled + [(x + x0, y + y0, r + x0, t + y0) for x, y, r, t in placed]
 
 
 class UnitBinMemo(dict):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -132,6 +133,12 @@ def test_the_exact_searches_run_at_the_maximum_limit():
     assert count == 1 and validate_packing(packing, Instance(items)).ok
     placed = knapsack._search_lattice([(1, 1)] * MAX_LIMIT, 16, 16)
     assert sorted(placed) == [(x, y, x + 1, y + 1) for x in range(16) for y in range(16)]
+    # full-height columns and full-width rows: each is placed at the
+    # corner of the region left, in a loop, and nothing is left to search
+    placed = knapsack._search_lattice([(1, MAX_LIMIT)] * MAX_LIMIT, MAX_LIMIT, MAX_LIMIT)
+    assert placed == [(x, 0, x + 1, MAX_LIMIT) for x in range(MAX_LIMIT)]
+    placed = knapsack._search_lattice([(MAX_LIMIT, 1)] * MAX_LIMIT, MAX_LIMIT, MAX_LIMIT)
+    assert placed == [(0, y, MAX_LIMIT, y + 1) for y in range(MAX_LIMIT)]
 
 
 def test_exact_pack_center_conflict():
@@ -677,6 +684,86 @@ def test_refuted_sets_have_no_layout():
             continue
         checked += 1
     assert checked >= 500
+
+
+def test_a_leading_column_is_placed_and_the_rest_searched(monkeypatch):
+    # oracle pool entry 1405's lattice set: the 288 x 512 column goes to
+    # (0, 0), and only the 5 boxes left are searched, in 224 x 512
+    lengths = []
+    axis_positions = knapsack._axis_positions
+
+    def recorded(values, limit):
+        lengths.append(len(values))
+        return axis_positions(values, limit)
+
+    monkeypatch.setattr(knapsack, "_axis_positions", recorded)
+    sides = [(288, 512), (69, 320), (200, 88), (152, 106), (39, 135), (6, 424)]
+    assert not knapsack._refuted(sides, 512, 512)
+    assert knapsack._search_lattice(sides, 512, 512) is None
+    assert lengths and 6 not in lengths
+
+
+PEEL_REGIONS = [Fraction(1), Fraction(255, 256), Fraction(1, 2), Fraction(5, 7),
+                Fraction(499, 1000)]
+
+
+def peel_side(rng, q, limit, long):
+    """A multiple of 1/q past half of limit and at most limit when long,
+    else positive and at most half of limit; limit itself now and then, or
+    when no multiple lies in range."""
+    low = math.floor(limit * q / 2) + 1 if long else 1
+    high = math.floor(limit * q) if long else math.floor(limit * q / 2)
+    if rng.random() < 0.1 or low > high:
+        return limit
+    return Fraction(rng.randint(low, high), q)
+
+
+def test_the_peel_returns_the_unpruned_layout():
+    # sets whose first box in search order is a column or a row: the
+    # search places each leading one at the corner of the region left and
+    # searches the rest, and the layout (or None) must be the plain
+    # search's; sets it cannot settle in 20000 placements are skipped
+    rng = random.Random(20)
+    fits = refuted = chains = mixed = 0
+    for _ in range(4000):
+        a, b = rng.choice(PEEL_REGIONS), rng.choice(PEEL_REGIONS)
+        q = rng.choice([16, 64, 100, 256])
+        items = []
+        for i in range(rng.randint(2, 6)):
+            if items and rng.random() < 0.25:  # a twin of the item before
+                items.append(Item(i, items[-1].width, items[-1].height))
+                continue
+            kind = rng.choice(["tall", "wide", "free"])
+            items.append(Item(i, peel_side(rng, q, a, kind == "wide"),
+                              peel_side(rng, q, b, kind == "tall")))
+        if vol(items) > a * b:
+            continue
+        order = sorted(items, key=lambda it: (-it.volume, it.id))
+        d, a_d, b_d, sides = knapsack._lattice(order, a, b)
+        steps, rest, across, up = [], sides, a_d, b_d
+        while rest and (step := knapsack._past(rest, 0, across, up)):
+            steps.append(step[0] > 0)  # a column narrows across
+            rest, across, up = rest[1:], across - step[0], up - step[1]
+        if not steps:
+            continue
+        try:
+            expected = unpruned_region_search(items, a, b, max_placements=20000)
+        except SearchBudgetExceeded:
+            continue
+        layout = exact_pack_single_region(items, a, b)
+        got = None if layout is None else [(p.item_id, p.x, p.y) for p in layout.placements]
+        assert got == expected, (items, a, b)
+        placed = knapsack._search_lattice(sides, a_d, b_d)
+        got = None if placed is None else [
+            (it.id, Fraction(x, d), Fraction(y, d)) for it, (x, y, _, _) in zip(order, placed)]
+        assert got == expected, (items, a, b)
+        fits += expected is not None
+        refuted += expected is None
+        chains += len(steps) > 1
+        mixed += len(set(steps)) > 1
+    # 962 fit, 624 have no layout, 912 peel two boxes or more, 638 mix
+    # columns and rows
+    assert fits >= 500 and refuted >= 500 and chains >= 300 and mixed >= 300
 
 
 def test_exact_min_bins_pair_that_cannot_share():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rectbin import oracle
+from rectbin import knapsack, oracle
 from rectbin.fileio import parse_instance, serialize_instance, serialize_packing
 from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
 from support import run_with_closed_stdout
@@ -72,6 +72,38 @@ def test_outputs_file_holds_the_digests_of_completed_entries(monkeypatch, tmp_pa
         expected[str(entry["pool_index"])] = hashlib.sha256(text.encode()).hexdigest()
     assert written["per_entry_sha256"] == expected
     assert [solve[:2] for solve in written["solves"]] == [[0, "ok"], [1, "error"], [3, "ok"]]
+
+
+def test_searches_lists_the_slowest_that_find_no_layout(monkeypatch, capsys):
+    slow_entries = load_script()
+    search = knapsack._search_lattice
+    pool = [
+        # oracle pool entry 1405's set that no layout fits: its one
+        # search finds none
+        {"pool_index": 7, "kind": "oracle", "source": "none",
+         "text": "items 6\n0 39/512 135/512\n1 19/64 53/256\n2 9/16 1\n4 25/64 11/64\n"
+                 "5 69/512 5/8\n6 3/256 53/64\n"},
+        # the first layout of items 0 and 2 leaves item 1 no corner, so
+        # the set is searched, and fits
+        {"pool_index": 3, "kind": "oracle", "source": "fit",
+         "text": "items 3\n0 1/4 3/4\n1 1 1/4\n2 3/4 1/2\n"},
+        {"pool_index": 0, "kind": "oracle", "source": "quick", "text": "items 1\n0 1/2 1/2\n"},
+    ]
+    monkeypatch.setattr(slow_entries, "build_corpus", lambda workload, seed, size: pool)
+    assert slow_entries.main(["oracle", "--cap", "5", "--searches"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    fields = lines[0].split()
+    assert fields[:3] == ["search", "7", "512x512:288x512,69x320,200x88,152x106,39x135,6x424"]
+    assert float(fields[3]) > 0
+    summary = lines[1].split()
+    assert summary[:4] == ["entries", "3", "listed", "0"]
+    assert summary[10:14] == ["searches", "2", "none", "1"]
+    assert summary[14] == "none_s" and summary[16] == "fit_s"
+    assert knapsack._search_lattice is search  # unwrapped after the loop
+    # without the flag the summary ends at the slowest share
+    assert slow_entries.main(["oracle", "--cap", "5"]) == 0
+    assert capsys.readouterr().out.split()[-2] == "slowest_1pct_share"
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
