@@ -4,6 +4,9 @@ Every branch is sure to succeed when OPT = 1, so a step that fails its
 runtime check raises GuessFailed, and a packer whose condition does not
 hold raises ConditionViolated, which is one; the caller then tries the
 next branch (or concludes the instance needs more than one bin).
+pack_small_height and pack_wide_high refuse, before their costliest step, a
+guess that a later check is sure to fail; that check's GuessFailed would end
+the guess anyway, so no output changes.
 Packings are returned unvalidated: `cli.pack_auto` validates the one it
 emits.  A returned packing's `path` names its branch.
 """
@@ -45,7 +48,10 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
 
     Bin 1 carries the near-full-height items plus a max-area selection of the
     rest; bin 2 floors the leftover cutoff-wide items and covers everything
-    else with the area-condition packer.
+    else with the area-condition packer.  Bin 1's selection has area at most
+    region_w and bin 2's floor height y at most stack, so if
+    2(vol(pool) - region_w) - 1 > stack, more than half of 1 x (1 - y) is left
+    for the area packer; its ConditionViolated is raised before the knapsack.
     """
     delta, eps = scalar(delta), scalar(eps)
     if not (eps < delta <= HALF):
@@ -54,7 +60,8 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     width_cutoff, height_cutoff = 1 - delta, 1 - gamma
     items = instance.items
     cutoff_wide = [it for it in items if it.width > width_cutoff]
-    if total_height(cutoff_wide) > gamma:
+    stack = total_height(cutoff_wide)
+    if stack > gamma:
         raise PreconditionViolated("stack of cutoff-wide items exceeds the threshold")
 
     tall = sorted((it for it in items if it.height > height_cutoff), key=lambda it: (-it.height, it.id))
@@ -68,6 +75,8 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
 
     selected_ids = set()
     region_w = 1 - tall_w
+    if 2 * (vol(pool) - region_w) - 1 > stack:
+        raise ConditionViolated("pool area exceeds what bin 1 and bin 2's area condition hold")
     if region_w > 0 and pool:
         picked = max_area_pack(pool, region_w, 1, eps, exact_limit=exact_limit)
         bin1.merge(picked.layout, tall_w, 0)
@@ -94,7 +103,9 @@ def pack_wide_high(wide, high, eps):
 
     Candidate subsets of the not-thin high items are tried in decreasing
     total-width order; thin items are greedily merged into the top run.
-    Returns (layout, chosen_high) with w(chosen) > w(high)/2 - eps.
+    Returns (layout, chosen_high) with w(chosen) > w(high)/2 - eps.  A wide
+    stack taller than the bin fails validation with every subset, so it raises
+    GuessFailed before the enumeration (InstanceTooLarge still comes first).
     """
     eps = scalar(eps)
     wide = list(wide)
@@ -105,6 +116,8 @@ def pack_wide_high(wide, high, eps):
     thin_w = total_width(thin)
     if len(substantial) > MAX_ENUMERATION:
         raise InstanceTooLarge(f"{len(substantial)} candidate high items to enumerate")
+    if total_height(wide) > 1:
+        raise GuessFailed("wide stack taller than the bin")
 
     candidates = []
     for mask in range(1 << len(substantial)):

@@ -1,16 +1,37 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
-from rectbin.classify import classify, total_width
+from rectbin.classify import (
+    classify,
+    delta_threshold,
+    find_feasible_delta,
+    total_height,
+    total_width,
+)
 import rectbin.opt1
 from rectbin.cli import main, pack_auto
 from rectbin.config import SolveConfig
-from rectbin.errors import ConditionViolated, GuessFailed, PackingStuck, PreconditionViolated
-from rectbin.fileio import serialize_instance
-from rectbin.geometry import BinLayout, Instance, Item, Placement, validate_bin, validate_packing
-from rectbin.knapsack import exact_pack_single_region
+from rectbin.errors import (
+    ConditionViolated,
+    GuessFailed,
+    InstanceTooLarge,
+    PackingStuck,
+    PreconditionViolated,
+)
+from rectbin.fileio import serialize_instance, serialize_packing
+from rectbin.geometry import (
+    BinLayout,
+    Instance,
+    Item,
+    Placement,
+    transpose_instance,
+    validate_bin,
+    validate_packing,
+)
+from rectbin.knapsack import exact_pack_single_region, max_area_pack
 from rectbin.opt1 import (
     pack_large_w,
     pack_opt1,
@@ -23,6 +44,7 @@ from rectbin.opt1 import (
 from rectbin.oracle import (
     GeneratorSpec,
     gen_instance,
+    plant_const_case3,
     plant_delta_height,
     plant_delta_width,
     plant_large_w,
@@ -30,6 +52,7 @@ from rectbin.oracle import (
     plant_small_w_case2,
     plant_small_w_case3,
 )
+from rectbin.steinberg import steinberg_condition
 
 EPS = Fraction(1, 256)
 
@@ -335,3 +358,159 @@ class TestDispatch:
         a = pack_opt1(inst, EPS, exact_limit=12)
         b = pack_opt1(inst, EPS, exact_limit=12)
         assert [bin.placements for bin in a.bins] == [bin.placements for bin in b.bins]
+
+
+class Reached(Exception):
+    """Raised by a stand-in that a test expects no call to reach."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+def calls_of(monkeypatch, name):
+    """A list that gets the arguments of each call of rectbin.opt1's `name`."""
+    calls = []
+    original = getattr(rectbin.opt1, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rectbin.opt1, name, counted)
+    return calls
+
+
+def refusal_inputs():
+    """Seeded generated instances, each also transposed, then the
+    const case-3 plants, which need two bins."""
+    rng = random.Random(21)
+    for _ in range(300):
+        spec = GeneratorSpec(rng.randrange(10 ** 6), rng.randint(4, 11), rng.randint(1, 3),
+                             rng.choice(["guillotine", "shrink"]))
+        inst, _ = gen_instance(spec)
+        yield inst
+        yield transpose_instance(inst)
+    for seed in range(60):
+        inst, _ = plant_const_case3(seed)
+        yield inst
+        yield transpose_instance(inst)
+
+
+# pack_auto's packing of plant_const_case3(206380), the const2 case-3 layout
+CASE3_206380 = (
+    "bins 2\nbin 0\n0 0 0\n1 0 1/2\n2 1/2 0\n3 1/2 1/2\nbin 1\n6 0 0\n5 33/100 0\n"
+    "4 33/50 0\n7 99/100 0\n8 119/120 0\n9 149/150 0\n10 199/200 0\n11 299/300 0\n"
+    "12 599/600 0\n"
+)
+
+
+class TestRefusedGuesses:
+    """pack_small_height refuses a pool too large for its two bins before
+    the knapsack, and pack_wide_high a wide stack taller than the bin before
+    the subset enumeration; the steps each refusal skips would fail."""
+
+    def test_small_height_refuses_only_what_its_steps_would_refuse(self, monkeypatch):
+        # with the knapsack and the area packer stubbed out, ConditionViolated
+        # can only be the refusal; the steps it skips are then run here: the
+        # knapsack must hit its size limit, or bin 2's area condition above
+        # its floor must fail
+        monkeypatch.setattr(rectbin.opt1, "max_area_pack", _reached)
+        monkeypatch.setattr(rectbin.opt1, "steinberg_pack", _reached)
+        previous = signal.signal(signal.SIGALRM, _reached)
+        checked = 0
+        try:
+            for inst in refusal_inputs():
+                delta = find_feasible_delta(inst, EPS)
+                if delta is None:
+                    continue
+                try:
+                    pack_small_height(inst, delta, EPS)
+                    continue
+                except ConditionViolated:
+                    pass
+                except (Reached, GuessFailed):
+                    continue
+                width_cutoff = 1 - delta
+                height_cutoff = 1 - delta_threshold(delta, EPS)
+                tall = [it for it in inst.items if it.height > height_cutoff]
+                pool = [it for it in inst.items if it.height <= height_cutoff]
+                region_w = 1 - total_width(tall)
+                picked = set()
+                if region_w > 0:
+                    signal.setitimer(signal.ITIMER_REAL, 0.1)
+                    try:
+                        picked = set(max_area_pack(pool, region_w, 1, EPS).layout.item_ids())
+                    except InstanceTooLarge:
+                        checked += 1
+                        continue
+                    except Reached:
+                        continue  # a knapsack too slow to check here
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                leftover = [it for it in pool if it.id not in picked]
+                floor = [it for it in leftover if it.width > width_cutoff]
+                rest = [it for it in leftover if it.width <= width_cutoff]
+                assert not steinberg_condition(rest, 1, 1 - total_height(floor))
+                checked += 1
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert checked >= 50
+
+    def test_small_height_refuses_before_the_knapsack(self, monkeypatch):
+        # two_bin pool entry 71, whose knapsack alone runs past 20 s
+        monkeypatch.setattr(rectbin.opt1, "max_area_pack", _reached)
+        inst, _ = gen_instance(GeneratorSpec(727396, 11, 2, "shrink"))
+        with pytest.raises(ConditionViolated):
+            pack_small_height(inst, find_feasible_delta(inst, EPS), EPS)
+
+    def test_wide_high_refuses_a_tall_stack_unvalidated(self, monkeypatch):
+        validated = calls_of(monkeypatch, "validate_bin")
+        wide = [Item(i, Fraction(3, 5), Fraction(3, 10)) for i in range(4)]  # 6/5 tall
+        high = [Item(10 + j, Fraction(1, 20), Fraction(3, 5)) for j in range(8)]
+        with pytest.raises(GuessFailed):
+            pack_wide_high(wide, high, EPS)
+        assert validated == []
+        # the size limit is still reported first
+        high = [Item(10 + j, Fraction(1, 20), Fraction(3, 5)) for j in range(17)]
+        with pytest.raises(InstanceTooLarge):
+            pack_wide_high(wide, high, EPS)
+
+    def test_no_layout_is_validated_beside_a_stack_taller_than_the_bin(self, monkeypatch):
+        # OPT >= 3, a wide stack 3 bins tall: each of the 33,538 layouts
+        # that pack_wide_high could try beside it fails on the stack
+        entered = []
+        wide_high = rectbin.opt1.pack_wide_high
+        validate = rectbin.opt1.validate_bin
+        validated = []
+
+        def tracked_wide_high(*args):
+            entered.append(args)
+            try:
+                return wide_high(*args)
+            finally:
+                entered.pop()
+
+        def tracked_validate(*args):
+            if entered:
+                validated.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(rectbin.opt1, "pack_wide_high", tracked_wide_high)
+        monkeypatch.setattr(rectbin.opt1, "validate_bin", tracked_validate)
+        reached = calls_of(monkeypatch, "pack_large_w")
+        inst, _ = gen_instance(GeneratorSpec(0, 40, 4))
+        with pytest.raises((GuessFailed, InstanceTooLarge)):
+            pack_opt1(inst, EPS)
+        assert reached and validated == []
+
+    def test_a_refuted_guess_is_not_reported_as_too_large(self):
+        # a two-bin plant whose cutoff guesses the refusal settles before
+        # the knapsack, which would raise "13 items exceed the exact limit
+        # 10"; pack_opt1 reports a refuted guess, and pack_auto, which
+        # catches both, returns the same packing
+        inst, _ = plant_const_case3(206380)
+        with pytest.raises(GuessFailed):
+            pack_opt1(inst, EPS)
+        packing, branch, guaranteed = pack_auto(inst, SolveConfig())
+        assert (serialize_packing(packing), branch, guaranteed) == (CASE3_206380, "const2", True)
