@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 scripts/slow_entries.py WORKLOAD [--cap S] [--outputs FILE] [--searches]
+                                    [--profile N]
 
 WORKLOAD is one of the benchmark's workloads (one_bin, two_bin, oracle).
 The script builds that workload's fixed pool with `perfbench/corpus.py`
@@ -30,15 +31,25 @@ layout, slowest first, as `search INDEX AxB:WxH,... MS`: the pool index,
 the region and the boxes on the search's integer lattice, in search order,
 and the milliseconds taken.
 
+With --profile N it runs the loop under cProfile and, before the summary,
+lists the N functions with the most own time (time in the function itself,
+not in what it calls), most first, as `profile SELF_S CALLS FUNCTION`:
+the seconds, the call count and the function as `FILE:LINE(NAME)`, with
+FILE relative to the repository root when it lies inside it.  cProfile
+slows every Python call, so the shares are a guide and the times are not
+solve times.
+
 If stdout closes early (`... | head -1`), the run stops at the next line it
 prints, with exit 1 and no traceback, and writes no --outputs file.
 """
 
 import argparse
 import contextlib
+import cProfile
 import json
 import math
 import os
+import pstats
 import signal
 import sys
 import time
@@ -97,6 +108,25 @@ def search_report(searches):
     return fields, lines
 
 
+@contextlib.contextmanager
+def profiled(profiler):
+    """Within the block, profiler records every call."""
+    profiler.enable()
+    try:
+        yield
+    finally:
+        profiler.disable()
+
+
+def profile_lines(profiler, top):
+    """The listed lines of --profile: the top functions by own time."""
+    stats = pstats.Stats(profiler).stats  # {function: (_, calls, own s, _, _)}
+    rows = sorted(stats.items(), key=lambda row: -row[1][2])[:top]
+    return [f"profile {own:.4f} {calls} "
+            f"{pstats.func_std_string(function).removeprefix(ROOT + os.sep)}"
+            for function, (_, calls, own, _, _) in rows]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -105,15 +135,21 @@ def main(argv=None) -> int:
                         help="write per-entry output digests here (compare_outputs.py format)")
     parser.add_argument("--searches", action="store_true",
                         help="time the exact region searches and list the slowest that fail")
+    parser.add_argument("--profile", type=int, metavar="N",
+                        help="profile the loop and list the N functions with the most own time")
     args = parser.parse_args(argv)
     deadline, size, _ = WORKLOADS[args.workload]
     cap = deadline if args.cap is None else args.cap
     if not cap > 0:
         parser.error("--cap must be positive")
+    if args.profile is not None and args.profile < 1:
+        parser.error("--profile must be at least 1")
 
     pool = sorted(build_corpus(args.workload, 0, size), key=lambda e: e["pool_index"])
     replies, listed, calls, searches = [], 0, [], []
-    with recorded_searches(calls) if args.searches else contextlib.nullcontext():
+    profiler = cProfile.Profile() if args.profile else None
+    with (recorded_searches(calls) if args.searches else contextlib.nullcontext(),
+          profiled(profiler) if profiler else contextlib.nullcontext()):
         for index, (entry, reply) in enumerate(timed_solves(pool, cap)):
             reply["index"] = index  # the entry's place in pool, as digest expects
             replies.append(reply)
@@ -133,6 +169,8 @@ def main(argv=None) -> int:
     total = sum(times)
     slowest = sorted(times)[-math.ceil(len(times) / 100):]
     fields, lines = search_report(searches) if args.searches else ("", [])
+    if profiler:
+        lines += profile_lines(profiler, args.profile)
     for line in lines:
         print(line)
     print(f"entries {len(times)} listed {listed} cap_s {cap:g} solve_s {total:.3f} "

@@ -6,7 +6,10 @@ a cutoff so that the near-full-width items stack into a short strip; its
 threshold gamma = (delta - eps) / (1 + 2 delta) never exceeds 1/4.
 
 The sums (vol, total_width, total_height) add ints over the least common
-multiple of their terms' denominators and build one Fraction.  The delta
+multiple of their terms' denominators and build one Fraction.  The lower
+bound classifies and sums on an integer lattice of the item sides
+(lattice_bound): its own in lower_bound, the unit-bin memo's in the
+oracle; only its area term is the Fraction vol.  The delta
 search runs on the lattice of the item sides and 1/2, computed per call:
 candidates and stack are ints there, and the threshold test is
 cross-multiplied, so no Fraction is built until the delta it returns.
@@ -76,10 +79,29 @@ def lower_bound(instance: Instance) -> int:
     """Bins that every packing of the instance needs: the ceiling of the
     largest of the total area, h(W) (wide items cross the vertical
     midline, so they stack), w(H) (likewise side by side) and the number
-    of big items (no two share a bin)."""
-    classes = classify(instance)
-    return math.ceil(max(vol(instance.items), total_height(classes.wide),
-                         total_width(classes.high), len(classes.big)))
+    of big items (no two share a bin).  Computed by lattice_bound on the
+    lattice of the item sides."""
+    items = instance.items
+    d = lattice(items)
+    return lattice_bound(items, d, [(scaled(it.width, d), scaled(it.height, d)) for it in items])
+
+
+def lattice_bound(items, d, sides) -> int:
+    """lower_bound of items, given their (width, height) sides as ints on
+    a lattice of spacing 1/d: an item is wide when 2w > d and high when
+    2h > d, and h(W) and w(H) are the ceilings of their int sums over d.
+    The area term is the ceiling of vol(items)."""
+    wide = high = big = 0
+    for w, h in sides:
+        is_wide, is_high = 2 * w > d, 2 * h > d
+        if is_wide:
+            wide += h
+        if is_high:
+            high += w
+            big += is_wide
+    # the area stays a vol call: perfbench's oracle.exact_min_bins.cache_size
+    # counts the vol calls made under exact_min_bins
+    return max(math.ceil(vol(items)), -(-wide // d), -(-high // d), big)
 
 
 def delta_threshold(delta: Fraction, eps: Fraction) -> Fraction:

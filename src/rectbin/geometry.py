@@ -58,16 +58,22 @@ class Item:
     """A rectangle to be packed.  Dimensions are fixed; no rotation.
 
     `volume` (width * height) is computed once, as a plain attribute that is
-    not a field, so equality, hashing and repr see only id and sides."""
+    not a field, so equality, hashing and repr see only id and sides.  A
+    side that is already a Fraction is kept as given; any other goes
+    through scalar."""
 
     id: int
     width: Fraction
     height: Fraction
 
     def __post_init__(self):
-        w, h = scalar(self.width), scalar(self.height)
-        object.__setattr__(self, "width", w)
-        object.__setattr__(self, "height", h)
+        w, h = self.width, self.height
+        if type(w) is not Fraction:
+            w = scalar(w)
+            object.__setattr__(self, "width", w)
+        if type(h) is not Fraction:
+            h = scalar(h)
+            object.__setattr__(self, "height", h)
         # 0 < q <= 1 on numerator and denominator; a denominator is positive
         if not (0 < w.numerator <= w.denominator):
             raise ValueError(f"item {self.id}: width {w} outside (0, 1]")
@@ -81,15 +87,18 @@ class Item:
 
 @dataclass(frozen=True)
 class Placement:
-    """An item's bottom-left corner inside some bin."""
+    """An item's bottom-left corner inside some bin.  A coordinate that is
+    not already a Fraction goes through scalar."""
 
     item_id: int
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", scalar(self.x))
-        object.__setattr__(self, "y", scalar(self.y))
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", scalar(self.x))
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", scalar(self.y))
 
 
 @dataclass

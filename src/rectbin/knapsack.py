@@ -46,7 +46,9 @@ there is one, is the search's first leaf with every item included, which
 is then the answer: both place the items in the same order at the same
 normal positions, and the two differ only in which identical items they
 keep in lex order, which a first layout does anyway (swapping two
-same-shape items that are out of order gives an earlier layout).  At
+same-shape items that are out of order gives an earlier layout).  The
+layout places the items in search order, so the answer lists them in that
+order with no Fraction sort.  At
 desk scale this is exact; beyond exact_limit a greedy fallback runs and
 the result is kept only when it provably meets the (1 - eps) * OPT - eps
 contract.  The greedy (_best_effort) places each item, in order of profit
@@ -101,8 +103,9 @@ last item goes to its first feasible position among the corners of the
 smaller set's boxes (0, right edges, tops), which gives the set's own
 first layout (_extended says why), or else the refutations and the
 search run.  The memo keeps lattice boxes; unit_bin_layout builds a
-Fraction BinLayout for each call, and canonical_partitions only asks
-whether a part fits.
+Fraction BinLayout for each call, one Fraction per distinct coordinate, and
+canonical_partitions only asks whether a part fits.  The oracle also takes
+its item order (rank) and its lower bound's sides from its memo.
 """
 
 import math
@@ -319,7 +322,9 @@ def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
         # the first all-included leaf of the search, when one exists
         layout = exact_pack_single_region([pi.item for pi in usable], a, b, exact_limit)
         if layout is not None:
-            order = [pi.item for pi in sorted(usable, key=_order_key)]
+            # the layout places the items in search order, _order_key's
+            by_id = {pi.item.id: pi.item for pi in usable}
+            order = [by_id[p.item_id] for p in layout.placements]
             return KnapsackResult(order, layout, exact_sum([pi.profit for pi in usable]), True)
         profit, selected, placements = _solve_exact(usable, a, b)
         return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
@@ -622,13 +627,16 @@ def unit_bin_layout(items, cache, limit):
     """exact_pack_single_region's layout of items in the region of cache, a
     UnitBinMemo holding the items, or None when they do not fit; memoized
     by the set of item ids (_unit_bin_entry).  The memo holds lattice
-    boxes; each call builds the Fraction layout anew."""
+    boxes; each call builds the Fraction layout anew, with one Fraction
+    per distinct coordinate.  Its placements are in search order."""
     entry = _unit_bin_entry(frozenset(it.id for it in items), cache, limit)
     if entry is None:
         return None
     d = cache.d
-    return BinLayout(*cache.region, [Placement(i, Fraction(x, d), Fraction(y, d))
-                                     for i, (x, y, _, _) in zip(*entry)])
+    ids, boxes = entry
+    exact = {v: Fraction(v, d) for box in boxes for v in box[:2]}
+    return BinLayout(*cache.region, [Placement(i, exact[x], exact[y])
+                                     for i, (x, y, _, _) in zip(ids, boxes)])
 
 
 def canonical_partitions(items, bins, cache, limit, labeled=0):

@@ -11,6 +11,7 @@ Packings are returned unvalidated: `cli.pack_auto` validates the one it
 emits.  A returned packing's `path` names its branch.
 """
 
+import math
 from fractions import Fraction
 
 from .classify import (
@@ -34,6 +35,7 @@ from .geometry import (
     Instance,
     Packing,
     scalar,
+    scaled,
     transpose_instance,
     transpose_layout,
     transpose_packing,
@@ -75,7 +77,12 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
 
     selected_ids = set()
     region_w = 1 - tall_w
-    if 2 * (vol(pool) - region_w) - 1 > stack:
+    # 2(vol(pool) - region_w) - 1 > stack, as one int test on the lattice
+    # of the pool's areas, region_w and stack
+    d = math.lcm(region_w.denominator, stack.denominator,
+                 *[it.volume.denominator for it in pool])
+    area = sum([scaled(it.volume, d) for it in pool])
+    if 2 * area - 2 * scaled(region_w, d) - d > scaled(stack, d):
         raise ConditionViolated("pool area exceeds what bin 1 and bin 2's area condition hold")
     if region_w > 0 and pool:
         picked = max_area_pack(pool, region_w, 1, eps, exact_limit=exact_limit)

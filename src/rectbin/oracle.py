@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .classify import classify, lower_bound, total_height, total_width
+from .classify import classify, lattice_bound, lower_bound, total_height, total_width
 from .errors import InstanceTooLarge
 from .geometry import HALF, BinLayout, Instance, Item, Packing, validate_packing
 from .knapsack import UnitBinMemo, canonical_partitions, unit_bin_layout
@@ -122,15 +122,20 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     Partition search over canonical assignments, starting at the
     classify.lower_bound count; per-subset feasibility via the exact
     single-region packer, cached across the whole search on one integer
-    lattice of the instance.
+    lattice of the instance.  The solve reads that lattice, the unit-bin
+    memo's, for everything but the area term of the bound: the items go
+    in the memo's search order (cache.rank, which is (-volume, id)), and
+    the bound is classify.lattice_bound on the memo's sides.
     """
-    items = sorted(instance.items, key=lambda it: (-it.volume, it.id))
+    items = instance.items
     if len(items) > oracle_limit:
         raise InstanceTooLarge(f"{len(items)} items exceed the oracle limit {oracle_limit}")
     if not items:
         return 0, Packing([])
     cache = UnitBinMemo(items)
-    for b in range(lower_bound(instance), max_bins + 1):
+    items = sorted(items, key=lambda it: cache.rank[it.id])
+    start = lattice_bound(items, cache.d, cache.sides.values())
+    for b in range(start, max_bins + 1):
         split = next(canonical_partitions(items, b, cache, oracle_limit), None)
         if split is not None:
             return b, Packing([unit_bin_layout(part, cache, oracle_limit)

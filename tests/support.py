@@ -5,6 +5,7 @@ purpose: they recompute overlap and containment from first principles so the
 suite does not just test the validator against itself.
 """
 
+import importlib.util
 import math
 import os
 import re
@@ -238,6 +239,19 @@ def run_with_closed_stdout(argv, unbuffered):
     finally:
         os.close(write)
     return proc.returncode, proc.stderr
+
+
+def oracle_pool_sample(step):
+    """The instances of every step-th entry of the benchmark's oracle pool,
+    built by perfbench/corpus.py."""
+    from rectbin.fileio import parse_instance
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "corpus.py")
+    spec = importlib.util.spec_from_file_location("corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [parse_instance(entry["text"]) for entry in corpus.build_pool("oracle", 1700)[::step]]
 
 
 class SearchBudgetExceeded(Exception):

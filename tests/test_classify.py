@@ -11,6 +11,7 @@ from rectbin.classify import (
     delta_threshold,
     find_feasible_delta,
     h_max,
+    lattice_bound,
     lower_bound,
     total_height,
     total_width,
@@ -19,6 +20,7 @@ from rectbin.classify import (
 )
 from rectbin.errors import PreconditionViolated
 from rectbin.geometry import Instance, transpose_instance
+from rectbin.knapsack import UnitBinMemo
 from rectbin.oracle import GeneratorSpec, gen_instance
 from support import (
     area_guarantee_check,
@@ -26,6 +28,7 @@ from support import (
     delta_sets,
     dims_strategy,
     make_instance,
+    oracle_pool_sample,
     reference_feasible_delta,
     reference_lower_bound,
     reference_total_height,
@@ -268,3 +271,44 @@ def test_lower_bound_never_exceeds_optimum():
                 for _ in range(4)]
         inst = make_instance(dims)
         assert lower_bound(inst) <= brute_min_bins(inst.items), (trial, dims)
+
+
+F = Fraction
+# class boundaries: a side of exactly 1/2 (neither wide nor high), an odd
+# lattice (d = 7, where 2w > d splits 4/7 from 3/7), sides of 1, and
+# identical items, whose sums land on a whole bin count
+BOUND_BOUNDARIES = [
+    [(F(1, 2), F(1))] * 3,
+    [(F(1, 2), F(1, 2))] * 5,
+    [(F(1), F(1, 2))] * 2 + [(F(1, 2), F(1, 2))],
+    [(F(4, 7), F(3, 7))] * 5 + [(F(3, 7), F(4, 7))] * 3,
+    [(F(4, 7), F(4, 7))] * 2 + [(F(3, 7), F(1, 7))],
+    [(F(1), F(1))] * 3,
+    [(F(1), F(1, 7))] * 7,
+    [(F(1), F(1, 7))] * 8,
+    [(F(2, 3), F(1, 3))] * 6,
+    [(F(1, 3), F(2, 3)), (F(1, 2) + F(1, 1000), F(1, 5))],
+]
+
+
+@pytest.mark.parametrize("dims", BOUND_BOUNDARIES)
+def test_lattice_bound_matches_the_fraction_formula_at_class_boundaries(dims):
+    items = make_instance(dims).items
+    cache = UnitBinMemo(items)
+    want = reference_lower_bound(items)
+    assert lower_bound(Instance(items)) == want
+    assert lattice_bound(items, cache.d, cache.sides.values()) == want
+
+
+def test_lattice_bound_matches_the_fraction_formula_on_the_oracle_pool():
+    # the oracle's start bin count on its memo's lattice, and lower_bound
+    # on the item sides' own, against the Fraction sums
+    starts = set()
+    for instance in oracle_pool_sample(step=5):
+        items = instance.items
+        cache = UnitBinMemo(items)
+        want = reference_lower_bound(items)
+        assert lower_bound(instance) == want
+        assert lattice_bound(items, cache.d, cache.sides.values()) == want
+        starts.add(want)
+    assert starts == {1, 2, 3}

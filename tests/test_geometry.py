@@ -72,6 +72,37 @@ def test_item_volume_is_not_a_field():
     assert a.transposed().volume == a.volume
 
 
+@pytest.mark.parametrize("side", [1, "1/2", "0.25", Fraction(3, 8)])
+def test_item_and_placement_coerce_every_exact_form_to_fraction(side):
+    exact = Fraction(side)
+    item, placement = Item(0, side, side), Placement(0, side, side)
+    for value in (item.width, item.height, placement.x, placement.y):
+        assert type(value) is Fraction and value == exact
+    # a side given as a Fraction is kept as it is
+    assert Item(0, exact, exact).width is exact
+    assert Placement(0, exact, exact).y is exact
+    assert item == Item(0, exact, exact) and hash(item) == hash(Item(0, exact, exact))
+    assert placement == Placement(0, exact, exact)
+    assert hash(placement) == hash(Placement(0, exact, exact))
+    assert item.volume == exact * exact
+
+
+@pytest.mark.parametrize("value", [0.5, float("nan")])
+def test_item_and_placement_reject_floats_beside_a_fraction(value):
+    for make in (lambda v: Item(0, Fraction(1, 2), v), lambda v: Item(0, v, Fraction(1, 2)),
+                 lambda v: Placement(0, Fraction(0), v), lambda v: Placement(0, v, Fraction(0))):
+        with pytest.raises(TypeError):
+            make(value)
+
+
+@pytest.mark.parametrize("side", [Fraction(0), Fraction(-1, 2), Fraction(3, 2), 0, 2, "3/2"])
+def test_item_rejects_sides_outside_the_unit_interval_in_any_form(side):
+    with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+        Item(0, side, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+        Item(0, Fraction(1, 2), side)
+
+
 def test_instance_rejects_duplicate_ids():
     a = Item(1, Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):

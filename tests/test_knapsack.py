@@ -570,6 +570,33 @@ def test_fit_all_probe_skips_the_search(monkeypatch):
         max_profit_pack(crowd, 1, 1, Fraction(1, 100))
 
 
+def test_fit_all_returns_the_items_in_order_key_order(monkeypatch):
+    # the fit-all answer lists its items as its layout places them; that
+    # is _order_key's order, (-volume, id), for twins, for equal areas of
+    # other shapes and other ids, and with an item too wide for the region
+    def no_search(*args):
+        raise AssertionError("the branch and bound ran")
+
+    monkeypatch.setattr(knapsack, "_solve_exact", no_search)
+    F = Fraction
+    sets = [
+        [Item(6, F(1, 4), F(1, 4)), Item(3, F(1, 4), F(1, 4)), Item(8, F(1, 2), F(1, 8)),
+         Item(1, F(1, 8), F(1, 2)), Item(4, F(1, 4), F(1, 4)), Item(0, F(1, 2), F(1, 2))],
+        [Item(9, F(1, 4), F(1, 2)), Item(2, F(1, 2), F(1, 4)), Item(5, F(1, 8), F(1)),
+         Item(7, F(1), F(1, 8)), Item(1, F(1, 4), F(1, 2))],
+        [Item(4, F(1, 5), F(1, 5)), Item(2, F(1, 5), F(1, 5)), Item(3, F(9, 10), F(1, 5))],
+    ]
+    rng = random.Random(22)
+    for items in sets:
+        for _ in range(4):
+            rng.shuffle(items)
+            pis = [ProfitItem(it, it.volume * rng.choice([1, 2])) for it in items]
+            usable = [pi for pi in pis if pi.item.width <= F(3, 4)]
+            res = max_profit_pack(pis, F(3, 4), 1, F(1, 100))
+            assert res.selected == [pi.item for pi in sorted(usable, key=knapsack._order_key)]
+            assert res.layout.item_ids() == [it.id for it in res.selected]
+
+
 def test_profit_search_matches_reference():
     # integer profits, the subset-sum bound and the fit-all probe keep the
     # first leaf of maximum profit: profit, selection and placements are

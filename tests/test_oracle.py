@@ -10,6 +10,7 @@ from rectbin.classify import classify, find_feasible_delta, total_height, total_
 from rectbin.errors import InstanceTooLarge
 from rectbin.fileio import serialize_instance, serialize_packing
 from rectbin.geometry import Instance, Item, transpose_instance, validate_packing
+from rectbin.knapsack import UnitBinMemo
 from rectbin.oracle import (
     GeneratorSpec,
     certify_opt,
@@ -25,7 +26,7 @@ from rectbin.oracle import (
 
 from fractions import Fraction
 
-from support import brute_min_bins
+from support import brute_min_bins, oracle_pool_sample
 
 EPS = Fraction(1, 256)
 
@@ -164,6 +165,20 @@ def test_exact_min_bins_none_below_lower_bound(monkeypatch):
 
     monkeypatch.setattr(oracle, "canonical_partitions", no_search)
     assert exact_min_bins(inst, max_bins=3) is None
+
+
+def test_memo_rank_orders_items_by_volume_then_id():
+    # exact_min_bins orders its items by the memo's rank, on the lattice;
+    # that is the (-volume, id) order of the Fractions, also for twins and
+    # for equal areas of other shapes, whatever the ids' input order
+    F = Fraction
+    ties = [Item(7, F(1, 2), F(1, 4)), Item(2, F(1, 4), F(1, 2)), Item(5, F(1, 8), F(1)),
+            Item(4, F(1, 2), F(1, 4)), Item(9, F(1, 2), F(1, 4)), Item(0, F(1, 3), F(1, 3)),
+            Item(3, F(1), F(1, 7)), Item(1, F(1, 7), F(1))]
+    for items in [ties, *(inst.items for inst in oracle_pool_sample(step=5))]:
+        cache = UnitBinMemo(items)
+        assert sorted(items, key=lambda it: cache.rank[it.id]) == \
+            sorted(items, key=lambda it: (-it.volume, it.id))
 
 
 def test_certify_opt_rejects_slack_claim():

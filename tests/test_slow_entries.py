@@ -106,6 +106,31 @@ def test_searches_lists_the_slowest_that_find_no_layout(monkeypatch, capsys):
     assert capsys.readouterr().out.split()[-2] == "slowest_1pct_share"
 
 
+def test_profile_lists_the_functions_with_the_most_own_time(monkeypatch, capsys):
+    slow_entries = load_script()
+    pool = [
+        {"pool_index": 1, "kind": "oracle", "source": "fit",
+         "text": "items 3\n0 1/4 3/4\n1 1 1/4\n2 3/4 1/2\n"},
+        {"pool_index": 0, "kind": "oracle", "source": "quick", "text": "items 1\n0 1/2 1/2\n"},
+    ]
+    monkeypatch.setattr(slow_entries, "build_corpus", lambda workload, seed, size: pool)
+    assert slow_entries.main(["oracle", "--cap", "5", "--profile", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("entries 2 listed 0 ")
+    rows = [line.split(" ", 3) for line in lines[:4]]
+    assert all(row[0] == "profile" and int(row[2]) > 0 for row in rows)
+    own = [float(row[1]) for row in rows]
+    assert own == sorted(own, reverse=True)
+    # with room for every function, the solver's own show, named from the
+    # repository root
+    assert slow_entries.main(["oracle", "--cap", "5", "--profile", "100000"]) == 0
+    functions = [line.split(" ", 3)[3] for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert any(f.startswith("src/rectbin/oracle.py:") and f.endswith("(exact_min_bins)")
+               for f in functions)
+    with pytest.raises(SystemExit):
+        slow_entries.main(["oracle", "--profile", "0"])
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_a_closed_stdout_ends_without_a_traceback(unbuffered):
     # a 0.1 ms cap lists entries at once; the first listed line or the
