@@ -3,7 +3,7 @@
 Usage, from the repository root:
 
     python3 scripts/slow_entries.py WORKLOAD [--cap S] [--outputs FILE] [--searches]
-                                    [--profile N]
+                                    [--profile N] [--phases]
 
 WORKLOAD is one of the benchmark's workloads (one_bin, two_bin, oracle).
 The script builds that workload's fixed pool with `perfbench/corpus.py`
@@ -39,6 +39,14 @@ FILE relative to the repository root when it lies inside it.  cProfile
 slows every Python call, so the shares are a guide and the times are not
 solve times.
 
+With --phases it times the three phases of each entry that completed in
+the loop, as `perfbench/worker.py` runs them: the parse of the text, the
+solve (`pack_auto` or `exact_min_bins`) and the serialization of the
+packing, each the least of 3 runs, each run from a fresh parse.  Before
+the summary it prints `phases N parse_us P solve_us S serialize_us Z`:
+the entry count and the median microseconds of each phase over those
+entries.
+
 If stdout closes early (`... | head -1`), the run stops at the next line it
 prints, with exit 1 and no traceback, and writes no --outputs file.
 """
@@ -51,6 +59,7 @@ import math
 import os
 import pstats
 import signal
+import statistics
 import sys
 import time
 
@@ -127,6 +136,42 @@ def profile_lines(profiler, top):
             for function, (_, calls, own, _, _) in rows]
 
 
+PHASE_REPEATS = 3
+
+
+def phase_times(solver, entry):
+    """[parse, solve, serialize] seconds of one entry, each the least of
+    PHASE_REPEATS runs, with the calls of worker.Solver.  Each run parses
+    anew, so that no run reuses what an earlier one left on the items."""
+    if entry["kind"] == "pack":
+        def solve(instance):
+            return solver._pack_auto(instance, solver.config)[0]
+    else:
+        def solve(instance):
+            found = solver._oracle(instance, max_bins=4, oracle_limit=solver.config.oracle_limit)
+            return None if found is None else found[1]
+    best = [math.inf] * 3
+    for _ in range(PHASE_REPEATS):
+        start = time.perf_counter()
+        instance = solver._parse(entry["text"])
+        parsed = time.perf_counter()
+        packing = solve(instance)
+        solved = time.perf_counter()
+        if packing is not None:
+            solver._serialize(packing)
+        done = time.perf_counter()
+        best = [min(pair) for pair in zip(best, (parsed - start, solved - parsed, done - solved))]
+    return best
+
+
+def phases_line(times):
+    """The --phases line for (parse, solve, serialize) seconds per entry."""
+    parse_us, solve_us, serialize_us = [statistics.median(column) * 1e6
+                                        for column in zip(*times)] or [0.0] * 3
+    return (f"phases {len(times)} parse_us {parse_us:.1f} solve_us {solve_us:.1f} "
+            f"serialize_us {serialize_us:.1f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -137,6 +182,8 @@ def main(argv=None) -> int:
                         help="time the exact region searches and list the slowest that fail")
     parser.add_argument("--profile", type=int, metavar="N",
                         help="profile the loop and list the N functions with the most own time")
+    parser.add_argument("--phases", action="store_true",
+                        help="print the median microseconds of parse, solve and serialize")
     args = parser.parse_args(argv)
     deadline, size, _ = WORKLOADS[args.workload]
     cap = deadline if args.cap is None else args.cap
@@ -171,6 +218,11 @@ def main(argv=None) -> int:
     fields, lines = search_report(searches) if args.searches else ("", [])
     if profiler:
         lines += profile_lines(profiler, args.profile)
+    if args.phases:
+        solver = worker.Solver()
+        lines.append(phases_line([phase_times(solver, entry)
+                                  for entry, reply in zip(pool, replies)
+                                  if reply["status"] == "ok"]))
     for line in lines:
         print(line)
     print(f"entries {len(times)} listed {listed} cap_s {cap:g} solve_s {total:.3f} "

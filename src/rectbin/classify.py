@@ -5,11 +5,12 @@ does, big when both do, small when neither does.  The delta search looks for
 a cutoff so that the near-full-width items stack into a short strip; its
 threshold gamma = (delta - eps) / (1 + 2 delta) never exceeds 1/4.
 
-The sums (vol, total_width, total_height) add ints over the least common
-multiple of their terms' denominators and build one Fraction.  The lower
-bound classifies and sums on an integer lattice of the item sides
-(lattice_bound): its own in lower_bound, the unit-bin memo's in the
-oracle; only its area term is the Fraction vol.  The delta
+The sums (vol, total_width, total_height) add ints on one lattice and
+build one Fraction: vol the unreduced products w * h of the item sides,
+the other two the sides, each over the least common multiple of their
+denominators.  The lower bound classifies and sums on an integer lattice
+of the item sides (lattice_bound): its own in lower_bound, the unit-bin
+memo's in the oracle; only its area term is the Fraction vol.  The delta
 search runs on the lattice of the item sides and 1/2, computed per call:
 candidates and stack are ints there, and the threshold test is
 cross-multiplied, so no Fraction is built until the delta it returns.
@@ -28,7 +29,13 @@ EPS_LIMIT = Fraction(1, 200)
 
 
 def vol(items) -> Fraction:
-    return exact_sum([it.volume for it in items])
+    """The total area of items, as one Fraction: each area w * h is an
+    unreduced product of numerators over a product of denominators, and
+    the sum is taken over the least common multiple of those."""
+    sides = [(it.width.numerator, it.width.denominator, it.height.numerator, it.height.denominator)
+             for it in items]
+    d = math.lcm(*[p * q for _, p, _, q in sides])
+    return Fraction(sum([a * b * (d // (p * q)) for a, p, b, q in sides]), d)
 
 
 def total_width(items) -> Fraction:

@@ -9,7 +9,9 @@ script.
 Numbers are bounded so that both hold: a decimal exponent above
 MAX_EXPONENT in magnitude is refused before 10**N is built (a large N would
 stall the parser), and so is a number whose numerator or denominator has
-more than MAX_DIGITS digits, which serialize could not write back.
+more than MAX_DIGITS digits, which serialize could not write back.  An
+item side that is a short plain `p/q` or integer token is read with int()
+alone: it is too short to fail either bound.
 """
 
 import re
@@ -27,14 +29,15 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
 def _plain_rational(text):
-    """An ASCII token of digits, or of digits `/` digits, as an exact
-    Fraction built from int(); None for any other token.  Fraction(text)
-    reads such a token with the same int() calls, so value and errors agree."""
+    """An ASCII token of digits, or of digits `/` digits with a nonzero
+    denominator, as an exact Fraction built from int(); None for any other
+    token.  Fraction(text) reads such a token with the same int() calls,
+    so value and errors agree."""
     if text.isdigit():
         return Fraction(int(text))
     p, slash, q = text.partition("/")
-    if slash and p.isdigit() and q.isdigit():
-        return Fraction(int(p), int(q))
+    if slash and p.isdigit() and q.isdigit() and (q := int(q)):
+        return Fraction(int(p), q)
     return None
 
 
@@ -71,6 +74,19 @@ def parse_int(text):
     except ValueError:
         pass
     raise ValueError(f"bad integer {text!r}")
+
+
+# a token at most this long has parts of far fewer digits than MAX_DIGITS,
+# and than any limit int() may be set to (640 at least)
+_SHORT = 40
+
+
+def _side(tok, lineno):
+    """An item side token as a Fraction: a short plain token straight
+    through _plain_rational, any other through parse_rational, which reads
+    a plain token to the same value."""
+    value = _plain_rational(tok) if len(tok) <= _SHORT and tok.isascii() else None
+    return _token(parse_rational, tok, lineno) if value is None else value
 
 
 def _token(parse, tok, lineno):
@@ -110,8 +126,8 @@ def parse_instance(text: str) -> Instance:
         if len(row) != 3:
             raise ParseError(lineno, f"expected `ID W H`, got {' '.join(row)!r}")
         ident = _token(parse_int, row[0], lineno)
-        w = _token(parse_rational, row[1], lineno)
-        h = _token(parse_rational, row[2], lineno)
+        w = _side(row[1], lineno)
+        h = _side(row[2], lineno)
         try:
             items.append(Item(ident, w, h))
         except ValueError as exc:

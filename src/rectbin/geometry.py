@@ -57,10 +57,10 @@ def scalar(value) -> Fraction:
 class Item:
     """A rectangle to be packed.  Dimensions are fixed; no rotation.
 
-    `volume` (width * height) is computed once, as a plain attribute that is
-    not a field, so equality, hashing and repr see only id and sides.  A
-    side that is already a Fraction is kept as given; any other goes
-    through scalar."""
+    `volume` (width * height) is computed when first read and then kept as
+    a plain attribute that is not a field, so equality, hashing and repr
+    see only id and sides.  A side that is already a Fraction is kept as
+    given; any other goes through scalar."""
 
     id: int
     width: Fraction
@@ -79,7 +79,14 @@ class Item:
             raise ValueError(f"item {self.id}: width {w} outside (0, 1]")
         if not (0 < h.numerator <= h.denominator):
             raise ValueError(f"item {self.id}: height {h} outside (0, 1]")
-        object.__setattr__(self, "volume", w * h)
+
+    def __getattr__(self, name):
+        # runs only while the instance has no such attribute: volume once
+        if name != "volume":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        volume = self.width * self.height
+        object.__setattr__(self, "volume", volume)
+        return volume
 
     def transposed(self) -> "Item":
         return Item(self.id, self.height, self.width)

@@ -95,17 +95,22 @@ remove subtrees without a solution, so the first layout is unchanged.
 
 Every exact region search goes through the memo: exact_pack_single_region
 with a memo of its own, and the oracle and the constant-OPT branch, which
-grow each part one item at a time, with one unit-bin memo per solve.  A
-miss tests the area bound and the exact limit, then settles the set less
-its last item in search order first, down to the empty set that every
-memo holds.  A set that holds a refuted set is refuted.  Otherwise the
-last item goes to its first feasible position among the corners of the
-smaller set's boxes (0, right edges, tops), which gives the set's own
-first layout (_extended says why), or else the refutations and the
-search run.  The memo keeps lattice boxes; unit_bin_layout builds a
-Fraction BinLayout for each call, one Fraction per distinct coordinate, and
-canonical_partitions only asks whether a part fits.  The oracle also takes
-its item order (rank) and its lower bound's sides from its memo.
+grow each part one item at a time, with one unit-bin memo per solve.  The
+memo is keyed by int masks: bit k stands for the k-th item in search
+order, so a key's last item is its highest bit and the set less it is the
+key with that bit cleared.  A miss tests the area bound (the lattice
+areas of the set bits) and the exact limit (the count of set bits), then
+settles the set less its last item first, down to the empty set, key 0,
+that every memo holds.  A set that holds a refuted set is refuted.
+Otherwise the last item goes to its first feasible position among the
+corners of the smaller set's boxes (0, right edges, tops), which gives the
+set's own first layout (_extended says why), or else the refutations and
+the search run.  The memo keeps lattice boxes in search order, and the ids
+they belong to are the key's bits; unit_bin_layout builds a Fraction
+BinLayout for each call, one Fraction per distinct coordinate, and
+canonical_partitions keeps one key per part and only asks whether a part
+fits.  The oracle also takes its item order (order) and its lower bound's
+sides from its memo.
 """
 
 import math
@@ -546,35 +551,64 @@ def _search_lattice(sides, a, b):
 
 
 class UnitBinMemo(dict):
-    """{frozenset of item ids: None when the set does not fit the region,
-    else (ids, boxes)} for one item set and region (a, b), the unit bin
-    unless given.  It also carries their lattice: d, the least common
-    multiple of the denominators of every side and of a and b, the region
-    (a, b) as Fractions, a and b as the ints a * d and b * d, sides, the
-    (width * d, height * d) ints of each item id, and rank, each id's place
-    (-w * h, id) in search order.  boxes[k] is the lattice box (left,
-    bottom, right, top) of item ids[k], ids in search order, and every
-    stored layout is its set's first layout.  A subset's own lattice
+    """{key: None when the key's item set does not fit the region, else
+    its boxes} for one item set and region (a, b), the unit bin unless
+    given.  A key is an int: bit k stands for order[k], the k-th item id in
+    search order, and key(ids) builds the key of a set of ids.  The memo
+    also carries their lattice: d, the least common multiple of the
+    denominators of every side and of a and b, the region (a, b) as
+    Fractions, a and b as the ints a * d and b * d, sides, the (width * d,
+    height * d) ints of each item id, and rank, each id's place (-w * h,
+    id) in search order; then order, the ids sorted by rank, bit, each
+    id's 1 << k, and shapes and areas, the sides and their products w * h
+    in that order.  boxes[j] is the lattice box (left, bottom, right, top)
+    of the set's j-th item in search order, its j-th lowest set bit, and
+    every stored layout is its set's first layout.  A subset's own lattice
     divides d, and scaling its boxes and the region by one positive int
     keeps every sum, comparison and visit order, so the search on this
-    lattice finds the subset's first layout.  The empty set is stored from
-    the start, with the empty layout, so every miss has a prefix to extend."""
+    lattice finds the subset's first layout.  The empty set, key 0, is
+    stored from the start, with the empty layout, so every miss has a
+    prefix to extend."""
 
     def __init__(self, items, a=ONE, b=ONE):
-        super().__init__({frozenset(): ((), ())})
+        super().__init__({0: ()})
         a, b = self.region = scalar(a), scalar(b)
         self.d = lattice(items, a, b)
         self.a, self.b = scaled(a, self.d), scaled(b, self.d)
-        self.sides = {it.id: (scaled(it.width, self.d), scaled(it.height, self.d))
-                      for it in items}
-        self.rank = {i: (-w * h, i) for i, (w, h) in self.sides.items()}
+        sides = self.sides = {it.id: (scaled(it.width, self.d), scaled(it.height, self.d))
+                              for it in items}
+        ranks = sorted([(-w * h, i) for i, (w, h) in sides.items()])
+        self.order = [i for _, i in ranks]
+        self.rank = dict(zip(self.order, ranks))
+        self.bit = {i: 1 << k for k, i in enumerate(self.order)}
+        self.shapes = [sides[i] for i in self.order]
+        self.areas = [-area for area, _ in ranks]
+
+    def key(self, ids):
+        """The memo key of the set of item ids ids."""
+        key, bit = 0, self.bit
+        for i in ids:
+            key |= bit[i]
+        return key
 
 
-def _extended(base, last, cache):
-    """The memo value of base's set plus last, where base is that set's
-    first layout and last comes after all of its items in search order:
-    last at its first feasible position among the corners of base's boxes
-    (0 and right edges across, 0 and tops up), or None when it finds none.
+def _members(key, values):
+    """values[k] for each set bit k of key, lowest first: the key's items
+    in search order when values follows the memo's order."""
+    out = []
+    while key:
+        low = key & -key
+        out.append(values[low.bit_length() - 1])
+        key ^= low
+    return out
+
+
+def _extended(boxes, base, last, cache):
+    """The memo value of the set base, a key of cache, plus the item of
+    bit last, where boxes is base's first layout and last comes after all
+    of base's items in search order: last at its first feasible position
+    among the corners of base's boxes (0 and right edges across, 0 and
+    tops up), or None when it finds none.
 
     Why the result is the set's first layout.  Compacting any layout down
     and left moves every box no later in lex order and lands each box on
@@ -589,36 +623,42 @@ def _extended(base, last, cache):
     of L, since sliding it down and left lands it on one no later.  Under a
     twin's floor too: were that corner below the floor, the twin could move
     to it, which would give a layout of the smaller set earlier than L."""
-    ids, boxes = base
-    w, h = cache.sides[last]
-    floor = boxes[-1][:2] if ids and cache.sides[ids[-1]] == (w, h) else None
+    shapes = cache.shapes
+    w, h = shapes[last]
+    twin = base and shapes[base.bit_length() - 1] == (w, h)
+    floor = boxes[-1][:2] if twin else None
     xs = sorted({0, *(right for _, _, right, _ in boxes)})
     ys = sorted({0, *(top for _, _, _, top in boxes)})
     spot = next(_feasible_positions(w, h, xs, ys, boxes, cache.a, cache.b, floor), None)
     if spot is None:
         return None
     x, y = spot
-    return ids + (last,), boxes + ((x, y, x + w, y + h),)
+    return boxes + ((x, y, x + w, y + h),)
 
 
 def _unit_bin_entry(key, cache, limit):
-    """The memo value of the id set key in cache, a UnitBinMemo.  A miss
-    recurses on the set less key's last item, as the module docstring says."""
+    """The memo value of key in cache, a UnitBinMemo.  A miss recurses on
+    the set less key's last item, its highest bit, as the module docstring
+    says."""
     if key in cache:
         return cache[key]
-    sides, entry = cache.sides, None
-    if sum(w * h for w, h in map(sides.__getitem__, key)) <= cache.a * cache.b:
-        if len(key) > limit:
-            raise InstanceTooLarge(f"{len(key)} items exceed the exact limit {limit}")
-        last = max(key, key=cache.rank.__getitem__)
-        base = _unit_bin_entry(key - {last}, cache, limit)
-        if base is not None:
-            entry = _extended(base, last, cache)
+    entry, area, rest, areas = None, 0, key, cache.areas
+    while rest:  # the area of the set bits, highest first
+        k = rest.bit_length() - 1
+        area += areas[k]
+        rest ^= 1 << k
+    if area <= cache.a * cache.b:
+        if key.bit_count() > limit:
+            raise InstanceTooLarge(f"{key.bit_count()} items exceed the exact limit {limit}")
+        last = key.bit_length() - 1
+        base = key ^ (1 << last)
+        boxes = _unit_bin_entry(base, cache, limit)
+        if boxes is not None:
+            entry = _extended(boxes, base, last, cache)
             if entry is None:
-                ids = base[0] + (last,)  # base's ids are in search order
-                placed = _search_lattice([sides[i] for i in ids], cache.a, cache.b)
+                placed = _search_lattice(_members(key, cache.shapes), cache.a, cache.b)
                 if placed is not None:
-                    entry = ids, tuple(placed)
+                    entry = tuple(placed)
     cache[key] = entry
     return entry
 
@@ -626,17 +666,18 @@ def _unit_bin_entry(key, cache, limit):
 def unit_bin_layout(items, cache, limit):
     """exact_pack_single_region's layout of items in the region of cache, a
     UnitBinMemo holding the items, or None when they do not fit; memoized
-    by the set of item ids (_unit_bin_entry).  The memo holds lattice
+    by the key of the item ids (_unit_bin_entry).  The memo holds lattice
     boxes; each call builds the Fraction layout anew, with one Fraction
-    per distinct coordinate.  Its placements are in search order."""
-    entry = _unit_bin_entry(frozenset(it.id for it in items), cache, limit)
-    if entry is None:
+    per distinct coordinate.  Its placements are in search order,
+    cache.order's."""
+    key = cache.key(it.id for it in items)
+    boxes = _unit_bin_entry(key, cache, limit)
+    if boxes is None:
         return None
     d = cache.d
-    ids, boxes = entry
     exact = {v: Fraction(v, d) for box in boxes for v in box[:2]}
     return BinLayout(*cache.region, [Placement(i, exact[x], exact[y])
-                                     for i, (x, y, _, _) in zip(ids, boxes)])
+                                     for i, (x, y, _, _) in zip(_members(key, cache.order), boxes)])
 
 
 def canonical_partitions(items, bins, cache, limit, labeled=0):
@@ -651,21 +692,28 @@ def canonical_partitions(items, bins, cache, limit, labeled=0):
     UnitBinMemo of an item set that holds items.
     """
     parts = [[] for _ in range(bins)]
+    keys = [0] * bins  # keys[j] is the memo key of parts[j]
+    bits = [cache.bit[it.id] for it in items]
 
     def rec(i):
         if i == len(items):
             yield tuple(tuple(p) for p in parts)
             return
-        it = items[i]
+        it, bit = items[i], bits[i]
         opened = False
         for j, part in enumerate(parts):
             if j >= labeled and not part:
                 if opened:
                     break  # every later unlabeled part is empty as well
                 opened = True
-            part.append(it)
-            if _unit_bin_entry(frozenset(x.id for x in part), cache, limit) is not None:
+            key = keys[j]
+            grown = key | bit
+            if (cache[grown] if grown in cache else
+                    _unit_bin_entry(grown, cache, limit)) is not None:
+                part.append(it)
+                keys[j] = grown
                 yield from rec(i + 1)
-            part.pop()
+                part.pop()
+                keys[j] = key
 
     yield from rec(0)

@@ -124,8 +124,9 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     single-region packer, cached across the whole search on one integer
     lattice of the instance.  The solve reads that lattice, the unit-bin
     memo's, for everything but the area term of the bound: the items go
-    in the memo's search order (cache.rank, which is (-volume, id)), and
-    the bound is classify.lattice_bound on the memo's sides.
+    in the memo's search order (cache.order, by cache.rank, which is
+    (-volume, id)), and the bound is classify.lattice_bound on the memo's
+    sides.
     """
     items = instance.items
     if len(items) > oracle_limit:
@@ -133,7 +134,8 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     if not items:
         return 0, Packing([])
     cache = UnitBinMemo(items)
-    items = sorted(items, key=lambda it: cache.rank[it.id])
+    by_id = {it.id: it for it in items}
+    items = [by_id[i] for i in cache.order]
     start = lattice_bound(items, cache.d, cache.sides.values())
     for b in range(start, max_bins + 1):
         split = next(canonical_partitions(items, b, cache, oracle_limit), None)

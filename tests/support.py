@@ -254,6 +254,12 @@ def oracle_pool_sample(step):
     return [parse_instance(entry["text"]) for entry in corpus.build_pool("oracle", 1700)[::step]]
 
 
+def memo_ids(memo, key):
+    """The item ids of key, an int key of the UnitBinMemo memo, in search
+    order."""
+    return [i for i in memo.order if key & memo.bit[i]]
+
+
 class SearchBudgetExceeded(Exception):
     """unpruned_region_search placed more boxes than its budget allows."""
 

@@ -19,7 +19,7 @@ from rectbin.classify import (
     w_max,
 )
 from rectbin.errors import PreconditionViolated
-from rectbin.geometry import Instance, transpose_instance
+from rectbin.geometry import Instance, exact_sum, transpose_instance
 from rectbin.knapsack import UnitBinMemo
 from rectbin.oracle import GeneratorSpec, gen_instance
 from support import (
@@ -298,6 +298,20 @@ def test_lattice_bound_matches_the_fraction_formula_at_class_boundaries(dims):
     want = reference_lower_bound(items)
     assert lower_bound(Instance(items)) == want
     assert lattice_bound(items, cache.d, cache.sides.values()) == want
+
+
+@pytest.mark.parametrize("dims", BOUND_BOUNDARIES + [[], [(F(999, 1000), F(1, 1000))]])
+def test_vol_equals_the_sum_of_the_area_products_at_class_boundaries(dims):
+    items = make_instance(dims).items
+    assert vol(items) == exact_sum([it.width * it.height for it in items])
+    assert not any("volume" in vars(it) for it in items)  # vol reads no Item.volume
+
+
+def test_vol_equals_the_sum_of_the_area_products_on_the_oracle_pool():
+    for instance in oracle_pool_sample(step=5):
+        items = instance.items
+        want = exact_sum([it.width * it.height for it in items])
+        assert vol(items) == want and vol(items[::2]) == exact_sum([it.volume for it in items[::2]])
 
 
 def test_lattice_bound_matches_the_fraction_formula_on_the_oracle_pool():

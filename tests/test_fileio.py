@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectbin import fileio
 from rectbin.errors import ParseError
 from rectbin.fileio import (
     parse_instance,
@@ -147,6 +148,57 @@ class TestRational:
             zeros = "0" * rng.choice([0, 0, 1, 3])
             tok = rng.choice([f"{zeros}{p}/{q}", f"{p}/{zeros}{q}", f"{zeros}{p}"])
             assert _outcome(parse_rational, tok) == _outcome(reference_parse_rational, tok)
+
+
+def _parse_outcome(text):
+    """parse_instance(text)'s items as (id, width, height), or its
+    ParseError as (line, message)."""
+    try:
+        return [(it.id, it.width, it.height) for it in parse_instance(text).items]
+    except ParseError as exc:
+        return exc.line_no, exc.message
+
+
+class TestSideFastPath:
+    """parse_instance reads a short plain side token with int() alone; it
+    must read every token as parse_rational does, to the same value or the
+    same ParseError."""
+
+    CUT = fileio._SHORT
+
+    @pytest.mark.parametrize("tok", [
+        "007/8", "0/7", "7/0", "1/1", "1", "0", "2", "00", "1/2", "999/1000",
+        "9" * 4300 + "/7", "1/" + "9" * 4300, "1/" + "9" * 4301,
+        "\u0661/\u0662", "\u0661", "0.5", ".25", "1e-3", "+1/2", "-1/2", "1_0/3", "1/2_0",
+        "1/", "/2", "1/2/3", "0x1",
+        "1/" + "0" * (CUT - 3) + "3", "1/" + "0" * (CUT - 2) + "3",
+        "0" * (CUT - 3) + "1/2", "0" * (CUT - 2) + "1/2",
+    ], ids=lambda tok: tok if len(tok) < 20 else f"{tok[:6]}...{len(tok)}")
+    def test_sides_parse_as_parse_rational_reads_them(self, tok, monkeypatch):
+        text = f"items 2\n0 1/2 1/3\n1 {tok} 1/4\n"
+        got = _parse_outcome(text)
+        # every side through parse_rational, as the one reader of numbers
+        monkeypatch.setattr(fileio, "_side",
+                            lambda tok, lineno: fileio._token(parse_rational, tok, lineno))
+        assert got == _parse_outcome(text)
+
+    def test_the_short_plain_path_reads_as_fraction_and_is_taken_up_to_the_cut(self, monkeypatch):
+        rng = random.Random(2023)
+        tokens = ["1", "0/7", "007/8", "1/1", "255/256"]
+        for _ in range(2000):
+            p = rng.choice([1, 2, 7, rng.randrange(10**6), rng.randrange(10**12)])
+            q = rng.choice([1, 3, 64, 1000, rng.randrange(1, 10**6), rng.randrange(1, 10**12)])
+            tokens.append(rng.choice([f"{p}/{q}", f"{'0' * rng.randint(1, 3)}{p}/{q}", f"{p}"]))
+        tokens += ["1/" + "0" * (self.CUT - 3) + "3", "0" * (self.CUT - 3) + "1/2"]
+        calls = []
+        monkeypatch.setattr(fileio, "parse_rational", calls.append)
+        for tok in tokens:
+            assert len(tok) <= self.CUT
+            assert fileio._side(tok, 1) == Fraction(tok)
+        assert calls == []  # none left the fast path
+        for tok in ("1/" + "0" * (self.CUT - 2) + "3", "7/0", "1.5", "+1/2"):
+            fileio._side(tok, 1)
+        assert len(calls) == 4
 
 
 class TestPackingFormat:

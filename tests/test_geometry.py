@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -70,6 +73,31 @@ def test_item_volume_is_not_a_field():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "Item(id=3, width=Fraction(1, 2), height=Fraction(2, 3))"
     assert a.transposed().volume == a.volume
+
+
+def test_item_volume_is_computed_on_first_read_and_kept():
+    rng = random.Random(23)
+    for _ in range(200):
+        w, h = (Fraction(rng.randint(1, 64), rng.randint(64, 128)) for _ in range(2))
+        item = Item(rng.randint(0, 9), w, h)
+        fresh = Item(item.id, w, h)
+        assert "volume" not in vars(item)
+        assert item.volume == w * h and vars(item)["volume"] == w * h
+        assert item.volume is item.volume  # computed once
+        # reading it changes neither equality, hash nor repr
+        assert item == fresh and hash(item) == hash(fresh) and repr(item) == repr(fresh)
+        flipped = item.transposed()
+        assert flipped == Item(item.id, h, w) and flipped.volume == h * w
+        for twin in (copy.copy(item), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+            assert twin == item and twin.volume == w * h
+    assert [f.name for f in dataclasses.fields(Item)] == ["id", "width", "height"]
+    with pytest.raises(AttributeError, match="'Item' object has no attribute 'area'"):
+        Item(0, Fraction(1, 2), Fraction(1, 2)).area
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Item(0, Fraction(1, 2), Fraction(1, 2)).volume = Fraction(1)
+    # a side outside (0, 1] still fails at construction, not on a read
+    with pytest.raises(ValueError, match=r"item 5: height 3/2 outside \(0, 1\]"):
+        Item(5, Fraction(1, 2), Fraction(3, 2))
 
 
 @pytest.mark.parametrize("side", [1, "1/2", "0.25", Fraction(3, 8)])

@@ -24,6 +24,7 @@ from rectbin.oracle import GeneratorSpec, exact_min_bins, gen_instance
 from support import (
     SearchBudgetExceeded,
     brute_canonical_splits,
+    memo_ids,
     naive_fits,
     rand_frac,
     reference_best_effort,
@@ -842,10 +843,10 @@ def test_unit_bin_layout_refutes_a_superset_of_a_refuted_set(monkeypatch):
     crowd = [Item(i, Fraction(3, 5), Fraction(3, 5)) for i in range(2)]
     extra = Item(2, Fraction(1, 8), Fraction(1, 8))
     cache = UnitBinMemo(crowd + [extra])
-    cache[frozenset({0, 1})] = None
+    cache[cache.key({0, 1})] = None
     monkeypatch.setattr(knapsack, "_search_lattice", no_search)
     assert unit_bin_layout(crowd + [extra], cache, 6) is None
-    assert cache[frozenset({0, 1, 2})] is None
+    assert cache[cache.key({0, 1, 2})] is None
     # a set whose prefix fits is extended at a corner of the prefix's layout
     layout = unit_bin_layout([crowd[0], extra], cache, 6)
     assert [(p.item_id, p.x, p.y) for p in layout.placements] == [
@@ -858,11 +859,33 @@ def test_a_miss_memoizes_every_prefix_of_its_key():
     memo = UnitBinMemo(items)
     assert unit_bin_layout(items, memo, 6) is not None
     order = [1, 0, 3, 2]  # search order: area descending, then id
-    assert set(memo) == {frozenset(order[:size]) for size in range(len(order) + 1)}
+    assert set(memo) == {memo.key(order[:size]) for size in range(len(order) + 1)}
     by_id = {it.id: it for it in items}
     for key in memo:
-        assert unit_bin_layout([by_id[i] for i in key], memo, 6) == \
-            exact_pack_single_region([by_id[i] for i in key], 1, 1)
+        assert unit_bin_layout([by_id[i] for i in memo_ids(memo, key)], memo, 6) == \
+            exact_pack_single_region([by_id[i] for i in memo_ids(memo, key)], 1, 1)
+
+
+def test_memo_keys_are_bit_masks_in_search_order():
+    # bit k of a key stands for order[k]; a stored layout lists one box per
+    # set bit, lowest first, each of that item's shape
+    items = [Item(7, Fraction(1, 2), Fraction(1, 4)), Item(2, Fraction(1, 4), Fraction(1, 2)),
+             Item(5, Fraction(1, 3), Fraction(1, 3)), Item(4, Fraction(1, 2), Fraction(1, 4)),
+             Item(0, Fraction(1), Fraction(1, 7)), Item(3, Fraction(1, 8), Fraction(1))]
+    memo = UnitBinMemo(items)
+    assert memo.order == sorted(memo.rank, key=memo.rank.__getitem__) == [0, 2, 3, 4, 7, 5]
+    assert [memo.bit[i] for i in memo.order] == [1, 2, 4, 8, 16, 32]
+    assert memo.shapes == [memo.sides[i] for i in memo.order]
+    assert memo.areas == [w * h for w, h in memo.shapes]
+    assert memo.key([]) == 0 and memo.key([5, 2]) == 34 and memo.key(memo.order) == 63
+    for size in range(1, len(items) + 1):
+        for subset in itertools.combinations(items, size):
+            unit_bin_layout(subset, memo, 6)
+    assert len(memo) == 64
+    for key, boxes in memo.items():
+        if boxes is not None:
+            assert [(r - x, t - y) for x, y, r, t in boxes] == \
+                [memo.sides[i] for i in memo_ids(memo, key)]
 
 
 def test_a_set_whose_prefix_is_refuted_is_not_searched(monkeypatch):
@@ -877,7 +900,7 @@ def test_a_set_whose_prefix_is_refuted_is_not_searched(monkeypatch):
     # neither {0, 1, 2, 3} nor any set one item smaller is memoized; the
     # prefix {0, 1, 2} is computed and holds the refuted {0, 1}
     assert unit_bin_layout(crowd + extras, memo, 6) is None
-    assert memo[frozenset({0, 1, 2})] is None
+    assert memo[memo.key({0, 1, 2})] is None
 
 
 def test_unit_bin_memo_matches_the_region_packer():
@@ -965,11 +988,12 @@ def test_canonical_partitions_match_brute_force():
                 assert got == brute_canonical_splits(items, bins, labeled), (trial, items)
         by_id = {it.id: it for it in items}
         for key in list(cache):
-            subset = [by_id[i] for i in key]
+            subset = [by_id[i] for i in memo_ids(cache, key)]
             layout = unit_bin_layout(subset, cache, 6)
             assert (layout is not None) == naive_fits(subset, 1, 1)
             if layout is not None:
-                assert validate_bin(layout, by_id).ok and sorted(layout.item_ids()) == sorted(key)
+                assert validate_bin(layout, by_id).ok and \
+                    sorted(layout.item_ids()) == sorted(memo_ids(cache, key))
             assert unit_bin_layout(subset, cache, 6) == layout
             assert layout == exact_pack_single_region(subset, 1, 1)
 

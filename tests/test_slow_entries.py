@@ -131,6 +131,34 @@ def test_profile_lists_the_functions_with_the_most_own_time(monkeypatch, capsys)
         slow_entries.main(["oracle", "--profile", "0"])
 
 
+def test_phases_prints_the_median_of_each_phase(monkeypatch, capsys):
+    slow_entries = load_script()
+    pool = [
+        {"pool_index": 2, "kind": "oracle", "source": "fit",
+         "text": "items 3\n0 1/4 3/4\n1 1 1/4\n2 3/4 1/2\n"},
+        {"pool_index": 1, "kind": "pack", "source": "bad", "text": "items 1\n0 2 1\n"},
+        {"pool_index": 0, "kind": "pack", "source": "quick", "text": "items 1\n0 1/2 1/2\n"},
+    ]
+    monkeypatch.setattr(slow_entries, "build_corpus", lambda workload, seed, size: pool)
+    assert slow_entries.main(["oracle", "--cap", "5", "--phases"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("1 'bad' error")
+    fields = lines[1].split()
+    # the entry that raised is not timed; each phase is a positive median
+    assert fields[:3] == ["phases", "2", "parse_us"]
+    assert fields[4::2] == ["solve_us", "serialize_us"]
+    assert all(float(value) > 0 for value in fields[3::2])
+    assert lines[2].startswith("entries 3 listed 1 ")
+    # each entry's phases are the least of three runs, each from a fresh parse
+    seen, solver = [], slow_entries.worker.Solver()
+    solver._parse = lambda text, parse=solver._parse: seen.append(text) or parse(text)
+    times = slow_entries.phase_times(solver, pool[0])
+    assert len(times) == 3 and seen == [pool[0]["text"]] * 3
+    assert slow_entries.phases_line([]) == "phases 0 parse_us 0.0 solve_us 0.0 serialize_us 0.0"
+    assert slow_entries.phases_line([(1e-6, 4e-6, 0.0), (3e-6, 2e-6, 1e-6)]) == \
+        "phases 2 parse_us 2.0 solve_us 3.0 serialize_us 0.5"
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_a_closed_stdout_ends_without_a_traceback(unbuffered):
     # a 0.1 ms cap lists entries at once; the first listed line or the
