@@ -9,9 +9,9 @@ script.
 Numbers are bounded so that both hold: a decimal exponent above
 MAX_EXPONENT in magnitude is refused before 10**N is built (a large N would
 stall the parser), and so is a number whose numerator or denominator has
-more than MAX_DIGITS digits, which serialize could not write back.  An
-item side that is a short plain `p/q` or integer token is read with int()
-alone: it is too short to fail either bound.
+more than MAX_DIGITS digits, which serialize could not write back.  A
+short plain `p/q` or integer token is read with int() alone: it is too
+short to fail either bound.
 """
 
 import re
@@ -26,18 +26,20 @@ MAX_DIGITS = 4300
 MAX_EXPONENT = MAX_DIGITS - 1
 _DIGIT_CAP = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+# a token at most this long has parts of far fewer digits than MAX_DIGITS,
+# and than any limit int() may be set to (640 at least)
+_SHORT = 40
 
 
 def _plain_rational(text):
-    """An ASCII token of digits, or of digits `/` digits with a nonzero
-    denominator, as an exact Fraction built from int(); None for any other
-    token.  Fraction(text) reads such a token with the same int() calls,
-    so value and errors agree."""
+    """An ASCII token of digits, or of digits `/` digits, as an exact
+    Fraction built from int(); None for any other token.  Fraction(text)
+    reads such a token with the same int() calls, so value and errors agree."""
     if text.isdigit():
         return Fraction(int(text))
     p, slash, q = text.partition("/")
-    if slash and p.isdigit() and q.isdigit() and (q := int(q)):
-        return Fraction(int(p), q)
+    if slash and p.isdigit() and q.isdigit():
+        return Fraction(int(p), int(q))
     return None
 
 
@@ -45,11 +47,14 @@ def parse_rational(text):
     """text as an exact Fraction (`p/q`, an integer or a decimal, in ASCII),
     within the number bounds above; ValueError otherwise.  Shared by every
     reader of numbers from outside the program.  A plain `p/q` or integer
-    token is read by _plain_rational; any other goes through Fraction(text)."""
+    token is read by _plain_rational, and returned at once when it is at
+    most _SHORT long; any other goes through Fraction(text)."""
     try:
         if not text.isascii():
             raise ValueError(text)
         value = _plain_rational(text)
+        if value is not None and len(text) <= _SHORT:
+            return value
         huge = False
         if value is None:
             exponent = _EXPONENT.search(text)
@@ -74,19 +79,6 @@ def parse_int(text):
     except ValueError:
         pass
     raise ValueError(f"bad integer {text!r}")
-
-
-# a token at most this long has parts of far fewer digits than MAX_DIGITS,
-# and than any limit int() may be set to (640 at least)
-_SHORT = 40
-
-
-def _side(tok, lineno):
-    """An item side token as a Fraction: a short plain token straight
-    through _plain_rational, any other through parse_rational, which reads
-    a plain token to the same value."""
-    value = _plain_rational(tok) if len(tok) <= _SHORT and tok.isascii() else None
-    return _token(parse_rational, tok, lineno) if value is None else value
 
 
 def _token(parse, tok, lineno):
@@ -126,8 +118,8 @@ def parse_instance(text: str) -> Instance:
         if len(row) != 3:
             raise ParseError(lineno, f"expected `ID W H`, got {' '.join(row)!r}")
         ident = _token(parse_int, row[0], lineno)
-        w = _side(row[1], lineno)
-        h = _side(row[2], lineno)
+        w = _token(parse_rational, row[1], lineno)
+        h = _token(parse_rational, row[2], lineno)
         try:
             items.append(Item(ident, w, h))
         except ValueError as exc:

@@ -558,17 +558,16 @@ class UnitBinMemo(dict):
     also carries their lattice: d, the least common multiple of the
     denominators of every side and of a and b, the region (a, b) as
     Fractions, a and b as the ints a * d and b * d, sides, the (width * d,
-    height * d) ints of each item id, and rank, each id's place (-w * h,
-    id) in search order; then order, the ids sorted by rank, bit, each
-    id's 1 << k, and shapes and areas, the sides and their products w * h
-    in that order.  boxes[j] is the lattice box (left, bottom, right, top)
-    of the set's j-th item in search order, its j-th lowest set bit, and
-    every stored layout is its set's first layout.  A subset's own lattice
-    divides d, and scaling its boxes and the region by one positive int
-    keeps every sum, comparison and visit order, so the search on this
-    lattice finds the subset's first layout.  The empty set, key 0, is
-    stored from the start, with the empty layout, so every miss has a
-    prefix to extend."""
+    height * d) ints of each item id, and order, the ids in search order,
+    (-w * h, id); then bit, each id's 1 << k, and shapes and areas, the
+    sides and their products w * h in that order.  boxes[j] is the lattice
+    box (left, bottom, right, top) of the set's j-th item in search order,
+    its j-th lowest set bit, and every stored layout is its set's first
+    layout.  A subset's own lattice divides d, and scaling its boxes and
+    the region by one positive int keeps every sum, comparison and visit
+    order, so the search on this lattice finds the subset's first layout.
+    The empty set, key 0, is stored from the start, with the empty layout,
+    so every miss has a prefix to extend."""
 
     def __init__(self, items, a=ONE, b=ONE):
         super().__init__({0: ()})
@@ -579,7 +578,6 @@ class UnitBinMemo(dict):
                               for it in items}
         ranks = sorted([(-w * h, i) for i, (w, h) in sides.items()])
         self.order = [i for _, i in ranks]
-        self.rank = dict(zip(self.order, ranks))
         self.bit = {i: 1 << k for k, i in enumerate(self.order)}
         self.shapes = [sides[i] for i in self.order]
         self.areas = [-area for area, _ in ranks]
@@ -642,12 +640,8 @@ def _unit_bin_entry(key, cache, limit):
     says."""
     if key in cache:
         return cache[key]
-    entry, area, rest, areas = None, 0, key, cache.areas
-    while rest:  # the area of the set bits, highest first
-        k = rest.bit_length() - 1
-        area += areas[k]
-        rest ^= 1 << k
-    if area <= cache.a * cache.b:
+    entry = None
+    if sum(_members(key, cache.areas)) <= cache.a * cache.b:
         if key.bit_count() > limit:
             raise InstanceTooLarge(f"{key.bit_count()} items exceed the exact limit {limit}")
         last = key.bit_length() - 1
@@ -708,8 +702,7 @@ def canonical_partitions(items, bins, cache, limit, labeled=0):
                 opened = True
             key = keys[j]
             grown = key | bit
-            if (cache[grown] if grown in cache else
-                    _unit_bin_entry(grown, cache, limit)) is not None:
+            if _unit_bin_entry(grown, cache, limit) is not None:
                 part.append(it)
                 keys[j] = grown
                 yield from rec(i + 1)

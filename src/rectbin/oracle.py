@@ -124,9 +124,8 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
     single-region packer, cached across the whole search on one integer
     lattice of the instance.  The solve reads that lattice, the unit-bin
     memo's, for everything but the area term of the bound: the items go
-    in the memo's search order (cache.order, by cache.rank, which is
-    (-volume, id)), and the bound is classify.lattice_bound on the memo's
-    sides.
+    in the memo's search order (cache.order, which is (-volume, id)), and
+    the bound is classify.lattice_bound on the memo's sides.
     """
     items = instance.items
     if len(items) > oracle_limit:

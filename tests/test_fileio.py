@@ -159,10 +159,10 @@ def _parse_outcome(text):
         return exc.line_no, exc.message
 
 
-class TestSideFastPath:
-    """parse_instance reads a short plain side token with int() alone; it
-    must read every token as parse_rational does, to the same value or the
-    same ParseError."""
+class TestShortPlainPath:
+    """parse_rational reads a short plain token with int() alone; every
+    token must still read as it does through Fraction(text), to the same
+    value or, in parse_instance, the same ParseError."""
 
     CUT = fileio._SHORT
 
@@ -174,12 +174,11 @@ class TestSideFastPath:
         "1/" + "0" * (CUT - 3) + "3", "1/" + "0" * (CUT - 2) + "3",
         "0" * (CUT - 3) + "1/2", "0" * (CUT - 2) + "1/2",
     ], ids=lambda tok: tok if len(tok) < 20 else f"{tok[:6]}...{len(tok)}")
-    def test_sides_parse_as_parse_rational_reads_them(self, tok, monkeypatch):
+    def test_sides_parse_as_fraction_reads_them(self, tok, monkeypatch):
         text = f"items 2\n0 1/2 1/3\n1 {tok} 1/4\n"
         got = _parse_outcome(text)
-        # every side through parse_rational, as the one reader of numbers
-        monkeypatch.setattr(fileio, "_side",
-                            lambda tok, lineno: fileio._token(parse_rational, tok, lineno))
+        # every side through Fraction(text), with the same bounds
+        monkeypatch.setattr(fileio, "parse_rational", reference_parse_rational)
         assert got == _parse_outcome(text)
 
     def test_the_short_plain_path_reads_as_fraction_and_is_taken_up_to_the_cut(self, monkeypatch):
@@ -190,15 +189,15 @@ class TestSideFastPath:
             q = rng.choice([1, 3, 64, 1000, rng.randrange(1, 10**6), rng.randrange(1, 10**12)])
             tokens.append(rng.choice([f"{p}/{q}", f"{'0' * rng.randint(1, 3)}{p}/{q}", f"{p}"]))
         tokens += ["1/" + "0" * (self.CUT - 3) + "3", "0" * (self.CUT - 3) + "1/2"]
-        calls = []
-        monkeypatch.setattr(fileio, "parse_rational", calls.append)
+        # a digit cap of 0 refuses every value that reaches the bound tests,
+        # so a token read without an error left at the short path
+        monkeypatch.setattr(fileio, "_DIGIT_CAP", 0)
         for tok in tokens:
             assert len(tok) <= self.CUT
-            assert fileio._side(tok, 1) == Fraction(tok)
-        assert calls == []  # none left the fast path
-        for tok in ("1/" + "0" * (self.CUT - 2) + "3", "7/0", "1.5", "+1/2"):
-            fileio._side(tok, 1)
-        assert len(calls) == 4
+            assert parse_rational(tok) == Fraction(tok)
+        for tok in ("1/" + "0" * (self.CUT - 2) + "3", "1.5", "+1/2"):
+            with pytest.raises(ValueError, match="has more than"):
+                parse_rational(tok)
 
 
 class TestPackingFormat:

@@ -873,7 +873,7 @@ def test_memo_keys_are_bit_masks_in_search_order():
              Item(5, Fraction(1, 3), Fraction(1, 3)), Item(4, Fraction(1, 2), Fraction(1, 4)),
              Item(0, Fraction(1), Fraction(1, 7)), Item(3, Fraction(1, 8), Fraction(1))]
     memo = UnitBinMemo(items)
-    assert memo.order == sorted(memo.rank, key=memo.rank.__getitem__) == [0, 2, 3, 4, 7, 5]
+    assert memo.order == [0, 2, 3, 4, 7, 5]
     assert [memo.bit[i] for i in memo.order] == [1, 2, 4, 8, 16, 32]
     assert memo.shapes == [memo.sides[i] for i in memo.order]
     assert memo.areas == [w * h for w, h in memo.shapes]
@@ -1064,7 +1064,7 @@ def test_memo_growth_matches_the_region_packer(monkeypatch):
         for order in (sorted(items, key=lambda it: (-it.volume, it.id)), shuffled):
             for size in range(1, len(order) + 1):
                 subset = order[:size]
-                before, fresh = searches, frozenset(it.id for it in subset) not in memo
+                before, fresh = searches, memo.key(it.id for it in subset) not in memo
                 got = unit_bin_layout(subset, memo, 8)
                 if fresh and got is not None:
                     if searches == before:

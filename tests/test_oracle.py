@@ -168,7 +168,7 @@ def test_exact_min_bins_none_below_lower_bound(monkeypatch):
 
 
 def test_memo_rank_orders_items_by_volume_then_id():
-    # exact_min_bins orders its items by the memo's rank, on the lattice;
+    # exact_min_bins takes its item order from the memo's, on the lattice;
     # that is the (-volume, id) order of the Fractions, also for twins and
     # for equal areas of other shapes, whatever the ids' input order
     F = Fraction
@@ -177,8 +177,7 @@ def test_memo_rank_orders_items_by_volume_then_id():
             Item(3, F(1), F(1, 7)), Item(1, F(1, 7), F(1))]
     for items in [ties, *(inst.items for inst in oracle_pool_sample(step=5))]:
         cache = UnitBinMemo(items)
-        assert sorted(items, key=lambda it: cache.rank[it.id]) == \
-            sorted(items, key=lambda it: (-it.volume, it.id))
+        assert cache.order == [it.id for it in sorted(items, key=lambda it: (-it.volume, it.id))]
 
 
 def test_certify_opt_rejects_slack_claim():
