@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .fileio import parse_int, parse_rational
+from .geometry import scalar
 
 # the exact searches recurse about twice per item: stay clear of Python's 1000
 MAX_LIMIT = 256
@@ -12,6 +13,10 @@ MAX_LIMIT = 256
 
 @dataclass
 class SolveConfig:
+    """Solver settings.  eps_opt1 goes through geometry.scalar: a Fraction,
+    an int or a string such as "1/256", never a float (TypeError).  k and
+    the three limits must be ints, and not bools (TypeError)."""
+
     k: int = 3
     eps_opt1: Fraction = Fraction(1, 256)
     exact_limit: int = 10
@@ -19,7 +24,11 @@ class SolveConfig:
     oracle_limit: int = 8
 
     def __post_init__(self):
-        self.eps_opt1 = Fraction(self.eps_opt1)
+        self.eps_opt1 = scalar(self.eps_opt1)
+        for name in ("k", "exact_limit", "enumeration_limit", "oracle_limit"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if not 0 < self.eps_opt1 < Fraction(1, 200):

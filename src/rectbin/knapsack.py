@@ -315,24 +315,44 @@ def _best_effort(pitems, a, b):
     return achieved, chosen
 
 
-def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
+def _checked(a, b, eps):
+    """(a, b, eps) as Fractions, for a region in (0, 1] x (0, 1] and a
+    positive eps."""
     a, b = scalar(a), scalar(b)
     eps = scalar(eps)
-    if not (0 < a <= 1 and 0 < b <= 1):
+    # 0 < q <= 1 on numerator and denominator; a denominator is positive
+    if not (0 < a.numerator <= a.denominator and 0 < b.numerator <= b.denominator):
         raise ValueError(f"region {a} x {b} outside (0,1] x (0,1]")
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise ValueError("eps must be positive")
+    return a, b, eps
+
+
+def _fit_all(items, a, b, exact_limit):
+    """(items in search order, layout) when every item fits region (a, b)
+    together, else None: the first all-included leaf of the search, when
+    one exists."""
+    layout = exact_pack_single_region(items, a, b, exact_limit)
+    if layout is None:
+        return None
+    # the layout places the items in search order, _order_key's
+    by_id = {it.id: it for it in items}
+    return [by_id[p.item_id] for p in layout.placements], layout
+
+
+def _exact_result(usable, a, b):
+    profit, selected, placements = _solve_exact(usable, a, b)
+    return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
+
+
+def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
+    a, b, eps = _checked(a, b, eps)
     usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
     if len(pitems) <= exact_limit:
-        # the first all-included leaf of the search, when one exists
-        layout = exact_pack_single_region([pi.item for pi in usable], a, b, exact_limit)
-        if layout is not None:
-            # the layout places the items in search order, _order_key's
-            by_id = {pi.item.id: pi.item for pi in usable}
-            order = [by_id[p.item_id] for p in layout.placements]
-            return KnapsackResult(order, layout, exact_sum([pi.profit for pi in usable]), True)
-        profit, selected, placements = _solve_exact(usable, a, b)
-        return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
+        found = _fit_all([pi.item for pi in usable], a, b, exact_limit)
+        if found is not None:
+            return KnapsackResult(*found, exact_sum([pi.profit for pi in usable]), True)
+        return _exact_result(usable, a, b)
     achieved, placed = _best_effort(usable, a, b)
     ratio = max((pi.profit / pi.item.volume for pi in usable), default=ONE)
     upper = min(
@@ -349,9 +369,26 @@ def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
 
 
 def max_area_pack(items, a, b, eps, exact_limit=10) -> KnapsackResult:
-    return max_profit_pack(
-        [ProfitItem(it, it.volume) for it in items], a, b, eps, exact_limit
-    )
+    """max_profit_pack with each item's area as its profit.  Within the
+    exact limit, the fit-all probe runs on the lattice of the call: the
+    items that fit the region alone are found on ints, and the profit of
+    a probe that fits is one sum of int areas.  ProfitItems are built only
+    for the branch and bound, or past the exact limit."""
+    items = list(items)
+    if len(items) > exact_limit:
+        return max_profit_pack([ProfitItem(it, it.volume) for it in items], a, b, eps,
+                               exact_limit)
+    a, b, eps = _checked(a, b, eps)
+    d = lattice(items, a, b)
+    a_d, b_d = scaled(a, d), scaled(b, d)
+    sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
+    fitting = [w <= a_d and h <= b_d for w, h in sides]
+    usable = [it for it, fits in zip(items, fitting) if fits]
+    found = _fit_all(usable, a, b, exact_limit)
+    if found is not None:
+        area = sum([w * h for (w, h), fits in zip(sides, fitting) if fits])
+        return KnapsackResult(*found, Fraction(area, d * d), True)
+    return _exact_result([ProfitItem(it, it.volume) for it in usable], a, b)
 
 
 def _without_full_sides(sides, a, b):

@@ -11,13 +11,11 @@ Packings are returned unvalidated: `cli.pack_auto` validates the one it
 emits.  A returned packing's `path` names its branch.
 """
 
-import math
 from fractions import Fraction
 
 from .classify import (
     XI,
     classify,
-    delta_threshold,
     find_feasible_delta,
     total_height,
     total_width,
@@ -34,6 +32,7 @@ from .geometry import (
     BinLayout,
     Instance,
     Packing,
+    lattice,
     scalar,
     scaled,
     transpose_instance,
@@ -54,44 +53,51 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     region_w and bin 2's floor height y at most stack, so if
     2(vol(pool) - region_w) - 1 > stack, more than half of 1 x (1 - y) is left
     for the area packer; its ConditionViolated is raised before the knapsack.
+
+    The tests and sums run on the lattice L of the item sides and delta:
+    delta = c / L, and for eps = p / q the threshold gamma = (delta - eps) /
+    (1 + 2 delta) is g / (q (L + 2c)) with g = cq - pL, so each test on
+    gamma is cross-multiplied.  Fractions are built for the placements and
+    for the regions handed to the knapsack and the area packer.
     """
     delta, eps = scalar(delta), scalar(eps)
-    if not (eps < delta <= HALF):
-        raise PreconditionViolated(f"delta {delta} outside (eps, 1/2]")
-    gamma = delta_threshold(delta, eps)
-    width_cutoff, height_cutoff = 1 - delta, 1 - gamma
     items = instance.items
-    cutoff_wide = [it for it in items if it.width > width_cutoff]
-    stack = total_height(cutoff_wide)
-    if stack > gamma:
+    L = lattice(items, delta)
+    c, p, q = scaled(delta, L), eps.numerator, eps.denominator
+    if not (p * L < c * q and 2 * c <= L):
+        raise PreconditionViolated(f"delta {delta} outside (eps, 1/2]")
+    # gamma * L = g / den on the lattice
+    g, den = (c * q - p * L) * L, q * (L + 2 * c)
+    sides = {it.id: (scaled(it.width, L), scaled(it.height, L)) for it in items}
+    stack = sum([h for w, h in sides.values() if w > L - c])
+    if stack * den > g:
         raise PreconditionViolated("stack of cutoff-wide items exceeds the threshold")
 
-    tall = sorted((it for it in items if it.height > height_cutoff), key=lambda it: (-it.height, it.id))
-    tall_w = total_width(tall)
-    if tall_w > 1:
+    # near-full height: h > L - gamma * L
+    tall = sorted((it for it in items if (L - sides[it.id][1]) * den < g),
+                  key=lambda it: (-sides[it.id][1], it.id))
+    tall_w = sum([sides[it.id][0] for it in tall])
+    if tall_w > L:
         raise GuessFailed("near-full-height items wider than the bin together")
     bin1 = BinLayout(1, 1)
-    bin1.row(tall, 0, 0)
+    x = bin1.row(tall, 0, 0)
     tall_ids = {it.id for it in tall}
     pool = [it for it in items if it.id not in tall_ids]
 
     selected_ids = set()
-    region_w = 1 - tall_w
-    # 2(vol(pool) - region_w) - 1 > stack, as one int test on the lattice
-    # of the pool's areas, region_w and stack
-    d = math.lcm(region_w.denominator, stack.denominator,
-                 *[it.volume.denominator for it in pool])
-    area = sum([scaled(it.volume, d) for it in pool])
-    if 2 * area - 2 * scaled(region_w, d) - d > scaled(stack, d):
+    region_w = L - tall_w
+    # 2(vol(pool) - region_w) - 1 > stack, times L^2
+    area = sum([w * h for w, h in (sides[it.id] for it in pool)])
+    if 2 * area - 2 * region_w * L - L * L > stack * L:
         raise ConditionViolated("pool area exceeds what bin 1 and bin 2's area condition hold")
     if region_w > 0 and pool:
-        picked = max_area_pack(pool, region_w, 1, eps, exact_limit=exact_limit)
-        bin1.merge(picked.layout, tall_w, 0)
+        picked = max_area_pack(pool, Fraction(region_w, L), 1, eps, exact_limit=exact_limit)
+        bin1.merge(picked.layout, x, 0)
         selected_ids = set(picked.layout.item_ids())
 
     leftover = [it for it in pool if it.id not in selected_ids]
-    floor = sorted((it for it in leftover if it.width > width_cutoff),
-                   key=lambda it: (-it.width, it.id))
+    floor = sorted((it for it in leftover if sides[it.id][0] > L - c),
+                   key=lambda it: (-sides[it.id][0], it.id))
     bin2 = BinLayout(1, 1)
     y = bin2.column(floor, 0, 0)
     floor_ids = {it.id for it in floor}

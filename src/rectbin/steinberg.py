@@ -30,52 +30,109 @@ stacked bottom-left directly and the hanger argument absorbs the rest.
 Both entry points refuse input outside their condition with
 ConditionViolated.  Returned layouts are not validated here: callers
 validate the packings they go into.
+
+The three public functions run on the integer lattice of their call: each
+item side and the region times d, the least common multiple of their
+denominators, so sides are ints and areas are ints in units of 1/d^2.  The
+recursion keeps every region side and coordinate in lattice units.  A split
+cut at 2 * area / side that falls between lattice points stays an exact
+Fraction of the lattice unit, and so do the sub-regions and placements
+beyond it.  A layout goes back to the caller's units once, with one
+Fraction per distinct coordinate, and a PackingStuck names its region in
+the caller's units too.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from .classify import h_max, vol, w_max
 from .errors import ConditionViolated, PackingStuck
-from .geometry import HALF, ONE, ZERO, BinLayout, scalar, transpose_layout, validate_bin
+from .geometry import ONE, BinLayout, Placement, lattice, scalar, scaled, transpose_layout
+
+
+class _Box(NamedTuple):
+    """An item on the lattice of a call: its id and its sides as ints."""
+
+    id: int
+    width: int
+    height: int
+
+    @property
+    def volume(self):
+        return self.width * self.height
+
+    def transposed(self):
+        return _Box(self.id, self.height, self.width)
+
+
+class _Stuck(PackingStuck):
+    """PackingStuck on a sub-region in lattice units: its args are the
+    message, with {} for each side of the region, and then the sides."""
+
+
+def _boxes(items, d):
+    return [_Box(it.id, scaled(it.width, d), scaled(it.height, d)) for it in items]
+
+
+def _fits(boxes, a, b):
+    """The three inequalities for boxes in region (a, b), on one lattice."""
+    if not boxes:
+        return True
+    if a <= 0 or b <= 0:
+        return False
+    wm = max([r.width for r in boxes])
+    hm = max([r.height for r in boxes])
+    if wm > a or hm > b:
+        return False
+    deficiency = max(2 * wm - a, 0) * max(2 * hm - b, 0)
+    return 2 * sum([r.width * r.height for r in boxes]) <= a * b - deficiency
+
+
+def _layout(pack, boxes, a, b, d):
+    """BinLayout (a, b) of pack(boxes, a * d, b * d), which places boxes
+    on the lattice of spacing 1/d."""
+    try:
+        placed = pack(boxes, scaled(a, d), scaled(b, d))
+    except _Stuck as exc:
+        text, *region = exc.args
+        raise PackingStuck(text.format(*[Fraction(side, d) for side in region])) from None
+    exact = {v: Fraction(v, d) for _, x, y in placed for v in (x, y)}
+    return BinLayout(a, b, [Placement(i, exact[x], exact[y]) for i, x, y in placed])
 
 
 def steinberg_condition(items, a, b) -> bool:
     """Exact check of the three packability inequalities for region (a, b)."""
     a, b = scalar(a), scalar(b)
     items = list(items)
-    if not items:
-        return True
-    if a <= 0 or b <= 0:
-        return False
-    wm, hm = w_max(items), h_max(items)
-    if wm > a or hm > b:
-        return False
-    deficiency = max(2 * wm - a, ZERO) * max(2 * hm - b, ZERO)
-    return 2 * vol(items) <= a * b - deficiency
+    d = lattice(items, a, b)
+    return _fits(_boxes(items, d), scaled(a, d), scaled(b, d))
 
 
 def steinberg_pack(items, a=1, b=1) -> BinLayout:
     """Pack items into region (a, b); the area condition must hold on entry."""
     a, b = scalar(a), scalar(b)
     items = list(items)
-    if not steinberg_condition(items, a, b):
+    d = lattice(items, a, b)
+    boxes = _boxes(items, d)
+    if not _fits(boxes, scaled(a, d), scaled(b, d)):
         raise ConditionViolated(f"area condition fails for region {a} x {b}")
-    return _pack(items, a, b)
+    return _layout(_pack, boxes, a, b, d)
 
 
 def _pack(items, u, v):
-    """Layout of region (u, v), origin at its lower-left corner."""
+    """Layout of region (u, v), origin at its lower-left corner, as
+    (id, x, y) per item."""
     if not items:
-        return BinLayout(u, v)
-    if not steinberg_condition(items, u, v):
+        return []
+    if not _fits(items, u, v):
         # parents establish this for every child they spawn
-        raise PackingStuck(f"area condition lost on {u} x {v} sub-region")
+        raise _Stuck("area condition lost on {} x {} sub-region", u, v)
     if len(items) == 1:
-        return _lined(items, u, v)
+        return _lined(items)
     if any(2 * r.width > u for r in items):
         return _pack_wide_anchored(items, u, v)
     if any(2 * r.height > v for r in items):
-        return transpose_layout(_pack([r.transposed() for r in items], v, u))
+        return [(i, y, x) for i, x, y in _pack([r.transposed() for r in items], v, u)]
     return _pack_all_small(items, u, v)
 
 
@@ -84,36 +141,52 @@ def _pack_wide_anchored(items, u, v):
         (r for r in items if 2 * r.width > u),
         key=lambda r: (-r.width, -r.height, r.id),
     )
-    out = BinLayout(u, v)
-    h0 = out.column(wide, ZERO, ZERO)  # < v: the stack's area alone exceeds u*h0/2
+    out = _lined(wide, up=True)
+    h0 = sum([r.height for r in wide])  # < v: the stack's area alone exceeds u*h0/2
     rest = [r for r in items if 2 * r.width <= u]
     hangers = sorted(
         (r for r in rest if r.height > v - h0),
         key=lambda r: (-r.height, -r.width, r.id),
     )
-    c = ZERO
+    c = 0
     for t in hangers:
         c += t.width
-        out.add(t.id, u - c, v - t.height)
+        out.append((t.id, u - c, v - t.height))
     if 2 * c > u:
         # impossible: each hanger eats area beyond the strip budget
         raise PackingStuck("hanger run exceeds half the region width")
-    out.merge(_pack([r for r in rest if r.height <= v - h0], u - c, v - h0), ZERO, h0)
-    return out
+    return out + _shifted(_pack([r for r in rest if r.height <= v - h0], u - c, v - h0), 0, h0)
 
 
 def _pack_all_small(items, u, v):
     """Portfolio of cuts for regions where no item passes half size either
-    way: the first layout that validates and holds every item once."""
-    by_id = {it.id: it for it in items}
-    for branch in _small_branches(items, u, v, vol(items)):
+    way: the first layout that holds every item once, inside the region,
+    with no two items overlapping."""
+    by_id = {r.id: r for r in items}
+    for branch in _small_branches(items, u, v, sum([r.volume for r in items])):
         try:
             layout = branch()
         except PackingStuck:
             continue
-        if validate_bin(layout, by_id).ok and sorted(layout.item_ids()) == sorted(by_id):
+        if _holds(layout, by_id, u, v):
             return layout
-    raise PackingStuck(f"portfolio exhausted on {len(items)} items in {u} x {v}")
+    raise _Stuck(f"portfolio exhausted on {len(items)} items in {{}} x {{}}", u, v)
+
+
+def _holds(layout, by_id, u, v):
+    """True when layout places each item of by_id once, inside region
+    (u, v), and no two share interior area (shared edges are fine)."""
+    if sorted([i for i, _, _ in layout]) != sorted(by_id):
+        return False
+    boxes = []
+    for i, x, y in layout:
+        right, top = x + by_id[i].width, y + by_id[i].height
+        if x < 0 or y < 0 or right > u or top > v:
+            return False
+        if any(left < right and x < r and bottom < top and y < t for left, bottom, r, t in boxes):
+            return False
+        boxes.append((x, y, right, top))
+    return True
 
 
 def _small_branches(items, u, v, total):
@@ -125,75 +198,86 @@ def _small_branches(items, u, v, total):
 
     tall = max(items, key=lambda r: (r.height, r.width, -r.id))
     if 2 * total <= u * (v - tall.height):
-        yield lambda: _cut(_lined([tall], u, v), without(tall), u, v, ZERO, tall.height)
+        yield lambda: _cut(_lined([tall]), without(tall), u, v, 0, tall.height)
     broad = max(items, key=lambda r: (r.width, r.height, -r.id))
     if 2 * total <= v * (u - broad.width):
-        yield lambda: _cut(_lined([broad], u, v), without(broad), u, v, broad.width, ZERO)
+        yield lambda: _cut(_lined([broad]), without(broad), u, v, broad.width, 0)
 
     by_w = sorted(items, key=lambda r: (-r.width, -r.height, r.id))
     by_h = sorted(items, key=lambda r: (-r.height, -r.width, r.id))
     for m, cut in _split_cuts(by_w, u, v, total, lambda r: r.width):
-        yield lambda m=m, cut=cut: _cut(_pack(by_w[:m], cut, v), by_w[m:], u, v, cut, ZERO)
+        yield lambda m=m, cut=cut: _cut(_pack(by_w[:m], cut, v), by_w[m:], u, v, cut, 0)
     for m, cut in _split_cuts(by_h, v, u, total, lambda r: r.height):
-        yield lambda m=m, cut=cut: _cut(_pack(by_h[:m], u, cut), by_h[m:], u, v, ZERO, cut)
+        yield lambda m=m, cut=cut: _cut(_pack(by_h[:m], u, cut), by_h[m:], u, v, 0, cut)
 
     for a, c in combinations(by_w, 2):
         shelf = max(a.height, c.height)
         if a.width + c.width <= u and 2 * (total - a.volume - c.volume) <= u * (v - shelf):
-            yield lambda a=a, c=c, shelf=shelf: _cut(_lined([a, c], u, v), without(a, c),
-                                                     u, v, ZERO, shelf)
+            yield lambda a=a, c=c, shelf=shelf: _cut(_lined([a, c]), without(a, c),
+                                                     u, v, 0, shelf)
     for a, c in combinations(by_h, 2):
         shelf = max(a.width, c.width)
         if a.height + c.height <= v and 2 * (total - a.volume - c.volume) <= v * (u - shelf):
-            yield lambda a=a, c=c, shelf=shelf: _cut(_lined([a, c], u, v, up=True),
-                                                     without(a, c), u, v, shelf, ZERO)
+            yield lambda a=a, c=c, shelf=shelf: _cut(_lined([a, c], up=True),
+                                                     without(a, c), u, v, shelf, 0)
 
 
 def _split_cuts(ordered, length, side, total, measure):
     """(m, cut) for each m where ordered[:m] fits before a cut across the
     region's `length` and ordered[m:] beyond it, both by the area
     condition; cut is the least such position.  `ordered` is sorted by
-    measure, largest first, so ordered[m] is the largest past the cut."""
-    prefix = ZERO
+    measure, largest first, so ordered[m] is the largest past the cut.
+    The bounds are compared times side, so the cut is the one quotient:
+    an int when side divides it, else an exact Fraction."""
+    first = measure(ordered[0])
+    prefix = 0
     for m in range(1, len(ordered)):
         prefix += ordered[m - 1].volume
-        lo = max(measure(ordered[0]), 2 * prefix / side)
-        hi = min(length - measure(ordered[m]), (length * side - 2 * (total - prefix)) / side)
+        # lo = max(first, 2 prefix / side) and
+        # hi = min(length - measure(ordered[m]), length - 2 (total - prefix) / side)
+        lo = max(first * side, 2 * prefix)
+        hi = min((length - measure(ordered[m])) * side, length * side - 2 * (total - prefix))
         if lo <= hi:
-            yield m, lo
+            yield m, lo // side if lo % side == 0 else Fraction(lo, side)
 
 
-def _lined(items, u, v, up=False):
-    """Region (u, v) holding items from the origin in a row (a column, with up)."""
-    layout = BinLayout(u, v)
-    (layout.column if up else layout.row)(items, ZERO, ZERO)
-    return layout
+def _lined(items, up=False):
+    """Items from the origin in a row (a column, with up), as (id, x, y)."""
+    out, at = [], 0
+    for r in items:
+        out.append((r.id, 0, at) if up else (r.id, at, 0))
+        at += r.height if up else r.width
+    return out
+
+
+def _shifted(placed, dx, dy):
+    return [(i, x + dx, y + dy) for i, x, y in placed]
 
 
 def _cut(placed, rest, u, v, dx, dy):
     """One guillotine cut of region (u, v) at x = dx or y = dy: the layout
     `placed` before it, `rest` packed into the region beyond it."""
-    out = BinLayout(u, v, list(placed.placements))
-    out.merge(_pack(rest, u - dx, v - dy), dx, dy)
-    return out
+    return placed + _shifted(_pack(rest, u - dx, v - dy), dx, dy)
 
 
 def pack_no_wide_half_area(items) -> BinLayout:
     """Unit-bin packer for: Vol <= 1/2, nothing wider than 1/2 except at most
     one item that is big (wider and taller than 1/2)."""
     items = list(items)
-    total = vol(items)
-    if total > HALF:
-        raise ConditionViolated(f"total area {total} exceeds 1/2")
-    wides = [r for r in items if r.width > HALF]
-    if any(r.height <= HALF for r in wides):
+    d = lattice(items)
+    boxes = _boxes(items, d)
+    total = sum([r.volume for r in boxes])
+    if 2 * total > d * d:
+        raise ConditionViolated(f"total area {Fraction(total, d * d)} exceeds 1/2")
+    wides = [r for r in boxes if 2 * r.width > d]
+    if any(2 * r.height <= d for r in wides):
         raise ConditionViolated("a wide non-big item is present")
     if not wides:
         # area condition holds outright: no width deficiency is possible
         return steinberg_pack(items, 1, 1)
     # a one-item wide stack, as two bigs would pass area 1/2; area above 1/2
     # would be needed for the hangers to reach past 1 - w(big)
-    return _pack_wide_anchored(items, ONE, ONE)
+    return _layout(_pack_wide_anchored, boxes, ONE, ONE, d)
 
 
 def pack_no_high_half_area(items) -> BinLayout:

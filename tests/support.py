@@ -241,17 +241,33 @@ def run_with_closed_stdout(argv, unbuffered):
     return proc.returncode, proc.stderr
 
 
-def oracle_pool_sample(step):
-    """The instances of every step-th entry of the benchmark's oracle pool,
-    built by perfbench/corpus.py."""
-    from rectbin.fileio import parse_instance
-
+def _corpus():
+    """perfbench/corpus.py, loaded from its file."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "corpus.py")
     spec = importlib.util.spec_from_file_location("corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    return [parse_instance(entry["text"]) for entry in corpus.build_pool("oracle", 1700)[::step]]
+    return corpus
+
+
+def oracle_pool_sample(step):
+    """The instances of every step-th entry of the benchmark's oracle pool,
+    built by perfbench/corpus.py."""
+    from rectbin.fileio import parse_instance
+
+    return [parse_instance(entry["text"]) for entry in _corpus().build_pool("oracle", 1700)[::step]]
+
+
+def benchmark_pool_sample(workload, size, step):
+    """(pool index, instance) of every step-th entry, in pool order, of the
+    first size entries of a benchmark workload's pool, with the item ids
+    permuted as a benchmark run permutes them (perfbench/corpus.py's
+    build_corpus)."""
+    from rectbin.fileio import parse_instance
+
+    entries = sorted(_corpus().build_corpus(workload, 0, size), key=lambda e: e["pool_index"])
+    return [(e["pool_index"], parse_instance(e["text"])) for e in entries[::step]]
 
 
 def memo_ids(memo, key):
@@ -564,3 +580,246 @@ def area_guarantee_check(instance, eps) -> bool:
     classes = classify(instance)
     union = [it for it in instance.items if it.width > Fraction(1, 2) or it.height > Fraction(1, 2)]
     return vol(union) >= 2 * XI + (total_width(classes.high) + total_height(classes.wide)) / 2
+
+
+# ---------------------------------------------------------------------------
+# the single-bin branch's cutoff tests, its knapsack's fit-all probe and
+# Steinberg's packer as they were on Fractions, before they moved to the
+# integer lattice of each call: references for the int code
+
+
+def reference_steinberg_condition(items, a, b):
+    """steinberg.steinberg_condition on Fraction sides and areas."""
+    from rectbin.classify import h_max, vol, w_max
+
+    a, b = Fraction(a), Fraction(b)
+    items = list(items)
+    if not items:
+        return True
+    if a <= 0 or b <= 0:
+        return False
+    wm, hm = w_max(items), h_max(items)
+    if wm > a or hm > b:
+        return False
+    deficiency = max(2 * wm - a, Fraction(0)) * max(2 * hm - b, Fraction(0))
+    return 2 * vol(items) <= a * b - deficiency
+
+
+def reference_steinberg_pack(items, a=1, b=1):
+    """steinberg.steinberg_pack on Fractions: every sub-region a BinLayout,
+    each recursion re-checked with reference_steinberg_condition and each
+    portfolio candidate with validate_bin."""
+    from rectbin.errors import ConditionViolated
+
+    a, b = Fraction(a), Fraction(b)
+    items = list(items)
+    if not reference_steinberg_condition(items, a, b):
+        raise ConditionViolated(f"area condition fails for region {a} x {b}")
+    return _ref_pack(items, a, b)
+
+
+def _ref_pack(items, u, v):
+    from rectbin.errors import PackingStuck
+    from rectbin.geometry import BinLayout, transpose_layout
+
+    if not items:
+        return BinLayout(u, v)
+    if not reference_steinberg_condition(items, u, v):
+        raise PackingStuck(f"area condition lost on {u} x {v} sub-region")
+    if len(items) == 1:
+        return _ref_lined(items, u, v)
+    if any(2 * r.width > u for r in items):
+        return _ref_pack_wide_anchored(items, u, v)
+    if any(2 * r.height > v for r in items):
+        return transpose_layout(_ref_pack([r.transposed() for r in items], v, u))
+    return _ref_pack_all_small(items, u, v)
+
+
+def _ref_pack_wide_anchored(items, u, v):
+    from rectbin.errors import PackingStuck
+    from rectbin.geometry import BinLayout
+
+    zero = Fraction(0)
+    wide = sorted((r for r in items if 2 * r.width > u), key=lambda r: (-r.width, -r.height, r.id))
+    out = BinLayout(u, v)
+    h0 = out.column(wide, zero, zero)
+    rest = [r for r in items if 2 * r.width <= u]
+    hangers = sorted((r for r in rest if r.height > v - h0),
+                     key=lambda r: (-r.height, -r.width, r.id))
+    c = zero
+    for t in hangers:
+        c += t.width
+        out.add(t.id, u - c, v - t.height)
+    if 2 * c > u:
+        raise PackingStuck("hanger run exceeds half the region width")
+    out.merge(_ref_pack([r for r in rest if r.height <= v - h0], u - c, v - h0), zero, h0)
+    return out
+
+
+def _ref_pack_all_small(items, u, v):
+    from rectbin.classify import vol
+    from rectbin.errors import PackingStuck
+    from rectbin.geometry import validate_bin
+
+    by_id = {it.id: it for it in items}
+    for branch in _ref_small_branches(items, u, v, vol(items)):
+        try:
+            layout = branch()
+        except PackingStuck:
+            continue
+        if validate_bin(layout, by_id).ok and sorted(layout.item_ids()) == sorted(by_id):
+            return layout
+    raise PackingStuck(f"portfolio exhausted on {len(items)} items in {u} x {v}")
+
+
+def _ref_small_branches(items, u, v, total):
+    from itertools import combinations
+
+    zero = Fraction(0)
+
+    def without(*picked):
+        return [r for r in items if r not in picked]
+
+    tall = max(items, key=lambda r: (r.height, r.width, -r.id))
+    if 2 * total <= u * (v - tall.height):
+        yield lambda: _ref_cut(_ref_lined([tall], u, v), without(tall), u, v, zero, tall.height)
+    broad = max(items, key=lambda r: (r.width, r.height, -r.id))
+    if 2 * total <= v * (u - broad.width):
+        yield lambda: _ref_cut(_ref_lined([broad], u, v), without(broad), u, v, broad.width, zero)
+
+    by_w = sorted(items, key=lambda r: (-r.width, -r.height, r.id))
+    by_h = sorted(items, key=lambda r: (-r.height, -r.width, r.id))
+    for m, cut in _ref_split_cuts(by_w, u, v, total, lambda r: r.width):
+        yield lambda m=m, cut=cut: _ref_cut(_ref_pack(by_w[:m], cut, v), by_w[m:], u, v, cut, zero)
+    for m, cut in _ref_split_cuts(by_h, v, u, total, lambda r: r.height):
+        yield lambda m=m, cut=cut: _ref_cut(_ref_pack(by_h[:m], u, cut), by_h[m:], u, v, zero, cut)
+
+    for a, c in combinations(by_w, 2):
+        shelf = max(a.height, c.height)
+        if a.width + c.width <= u and 2 * (total - a.volume - c.volume) <= u * (v - shelf):
+            yield lambda a=a, c=c, shelf=shelf: _ref_cut(_ref_lined([a, c], u, v), without(a, c),
+                                                         u, v, zero, shelf)
+    for a, c in combinations(by_h, 2):
+        shelf = max(a.width, c.width)
+        if a.height + c.height <= v and 2 * (total - a.volume - c.volume) <= v * (u - shelf):
+            yield lambda a=a, c=c, shelf=shelf: _ref_cut(_ref_lined([a, c], u, v, up=True),
+                                                         without(a, c), u, v, shelf, zero)
+
+
+def _ref_split_cuts(ordered, length, side, total, measure):
+    prefix = Fraction(0)
+    for m in range(1, len(ordered)):
+        prefix += ordered[m - 1].volume
+        lo = max(measure(ordered[0]), 2 * prefix / side)
+        hi = min(length - measure(ordered[m]), (length * side - 2 * (total - prefix)) / side)
+        if lo <= hi:
+            yield m, lo
+
+
+def _ref_lined(items, u, v, up=False):
+    from rectbin.geometry import BinLayout
+
+    layout = BinLayout(u, v)
+    (layout.column if up else layout.row)(items, Fraction(0), Fraction(0))
+    return layout
+
+
+def _ref_cut(placed, rest, u, v, dx, dy):
+    from rectbin.geometry import BinLayout
+
+    out = BinLayout(u, v, list(placed.placements))
+    out.merge(_ref_pack(rest, u - dx, v - dy), dx, dy)
+    return out
+
+
+def reference_pack_no_wide_half_area(items):
+    """steinberg.pack_no_wide_half_area on Fractions."""
+    from rectbin.classify import vol
+    from rectbin.errors import ConditionViolated
+
+    half = Fraction(1, 2)
+    items = list(items)
+    total = vol(items)
+    if total > half:
+        raise ConditionViolated(f"total area {total} exceeds 1/2")
+    wides = [r for r in items if r.width > half]
+    if any(r.height <= half for r in wides):
+        raise ConditionViolated("a wide non-big item is present")
+    if not wides:
+        return reference_steinberg_pack(items, 1, 1)
+    return _ref_pack_wide_anchored(items, Fraction(1), Fraction(1))
+
+
+def reference_max_area_pack(items, a, b, eps, exact_limit=10):
+    """knapsack.max_area_pack's fit-all path on Fractions: a ProfitItem of
+    each item with its Fraction area as profit, the usable filter on
+    Fraction sides, and the profit of a probe that fits as the exact sum
+    of the usable profits.  A probe that fails goes to the branch and
+    bound, and past the exact limit everything goes to max_profit_pack,
+    both as in knapsack."""
+    from rectbin.knapsack import (KnapsackResult, ProfitItem, _solve_exact,
+                                  exact_pack_single_region, max_profit_pack)
+    from rectbin.geometry import BinLayout, exact_sum
+
+    pitems = [ProfitItem(it, it.volume) for it in items]
+    if len(pitems) > exact_limit:
+        return max_profit_pack(pitems, a, b, eps, exact_limit)
+    a, b, eps = Fraction(a), Fraction(b), Fraction(eps)
+    if not (0 < a <= 1 and 0 < b <= 1):
+        raise ValueError(f"region {a} x {b} outside (0,1] x (0,1]")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
+    layout = exact_pack_single_region([pi.item for pi in usable], a, b, exact_limit)
+    if layout is not None:
+        by_id = {pi.item.id: pi.item for pi in usable}
+        order = [by_id[p.item_id] for p in layout.placements]
+        return KnapsackResult(order, layout, exact_sum([pi.profit for pi in usable]), True)
+    profit, selected, placements = _solve_exact(usable, a, b)
+    return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
+
+
+def reference_pack_small_height(instance, delta, eps, exact_limit=10):
+    """opt1.pack_small_height on Fractions: the cutoffs 1 - delta and
+    1 - gamma with gamma from classify.delta_threshold, Fraction stack and
+    width sums, and reference_max_area_pack and reference_steinberg_pack
+    for the two bins."""
+    from rectbin.classify import delta_threshold, total_height, total_width, vol
+    from rectbin.errors import ConditionViolated, GuessFailed, PreconditionViolated
+    from rectbin.geometry import BinLayout, Packing
+
+    delta, eps = Fraction(delta), Fraction(eps)
+    if not (eps < delta <= Fraction(1, 2)):
+        raise PreconditionViolated(f"delta {delta} outside (eps, 1/2]")
+    gamma = delta_threshold(delta, eps)
+    width_cutoff, height_cutoff = 1 - delta, 1 - gamma
+    items = instance.items
+    stack = total_height([it for it in items if it.width > width_cutoff])
+    if stack > gamma:
+        raise PreconditionViolated("stack of cutoff-wide items exceeds the threshold")
+    tall = sorted((it for it in items if it.height > height_cutoff), key=lambda it: (-it.height, it.id))
+    tall_w = total_width(tall)
+    if tall_w > 1:
+        raise GuessFailed("near-full-height items wider than the bin together")
+    bin1 = BinLayout(1, 1)
+    bin1.row(tall, 0, 0)
+    tall_ids = {it.id for it in tall}
+    pool = [it for it in items if it.id not in tall_ids]
+    selected_ids = set()
+    region_w = 1 - tall_w
+    if 2 * (vol(pool) - region_w) - 1 > stack:
+        raise ConditionViolated("pool area exceeds what bin 1 and bin 2's area condition hold")
+    if region_w > 0 and pool:
+        picked = reference_max_area_pack(pool, region_w, 1, eps, exact_limit=exact_limit)
+        bin1.merge(picked.layout, tall_w, 0)
+        selected_ids = set(picked.layout.item_ids())
+    leftover = [it for it in pool if it.id not in selected_ids]
+    floor = sorted((it for it in leftover if it.width > width_cutoff),
+                   key=lambda it: (-it.width, it.id))
+    bin2 = BinLayout(1, 1)
+    y = bin2.column(floor, 0, 0)
+    floor_ids = {it.id for it in floor}
+    rest = [it for it in leftover if it.id not in floor_ids]
+    if rest:
+        bin2.merge(reference_steinberg_pack(rest, 1, 1 - y), 0, y)
+    return Packing([bin1, bin2])

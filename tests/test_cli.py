@@ -70,6 +70,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(exact_limit=0)
 
+    def test_eps_is_exact(self):
+        # a float would become a Fraction with a denominator of 2**58
+        with pytest.raises(TypeError, match="floats are not allowed"):
+            SolveConfig(eps_opt1=0.004)
+        assert SolveConfig(eps_opt1="1/512").eps_opt1 == F(1, 512)
+        assert SolveConfig(eps_opt1="0.004").eps_opt1 == F(1, 250)
+        with pytest.raises(ValueError, match="eps_opt1 must lie in"):
+            SolveConfig(eps_opt1=1)
+
+    @pytest.mark.parametrize("name", ["k", "exact_limit", "enumeration_limit", "oracle_limit"])
+    @pytest.mark.parametrize("value", [3.5, 3.0, True, F(3), "3", None])
+    def test_counts_are_ints(self, name, value):
+        # k=3.5 used to reach range() in pack_auto, and True passed as 1
+        with pytest.raises(TypeError, match=f"{name} must be an int, got "):
+            SolveConfig(**{name: value})
+
     def test_env_overrides(self):
         cfg = config_from_env({"K": "4", "EPS_OPT1": "1/512", "ORACLE_LIMIT": "6"})
         assert cfg.k == 4

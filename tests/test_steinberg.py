@@ -7,7 +7,7 @@ import pytest
 from rectbin import steinberg
 from rectbin.errors import ConditionViolated, GuessFailed, PackingStuck, PreconditionViolated
 from rectbin.fileio import serialize_packing
-from rectbin.geometry import BinLayout, Item, Packing, Placement, validate_bin
+from rectbin.geometry import Item, Packing, Placement, validate_bin
 from rectbin.steinberg import (
     pack_no_high_half_area,
     pack_no_wide_half_area,
@@ -239,21 +239,32 @@ PAIR_ITEMS = [
 ]
 
 
+# the pair steps run on the lattice of PAIR_ITEMS and the unit bin, 1/20
+PAIR_D = 20
+
+
+def lattice_text(placed, d):
+    """placements_text of (id, x, y) placements on the lattice of spacing 1/d."""
+    return " ".join(f"{i}:{Fraction(x, d)},{Fraction(y, d)}" for i, x, y in placed)
+
+
 def test_pair_in_a_row_step():
     # no random draw found reaches a pair step at the top level, so the
     # cut is called directly: items 0 and 1 side by side, the rest above
-    a, c = PAIR_ITEMS[0], PAIR_ITEMS[1]
-    layout = steinberg._cut(steinberg._lined([a, c], 1, 1), PAIR_ITEMS[2:], 1, 1,
+    boxes = steinberg._boxes(PAIR_ITEMS, PAIR_D)
+    a, c = boxes[0], boxes[1]
+    placed = steinberg._cut(steinberg._lined([a, c]), boxes[2:], PAIR_D, PAIR_D,
                             0, max(a.height, c.height))
-    assert placements_text(layout.placements) == "0:0,0 1:1/4,0 2:0,2/5 3:0,13/20"
+    assert lattice_text(placed, PAIR_D) == "0:0,0 1:1/4,0 2:0,2/5 3:0,13/20"
 
 
 def test_pair_in_a_column_step():
     # items 0 and 1 stacked at the left, the rest to their right
-    a, c = PAIR_ITEMS[0], PAIR_ITEMS[1]
-    layout = steinberg._cut(steinberg._lined([a, c], 1, 1, up=True), PAIR_ITEMS[2:], 1, 1,
+    boxes = steinberg._boxes(PAIR_ITEMS, PAIR_D)
+    a, c = boxes[0], boxes[1]
+    placed = steinberg._cut(steinberg._lined([a, c], up=True), boxes[2:], PAIR_D, PAIR_D,
                             max(a.width, c.width), 0)
-    assert placements_text(layout.placements) == "0:0,0 1:0,2/5 2:1/4,0 3:1/4,1/4"
+    assert lattice_text(placed, PAIR_D) == "0:0,0 1:0,2/5 2:1/4,0 3:1/4,1/4"
 
 
 def test_condition_set_layouts_are_pinned():
@@ -286,26 +297,25 @@ def stuck():
 
 class TestPortfolioFallback:
     """_pack_all_small takes the first candidate whose layout validates and
-    holds every item once."""
+    holds every item once.  The candidates place on the call's lattice,
+    1/4 for ITEMS in the regions below."""
 
     ITEMS = [Item(0, Fraction(1, 4), Fraction(1, 4)), Item(1, Fraction(1, 4), Fraction(1, 4))]
-
-    def layout(self, *placements):
-        return BinLayout(1, 1, [Placement(*p) for p in placements])
 
     def offer(self, monkeypatch, *candidates):
         monkeypatch.setattr(steinberg, "_small_branches",
                             lambda items, u, v, total: iter(candidates))
 
     def test_failed_candidates_are_skipped(self, monkeypatch):
-        overlapping = self.layout((0, 0, 0), (1, Fraction(1, 8), 0))
-        good = self.layout((0, 0, 0), (1, Fraction(1, 4), 0))
+        overlapping = [(0, 0, 0), (1, Fraction(1, 2), 0)]  # item 1 at x = 1/8
+        good = [(0, 0, 0), (1, 1, 0)]  # item 1 at x = 1/4
         self.offer(monkeypatch, stuck, lambda: overlapping, lambda: good)
-        assert steinberg_pack(self.ITEMS).placements == good.placements
+        assert steinberg_pack(self.ITEMS).placements == [Placement(0, 0, 0),
+                                                         Placement(1, Fraction(1, 4), 0)]
 
     def test_no_candidate_left_names_the_region(self, monkeypatch):
-        overlapping = self.layout((0, 0, 0), (1, 0, 0))
-        missing = self.layout((0, 0, 0))
+        overlapping = [(0, 0, 0), (1, 0, 0)]
+        missing = [(0, 0, 0)]
         self.offer(monkeypatch, stuck, lambda: overlapping, lambda: missing)
         with pytest.raises(PackingStuck, match=r"on 2 items in 1/2 x 3/4$"):
             steinberg_pack(self.ITEMS, Fraction(1, 2), Fraction(3, 4))
