@@ -61,15 +61,13 @@ def _on_alarm(signum, frame):
 
 
 def load_tree(tree, name):
-    """The package `src/rectbin` of checkout tree, imported as name."""
+    """Import the package `src/rectbin` of checkout tree as name."""
     package = os.path.join(os.path.abspath(tree), "src", "rectbin")
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(
-            name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
 
 
 class Side:
@@ -140,8 +138,8 @@ def main(argv=None) -> int:
     deadline, size, _ = WORKLOADS[args.workload]
     pool = sorted(build_corpus(args.workload, 0, size), key=lambda e: e["pool_index"])
     pool = pool[:args.limit]
-    sides = [Side(load_tree(ROOT, "rectbin").__name__),
-             Side(load_tree(args.other, "rectbin_other").__name__)]
+    load_tree(args.other, "rectbin_other")
+    sides = [Side("rectbin"), Side("rectbin_other")]  # rectbin is this tree's, from sys.path
     best = [[[math.inf] * 4 for _ in pool] for _ in sides]  # parse, solve, serialize, total
     outputs = [[None] * len(pool) for _ in sides]
     previous = signal.signal(signal.SIGALRM, _on_alarm)

@@ -48,7 +48,11 @@ normal positions, and the two differ only in which identical items they
 keep in lex order, which a first layout does anyway (swapping two
 same-shape items that are out of order gives an earlier layout).  The
 layout places the items in search order, so the answer lists them in that
-order with no Fraction sort.  At
+order with no Fraction sort.  max_area_pack, whose profits are the item
+areas, runs this probe on the lattice of its call: the items that fit the
+region alone are found on ints, the profit of a probe that fits is one
+sum of int areas over d^2, and the profit records are built only for the
+branch and bound.  At
 desk scale this is exact; beyond exact_limit a greedy fallback runs and
 the result is kept only when it provably meets the (1 - eps) * OPT - eps
 contract.  The greedy (_best_effort) places each item, in order of profit

@@ -9,6 +9,9 @@ guess that a later check is sure to fail; that check's GuessFailed would end
 the guess anyway, so no output changes.
 Packings are returned unvalidated: `cli.pack_auto` validates the one it
 emits.  A returned packing's `path` names its branch.
+pack_small_height decides its cutoffs, sums and refusals on ints, on the
+lattice of the item sides and delta; the other branches compute on
+Fractions.
 """
 
 from fractions import Fraction
