@@ -26,8 +26,10 @@ prints one line per tree: the median (p50_ms) and the mean beyond the
 95th percentile (tail_ms) of the per-entry solve times in milliseconds,
 and the median microseconds of parse, solve and serialize over the
 entries that completed; then the ratio this/other of p50 and tail, the
-count of entries that passed the deadline on either tree in the last
-round, and the count of the others whose outputs differ.  An output is
+count of entries that one tree never completed within the deadline, and
+the count of the others whose outputs differ.  Each tree's output of an
+entry is the one of its first round within the deadline, so an entry
+that passes the deadline in some rounds is still compared.  An output is
 the serialized packing with the branch and the guarantee (the oracle's
 answer and packing), or the error raised; the script exits 1 when any
 entry's outputs differ, listing the first pool indices, and 0 otherwise.
@@ -141,7 +143,7 @@ def main(argv=None) -> int:
     load_tree(args.other, "rectbin_other")
     sides = [Side("rectbin"), Side("rectbin_other")]  # rectbin is this tree's, from sys.path
     best = [[[math.inf] * 4 for _ in pool] for _ in sides]  # parse, solve, serialize, total
-    outputs = [[None] * len(pool) for _ in sides]
+    outputs = [[None] * len(pool) for _ in sides]  # the first within the deadline
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     try:
         for r in range(args.rounds):
@@ -149,7 +151,8 @@ def main(argv=None) -> int:
                 first = (r + e) % 2
                 for s in (first, 1 - first):
                     output, phases, total = sides[s].solve(entry, deadline)
-                    outputs[s][e] = output
+                    if outputs[s][e] is None and output != "deadline":
+                        outputs[s][e] = output
                     times = (phases or [math.inf] * 3) + [total]
                     best[s][e] = [min(pair) for pair in zip(best[s][e], times)]
     finally:
@@ -162,8 +165,8 @@ def main(argv=None) -> int:
         print(line)
         summary.append((p50, tail_ms))
     differing = [entry["pool_index"] for entry, mine, theirs in zip(pool, *outputs)
-                 if "deadline" not in (mine, theirs) and mine != theirs]
-    missed = sum("deadline" in pair for pair in zip(*outputs))
+                 if None not in (mine, theirs) and mine != theirs]
+    missed = sum(None in pair for pair in zip(*outputs))
     (p50, tail_ms), (other_p50, other_tail) = summary
     print(f"ratio p50 {p50 / other_p50:.3f} tail {tail_ms / other_tail:.3f}")
     print(f"entries {len(pool)} rounds {args.rounds} missed {missed} differing {len(differing)}"

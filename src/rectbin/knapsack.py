@@ -17,48 +17,51 @@ perfbench's deadline test needs it to stay slow on one input.
 
 Both exact searches run on an integer lattice: every side times a common
 multiple d of the denominators, with each coordinate x turned back into
-Fraction(x, d) for a layout that is found.  The profit solver takes the
-least common multiple of its call's denominators.  The region memo
-(UnitBinMemo) holds one lattice per item set and region, built once per
-solve for the unit bin, or once per exact_pack_single_region call, and a
-memo miss tests the area bound, then extends a smaller layout or orders
-the items and searches on it, all with no Fraction arithmetic.
-Multiplying by a positive constant keeps every sum and comparison as it
-was, so the search is as exact as over Fractions, visits positions in the
-same order and returns the same first solution on any lattice that holds
-the values; a subset's own lattice divides its item set's.  A placed box
-is the tuple (left, bottom, right, top).
+Fraction(x, d) for a layout that is found.  The region memo (UnitBinMemo)
+holds one lattice per item set and region, built once per solve for the
+unit bin, or once per exact_pack_single_region call, and a memo miss
+tests the area bound, then extends a smaller layout or orders the items
+and searches on it, all with no Fraction arithmetic.  Multiplying by a
+positive constant keeps every sum and comparison as it was, so the
+search is as exact as over Fractions, visits positions in the same order
+and returns the same first solution on any lattice that holds the
+values; a subset's own lattice divides its item set's.  A placed box is
+the tuple (left, bottom, right, top).
 
-The profit solver is branch and bound: items in non-increasing area order,
-include (at each feasible normal position, x before y) or exclude; the
-answer is the first leaf of maximum profit.  Profits are ints too, scaled
-by the least common multiple of their denominators, and an item's volume
-is w * h on the lattice.  The upper bound at item i is the profit achieved
-plus the largest profit of a subset of the items from i on whose volume
-fits the free area (a subset-sum bound, the area relaxation of the
-two-dimensional knapsack), read by bisection from that suffix's Pareto
-frontier of (volume, profit), computed once per solve.  It is never looser
-than the ratio bound min(remaining profit, best ratio * free area), and
-any valid bound leaves the first leaf of maximum profit unchanged.
-Before the search, the whole set is handed to the region packer below,
-whose area bound turns away a set too large.  Its first layout, when
-there is one, is the search's first leaf with every item included, which
-is then the answer: both place the items in the same order at the same
-normal positions, and the two differ only in which identical items they
-keep in lex order, which a first layout does anyway (swapping two
-same-shape items that are out of order gives an earlier layout).  The
-layout places the items in search order, so the answer lists them in that
-order with no Fraction sort.  max_area_pack, whose profits are the item
-areas, runs this probe on the lattice of its call: the items that fit the
-region alone are found on ints, the profit of a probe that fits is one
-sum of int areas over d^2, and the profit records are built only for the
-branch and bound.  At
+max_profit_pack and max_area_pack share one body (_knapsack), which builds
+one lattice per call, of the region and every item side.  On it the body
+checks the region, keeps the items that fit the region alone, and hands
+them with their sides to the searches below.  Profits are ints over one
+denominator q: max_area_pack's are the lattice areas w * h over d^2, and
+max_profit_pack's are scaled by the least common multiple of their
+denominators.
+
+The profit solver (_solve_exact) is branch and bound: items in
+non-increasing area order, ties by id, include (at each feasible normal
+position, x before y) or exclude; the answer is the first leaf of maximum
+profit.  An item's volume is w * h on the lattice.  The upper bound at
+item i is the profit achieved plus the largest profit of a subset of the
+items from i on whose volume fits the free area (a subset-sum bound, the
+area relaxation of the two-dimensional knapsack), read by bisection from
+that suffix's Pareto frontier of (volume, profit), computed once per
+solve.  It is never looser than the ratio bound min(remaining profit,
+best ratio * free area), and any valid bound leaves the first leaf of
+maximum profit unchanged.  Before the search, the whole set is handed to
+the region packer below (exact_pack_single_region, with the memo and
+lattice of its own), whose area bound turns away a set too large.  Its
+first layout, when there is one, is the search's first leaf with every
+item included, which is then the answer, at the sum of the int profits
+over q: both place the items in the same order at the same normal
+positions, and the two differ only in which identical items they keep in
+lex order, which a first layout does anyway (swapping two same-shape
+items that are out of order gives an earlier layout).  The layout places
+the items in search order, so the answer lists them in that order.  At
 desk scale this is exact; beyond exact_limit a greedy fallback runs and
 the result is kept only when it provably meets the (1 - eps) * OPT - eps
 contract.  The greedy (_best_effort) places each item, in order of profit
 per area, at its first position among the corners of the boxes already
-placed; it runs on the lattice of its call too and builds Fractions only
-for the items it places.
+placed; it takes what the branch and bound takes and builds Fractions
+only for the items it places.
 
 The region packer first tries to refute a set, with two of the packing
 class conditions of Fekete & Schepers (2004).  It cuts out every column,
@@ -123,7 +126,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLarge
-from .geometry import ONE, ZERO, BinLayout, Placement, exact_sum, lattice, scalar, scaled
+from .geometry import ONE, ZERO, BinLayout, Placement, lattice, scalar, scaled
 
 
 @dataclass(frozen=True)
@@ -143,14 +146,6 @@ class KnapsackResult:
     layout: BinLayout
     achieved_profit: Fraction
     exact: bool
-
-
-def _lattice(items, a, b):
-    """(d, a * d, b * d, [(w * d, h * d) per item]): the region and the item
-    sides on the integer lattice of their common denominator d."""
-    d = lattice(items, a, b)
-    sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
-    return d, scaled(a, d), scaled(b, d), sides
 
 
 def _axis_positions(lengths, limit):
@@ -211,10 +206,6 @@ def _feasible_positions(width, height, xs, ys, placed, a, b, floor=None, skip=Tr
             xi = bisect_left(xs, edge, xi)
 
 
-def _order_key(pi):
-    return (-pi.item.volume, pi.item.id)
-
-
 def _suffix_frontiers(volumes, profits, cap):
     """frontiers[i] = (vols, gains): the Pareto frontier of (volume, profit)
     over the subsets of items i.. whose volume is at most cap, both lists
@@ -237,18 +228,19 @@ def _suffix_frontiers(volumes, profits, cap):
     return frontiers
 
 
-def _solve_exact(pitems, a, b):
+def _solve_exact(items, sides, profits, a, b, d):
     """(profit, selected items, placements) of the first leaf of maximum
-    profit in the include-before-exclude search."""
-    order = sorted(pitems, key=_order_key)
-    d, a_d, b_d, sides = _lattice([pi.item for pi in order], a, b)
-    xs = _axis_positions([w for w, _ in sides], a_d)
-    ys = _axis_positions([h for _, h in sides], b_d)
-    # profits on ints too: scaled by the common denominator q
-    q = math.lcm(*[pi.profit.denominator for pi in order])
-    profits = [pi.profit.numerator * (q // pi.profit.denominator) for pi in order]
+    profit in the include-before-exclude search, over items with their
+    (width, height) sides and int profits; sides and region (a, b) are on
+    the lattice of spacing 1/d, and the profit is an int on the profits'
+    scale."""
+    # search order (-area, id)
+    order = sorted(range(len(items)), key=lambda k: (-sides[k][0] * sides[k][1], items[k].id))
+    items, sides, profits = ([seq[k] for k in order] for seq in (items, sides, profits))
+    xs = _axis_positions([w for w, _ in sides], a)
+    ys = _axis_positions([h for _, h in sides], b)
     volumes = [w * h for w, h in sides]
-    area = a_d * b_d
+    area = a * b
     frontiers = _suffix_frontiers(volumes, profits, area)
     best = -1
     best_sel, best_pl = [], []
@@ -257,11 +249,11 @@ def _solve_exact(pitems, a, b):
 
     # previous item same shape and profit: decisions can be canonicalized
     twins = [i > 0 and (sides[i - 1], profits[i - 1]) == (sides[i], profits[i])
-             for i in range(len(order))]
+             for i in range(len(items))]
 
     def rec(i, achieved, used, last_excluded, last_pos):
         nonlocal best, best_sel, best_pl
-        if i == len(order):
+        if i == len(items):
             if achieved > best:
                 best = achieved
                 best_sel = list(chosen)
@@ -273,7 +265,7 @@ def _solve_exact(pitems, a, b):
         bound = achieved + gains[bisect_right(vols, free) - 1]
         if bound <= best:
             return
-        it = order[i].item
+        it = items[i]
         w, h = sides[i]
         same = twins[i]
         if not (same and last_excluded):
@@ -282,7 +274,7 @@ def _solve_exact(pitems, a, b):
                 # the plain scan: perfbench's deadline test needs this search
                 # to run for seconds on one input (shrink n=9 ell=2 seed=4),
                 # and the column skip brings that to about 0.3 s, its deadline
-                for x, y in _feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor,
+                for x, y in _feasible_positions(w, h, xs, ys, placed, a, b, floor,
                                                 skip=False):
                     if bound <= best:
                         break
@@ -294,105 +286,92 @@ def _solve_exact(pitems, a, b):
         rec(i + 1, achieved, used, True, None)
 
     rec(0, 0, 0, False, None)
-    return Fraction(best, q), best_sel, best_pl
+    return best, best_sel, best_pl
 
 
-def _best_effort(pitems, a, b):
+def _best_effort(items, sides, profits, a, b, d):
     """(profit, [(item, x, y)]): each item in order of profit per area, at
     its first position (lex order) among the corners of the boxes placed so
-    far, or left out.  Runs on the lattice of its call, like _solve_exact;
-    Fractions are built only for the items it places."""
-    order = sorted(pitems, key=lambda pi: (-(pi.profit / pi.item.volume), -pi.profit, pi.item.id))
-    d, a_d, b_d, sides = _lattice([pi.item for pi in order], a, b)
+    far, or left out.  Takes what _solve_exact takes and returns the
+    profit the same way; Fractions are built only for the items it
+    places."""
+    order = sorted(range(len(items)), key=lambda k: (
+        -Fraction(profits[k], sides[k][0] * sides[k][1]), -profits[k], items[k].id))
     placed = []  # boxes on the lattice
     chosen = []  # (item, x, y)
-    achieved = ZERO
-    for pi, (w, h) in zip(order, sides):
+    achieved = 0
+    for k in order:
+        w, h = sides[k]
         xs = sorted({0} | {right for _, _, right, _ in placed})
         ys = sorted({0} | {top for _, _, _, top in placed})
-        spot = next(_feasible_positions(w, h, xs, ys, placed, a_d, b_d), None)
+        spot = next(_feasible_positions(w, h, xs, ys, placed, a, b), None)
         if spot is not None:
             x, y = spot
             placed.append((x, y, x + w, y + h))
-            chosen.append((pi.item, Fraction(x, d), Fraction(y, d)))
-            achieved += pi.profit
+            chosen.append((items[k], Fraction(x, d), Fraction(y, d)))
+            achieved += profits[k]
     return achieved, chosen
 
 
-def _checked(a, b, eps):
-    """(a, b, eps) as Fractions, for a region in (0, 1] x (0, 1] and a
-    positive eps."""
-    a, b = scalar(a), scalar(b)
-    eps = scalar(eps)
-    # 0 < q <= 1 on numerator and denominator; a denominator is positive
-    if not (0 < a.numerator <= a.denominator and 0 < b.numerator <= b.denominator):
+def _knapsack(items, profits, a, b, eps, exact_limit):
+    """The body of max_profit_pack and max_area_pack, on one lattice of
+    spacing 1/d for the region and every item side (module docstring):
+    the items with their profits, Fractions, or None for their areas."""
+    n = len(items)
+    a, b, eps = scalar(a), scalar(b), scalar(eps)
+    d = lattice(items, a, b)
+    a_d, b_d = scaled(a, d), scaled(b, d)
+    if not (0 < a_d <= d and 0 < b_d <= d):
         raise ValueError(f"region {a} x {b} outside (0,1] x (0,1]")
     if eps.numerator <= 0:
         raise ValueError("eps must be positive")
-    return a, b, eps
-
-
-def _fit_all(items, a, b, exact_limit):
-    """(items in search order, layout) when every item fits region (a, b)
-    together, else None: the first all-included leaf of the search, when
-    one exists."""
-    layout = exact_pack_single_region(items, a, b, exact_limit)
-    if layout is None:
-        return None
-    # the layout places the items in search order, _order_key's
-    by_id = {it.id: it for it in items}
-    return [by_id[p.item_id] for p in layout.placements], layout
-
-
-def _exact_result(usable, a, b):
-    profit, selected, placements = _solve_exact(usable, a, b)
-    return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
-
-
-def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
-    a, b, eps = _checked(a, b, eps)
-    usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
-    if len(pitems) <= exact_limit:
-        found = _fit_all([pi.item for pi in usable], a, b, exact_limit)
-        if found is not None:
-            return KnapsackResult(*found, exact_sum([pi.profit for pi in usable]), True)
-        return _exact_result(usable, a, b)
-    achieved, placed = _best_effort(usable, a, b)
-    ratio = max((pi.profit / pi.item.volume for pi in usable), default=ONE)
-    upper = min(
-        sum((pi.profit for pi in usable), ZERO),
-        ratio * min(a * b, sum((pi.item.volume for pi in usable), ZERO)),
-    )
+    sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
+    if profits is None:
+        q = d * d
+        profits = [w * h for w, h in sides]
+    else:
+        q = math.lcm(*[p.denominator for p in profits])
+        profits = [scaled(p, q) for p in profits]
+    usable = [k for k, (w, h) in enumerate(sides) if w <= a_d and h <= b_d]
+    items, sides, profits = ([seq[k] for k in usable] for seq in (items, sides, profits))
+    if n <= exact_limit:
+        layout = exact_pack_single_region(items, a, b, exact_limit)
+        if layout is not None:
+            # the layout places the items in search order
+            by_id = {it.id: it for it in items}
+            selected = [by_id[p.item_id] for p in layout.placements]
+            return KnapsackResult(selected, layout, Fraction(sum(profits), q), True)
+        profit, selected, placements = _solve_exact(items, sides, profits, a_d, b_d, d)
+        return KnapsackResult(selected, BinLayout(a, b, placements), Fraction(profit, q), True)
+    achieved, placed = _best_effort(items, sides, profits, a_d, b_d, d)
+    achieved = Fraction(achieved, q)
+    # min(total profit, best ratio * min(region area, total area)), the
+    # ratio taken on the lattice, so both terms are over q
+    ratio = max([Fraction(p, w * h) for p, (w, h) in zip(profits, sides)], default=ZERO)
+    volume = sum([w * h for w, h in sides])
+    upper = min(Fraction(sum(profits), q), ratio * min(a_d * b_d, volume) / q)
     if achieved < (1 - eps) * upper - eps:
         raise InstanceTooLarge(
-            f"{len(pitems)} items exceed the exact limit {exact_limit} and the "
+            f"{n} items exceed the exact limit {exact_limit} and the "
             f"greedy result {achieved} cannot certify the contract against bound {upper}"
         )
     layout = BinLayout(a, b, [Placement(it.id, x, y) for it, x, y in placed])
     return KnapsackResult([it for it, _, _ in placed], layout, achieved, False)
 
 
+def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
+    """The most profitable set of the items that fits region (a, b), with
+    its layout: exact within exact_limit items, else the greedy's set when
+    it meets the (1 - eps) * OPT - eps contract (InstanceTooLarge when
+    not)."""
+    return _knapsack([pi.item for pi in pitems], [pi.profit for pi in pitems], a, b, eps,
+                     exact_limit)
+
+
 def max_area_pack(items, a, b, eps, exact_limit=10) -> KnapsackResult:
-    """max_profit_pack with each item's area as its profit.  Within the
-    exact limit, the fit-all probe runs on the lattice of the call: the
-    items that fit the region alone are found on ints, and the profit of
-    a probe that fits is one sum of int areas.  ProfitItems are built only
-    for the branch and bound, or past the exact limit."""
-    items = list(items)
-    if len(items) > exact_limit:
-        return max_profit_pack([ProfitItem(it, it.volume) for it in items], a, b, eps,
-                               exact_limit)
-    a, b, eps = _checked(a, b, eps)
-    d = lattice(items, a, b)
-    a_d, b_d = scaled(a, d), scaled(b, d)
-    sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
-    fitting = [w <= a_d and h <= b_d for w, h in sides]
-    usable = [it for it, fits in zip(items, fitting) if fits]
-    found = _fit_all(usable, a, b, exact_limit)
-    if found is not None:
-        area = sum([w * h for (w, h), fits in zip(sides, fitting) if fits])
-        return KnapsackResult(*found, Fraction(area, d * d), True)
-    return _exact_result([ProfitItem(it, it.volume) for it in usable], a, b)
+    """max_profit_pack with each item's area as its profit, read on the
+    lattice of the call; no ProfitItem is built."""
+    return _knapsack(list(items), None, a, b, eps, exact_limit)
 
 
 def _without_full_sides(sides, a, b):

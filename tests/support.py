@@ -309,6 +309,17 @@ def reference_feasible_positions(width, height, xs, ys, placed, a, b, floor=None
                 yi = bisect_left(ys, jump, yi + 1)
 
 
+def reference_lattice(items, a, b):
+    """knapsack._lattice as it was: (d, a * d, b * d, [(w * d, h * d) per
+    item]), the region and the item sides on the integer lattice of their
+    common denominator d."""
+    from rectbin.geometry import lattice, scaled
+
+    d = lattice(items, a, b)
+    sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
+    return d, scaled(a, d), scaled(b, d), sides
+
+
 def unpruned_region_search(items, a, b, max_placements):
     """The exact region packer without refutations or forward checking:
     the same item order, lattice, normal positions and identical-item
@@ -316,11 +327,11 @@ def unpruned_region_search(items, a, b, max_placements):
     knapsack.exact_pack_single_region, as [(item id, x, y)], or None.
     Raises SearchBudgetExceeded past max_placements placements, so a set
     it cannot settle quickly is skipped the same way on every machine."""
-    from rectbin.knapsack import _axis_positions, _lattice
+    from rectbin.knapsack import _axis_positions
 
     a, b = Fraction(a), Fraction(b)
     order = sorted(items, key=lambda it: (-it.volume, it.id))
-    d, a_d, b_d, sides = _lattice(order, a, b)
+    d, a_d, b_d, sides = reference_lattice(order, a, b)
     xs = _axis_positions([w for w, _ in sides], a_d)
     ys = _axis_positions([h for _, h in sides], b_d)
     placed = []
@@ -354,12 +365,12 @@ def reference_profit_search(pitems, a, b, max_placements):
     leaf of maximum profit, which any valid bound leaves unchanged.
     Raises SearchBudgetExceeded past max_placements placements, like
     unpruned_region_search."""
-    from rectbin.knapsack import _axis_positions, _lattice
+    from rectbin.knapsack import _axis_positions
 
     a, b = Fraction(a), Fraction(b)
     usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
     order = sorted(usable, key=lambda pi: (-pi.item.volume, pi.item.id))
-    d, a_d, b_d, sides = _lattice([pi.item for pi in order], a, b)
+    d, a_d, b_d, sides = reference_lattice([pi.item for pi in order], a, b)
     xs = _axis_positions([w for w, _ in sides], a_d)
     ys = _axis_positions([h for _, h in sides], b_d)
     ratio = max((pi.profit / pi.item.volume for pi in order), default=Fraction(1))
@@ -750,33 +761,108 @@ def reference_pack_no_wide_half_area(items):
     return _ref_pack_wide_anchored(items, Fraction(1), Fraction(1))
 
 
-def reference_max_area_pack(items, a, b, eps, exact_limit=10):
-    """knapsack.max_area_pack's fit-all path on Fractions: a ProfitItem of
-    each item with its Fraction area as profit, the usable filter on
-    Fraction sides, and the profit of a probe that fits as the exact sum
-    of the usable profits.  A probe that fails goes to the branch and
-    bound, and past the exact limit everything goes to max_profit_pack,
-    both as in knapsack."""
-    from rectbin.knapsack import (KnapsackResult, ProfitItem, _solve_exact,
-                                  exact_pack_single_region, max_profit_pack)
-    from rectbin.geometry import BinLayout, exact_sum
+def reference_solve_exact(pitems, a, b):
+    """knapsack._solve_exact as it was, on ProfitItems and a Fraction
+    region: the order key (-volume, id), the lattice of the call's items
+    (reference_lattice), profits scaled by the least common multiple of
+    their denominators, the subset-sum bound and the twins rule, with
+    the plain position scan.  Returns (profit, selected items,
+    placements) of the first leaf of maximum profit."""
+    from rectbin.geometry import Placement
+    from rectbin.knapsack import _axis_positions, _suffix_frontiers
 
-    pitems = [ProfitItem(it, it.volume) for it in items]
-    if len(pitems) > exact_limit:
-        return max_profit_pack(pitems, a, b, eps, exact_limit)
-    a, b, eps = Fraction(a), Fraction(b), Fraction(eps)
+    order = sorted(pitems, key=lambda pi: (-pi.item.volume, pi.item.id))
+    d, a_d, b_d, sides = reference_lattice([pi.item for pi in order], a, b)
+    xs = _axis_positions([w for w, _ in sides], a_d)
+    ys = _axis_positions([h for _, h in sides], b_d)
+    q = math.lcm(*[pi.profit.denominator for pi in order])
+    profits = [pi.profit.numerator * (q // pi.profit.denominator) for pi in order]
+    volumes = [w * h for w, h in sides]
+    area = a_d * b_d
+    frontiers = _suffix_frontiers(volumes, profits, area)
+    best = {"profit": -1, "sel": [], "pl": []}
+    placed = []
+    chosen = []
+    twins = [i > 0 and (sides[i - 1], profits[i - 1]) == (sides[i], profits[i])
+             for i in range(len(order))]
+
+    def rec(i, achieved, used, last_excluded, last_pos):
+        if i == len(order):
+            if achieved > best["profit"]:
+                best["profit"] = achieved
+                best["sel"] = list(chosen)
+                best["pl"] = [Placement(it.id, Fraction(x, d), Fraction(y, d))
+                              for it, (x, y, _, _) in zip(chosen, placed)]
+            return
+        free = area - used
+        vols, gains = frontiers[i]
+        bound = achieved + gains[bisect_right(vols, free) - 1]
+        if bound <= best["profit"]:
+            return
+        w, h = sides[i]
+        same = twins[i]
+        if not (same and last_excluded):
+            floor = last_pos if same else None
+            if volumes[i] <= free:
+                for x, y in reference_feasible_positions(w, h, xs, ys, placed, a_d, b_d, floor):
+                    if bound <= best["profit"]:
+                        break
+                    placed.append((x, y, x + w, y + h))
+                    chosen.append(order[i].item)
+                    rec(i + 1, achieved + profits[i], used + volumes[i], False, (x, y))
+                    chosen.pop()
+                    placed.pop()
+        rec(i + 1, achieved, used, True, None)
+
+    rec(0, 0, 0, False, None)
+    return Fraction(best["profit"], q), best["sel"], best["pl"]
+
+
+def reference_max_profit_pack(pitems, a, b, eps, exact_limit=10):
+    """knapsack.max_profit_pack as it was before one body served it and
+    max_area_pack: the region and eps checks, the usable filter on
+    Fraction sides, the fit-all probe (exact_pack_single_region on every
+    usable item, its profit the exact sum of their profits), then
+    reference_solve_exact within the exact limit and reference_best_effort
+    past it, certified against the same bound."""
+    from rectbin.errors import InstanceTooLarge
+    from rectbin.geometry import BinLayout, Placement, exact_sum, scalar
+    from rectbin.knapsack import KnapsackResult, exact_pack_single_region
+
+    a, b, eps = scalar(a), scalar(b), scalar(eps)
     if not (0 < a <= 1 and 0 < b <= 1):
         raise ValueError(f"region {a} x {b} outside (0,1] x (0,1]")
     if eps <= 0:
         raise ValueError("eps must be positive")
     usable = [pi for pi in pitems if pi.item.width <= a and pi.item.height <= b]
-    layout = exact_pack_single_region([pi.item for pi in usable], a, b, exact_limit)
-    if layout is not None:
-        by_id = {pi.item.id: pi.item for pi in usable}
-        order = [by_id[p.item_id] for p in layout.placements]
-        return KnapsackResult(order, layout, exact_sum([pi.profit for pi in usable]), True)
-    profit, selected, placements = _solve_exact(usable, a, b)
-    return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
+    if len(pitems) <= exact_limit:
+        layout = exact_pack_single_region([pi.item for pi in usable], a, b, exact_limit)
+        if layout is not None:
+            by_id = {pi.item.id: pi.item for pi in usable}
+            return KnapsackResult([by_id[p.item_id] for p in layout.placements], layout,
+                                  exact_sum([pi.profit for pi in usable]), True)
+        profit, selected, placements = reference_solve_exact(usable, a, b)
+        return KnapsackResult(selected, BinLayout(a, b, placements), profit, True)
+    achieved, placed = reference_best_effort(usable, a, b)
+    ratio = max((pi.profit / pi.item.volume for pi in usable), default=Fraction(1))
+    upper = min(sum((pi.profit for pi in usable), Fraction(0)),
+                ratio * min(a * b, sum((pi.item.volume for pi in usable), Fraction(0))))
+    if achieved < (1 - eps) * upper - eps:
+        raise InstanceTooLarge(
+            f"{len(pitems)} items exceed the exact limit {exact_limit} and the "
+            f"greedy result {achieved} cannot certify the contract against bound {upper}"
+        )
+    layout = BinLayout(a, b, [Placement(it.id, x, y) for it, x, y in placed])
+    return KnapsackResult([it for it, _, _ in placed], layout, achieved, False)
+
+
+def reference_max_area_pack(items, a, b, eps, exact_limit=10):
+    """knapsack.max_area_pack as it was: reference_max_profit_pack with
+    each item's Fraction area as its profit."""
+    from rectbin.knapsack import ProfitItem
+
+    return reference_max_profit_pack([ProfitItem(it, it.volume) for it in items], a, b, eps,
+                                     exact_limit)
 
 
 def reference_pack_small_height(instance, delta, eps, exact_limit=10):

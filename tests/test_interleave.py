@@ -41,6 +41,25 @@ def test_differing_outputs_exit_1(tmp_path):
     assert proc.stdout.splitlines()[-1].startswith("entries 3 rounds 1 missed 0 differing 3 first ")
 
 
+def test_an_output_from_an_earlier_round_is_compared(tmp_path):
+    # the other tree passes the oracle's 0.3 s deadline in rounds 1 and 3
+    # and completes in round 2 with a marked packing: that output is the
+    # one compared, so the entry differs and none counts as missed
+    shutil.copytree(ROOT / "src" / "rectbin", tmp_path / "src" / "rectbin",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fileio = tmp_path / "src" / "rectbin" / "fileio.py"
+    fileio.write_text(fileio.read_text() + "\n\nimport time\n"
+                      "_serialize = serialize_packing\n_calls = []\n\n\n"
+                      "def serialize_packing(packing):\n"
+                      "    _calls.append(1)\n"
+                      "    if len(_calls) != 2:\n"
+                      "        time.sleep(5)\n"
+                      "    return _serialize(packing) + '#'\n")
+    proc = run(tmp_path, "oracle", "--limit", 1, "--rounds", 3)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("entries 1 rounds 3 missed 0 differing 1 first ")
+
+
 def test_a_tree_without_the_package_is_refused(tmp_path):
     proc = run(tmp_path, "oracle", "--limit", 3)
     assert proc.returncode == 2

@@ -29,6 +29,7 @@ from support import (
     rand_frac,
     reference_best_effort,
     reference_feasible_positions,
+    reference_lattice,
     reference_profit_search,
     unpruned_region_search,
 )
@@ -213,7 +214,7 @@ def test_feasible_positions_match_the_reference():
                         rand_frac(rng, Fraction(1, 100), Fraction(3, 5), rng.choice([3, 5, 7, 64, 1000]))
                         for _ in range(2))
             items.append(Item(i, w, h))
-        d, a_d, b_d, sides = knapsack._lattice(items, a, b)
+        d, a_d, b_d, sides = reference_lattice(items, a, b)
         xs = knapsack._axis_positions([w for w, _ in sides], a_d)
         ys = knapsack._axis_positions([h for _, h in sides], b_d)
         shapes = list(dict.fromkeys(sides)) + [(a_d + 1, 1), (1, b_d + 1)]
@@ -573,8 +574,9 @@ def test_fit_all_probe_skips_the_search(monkeypatch):
 
 def test_fit_all_returns_the_items_in_order_key_order(monkeypatch):
     # the fit-all answer lists its items as its layout places them; that
-    # is _order_key's order, (-volume, id), for twins, for equal areas of
-    # other shapes and other ids, and with an item too wide for the region
+    # is the search order (-w * h, id) on the lattice of the probe's memo,
+    # for twins, for equal areas of other shapes and other ids, and with
+    # an item too wide for the region
     def no_search(*args):
         raise AssertionError("the branch and bound ran")
 
@@ -592,9 +594,11 @@ def test_fit_all_returns_the_items_in_order_key_order(monkeypatch):
         for _ in range(4):
             rng.shuffle(items)
             pis = [ProfitItem(it, it.volume * rng.choice([1, 2])) for it in items]
-            usable = [pi for pi in pis if pi.item.width <= F(3, 4)]
+            usable = {pi.item.id: pi.item for pi in pis if pi.item.width <= F(3, 4)}
+            sides = UnitBinMemo(usable.values(), F(3, 4), 1).sides
+            order = sorted(sides, key=lambda i: (-sides[i][0] * sides[i][1], i))
             res = max_profit_pack(pis, F(3, 4), 1, F(1, 100))
-            assert res.selected == [pi.item for pi in sorted(usable, key=knapsack._order_key)]
+            assert res.selected == [usable[i] for i in order]
             assert res.layout.item_ids() == [it.id for it in res.selected]
 
 
@@ -703,7 +707,7 @@ def test_refuted_sets_have_no_layout():
             items.append(Item(i, min(w, Fraction(1)), min(h, Fraction(1))))
         if vol(items) > a * b:
             continue
-        _, a_d, b_d, lattice_sides = knapsack._lattice(items, a, b)
+        _, a_d, b_d, lattice_sides = reference_lattice(items, a, b)
         if not knapsack._refuted(lattice_sides, a_d, b_d):
             continue
         try:
@@ -767,7 +771,7 @@ def test_the_peel_returns_the_unpruned_layout():
         if vol(items) > a * b:
             continue
         order = sorted(items, key=lambda it: (-it.volume, it.id))
-        d, a_d, b_d, sides = knapsack._lattice(order, a, b)
+        d, a_d, b_d, sides = reference_lattice(order, a, b)
         steps, rest, across, up = [], sides, a_d, b_d
         while rest and (step := knapsack._past(rest, 0, across, up)):
             steps.append(step[0] > 0)  # a column narrows across
@@ -830,9 +834,13 @@ def test_greedy_on_the_lattice_matches_the_fraction_greedy():
                 h = Fraction(rng.randint(1, 8), rng.choice((8, 5, 64)))
             it = Item(i, min(w, Fraction(1)), min(h, Fraction(1)))
             pitems.append(ProfitItem(it, it.volume * rng.choice((1, 2, Fraction(7, 3)))))
-        got = knapsack._best_effort(pitems, a, b)
-        assert got == reference_best_effort(pitems, a, b)
-        placed += len(got[1])
+        items = [pi.item for pi in pitems]
+        d, a_d, b_d, sides = reference_lattice(items, a, b)
+        q = math.lcm(*[pi.profit.denominator for pi in pitems])
+        profits = [pi.profit.numerator * (q // pi.profit.denominator) for pi in pitems]
+        profit, chosen = knapsack._best_effort(items, sides, profits, a_d, b_d, d)
+        assert (Fraction(profit, q), chosen) == reference_best_effort(pitems, a, b)
+        placed += len(chosen)
     assert placed > 1000
 
 
@@ -959,10 +967,12 @@ LATTICE_GOLDEN_BINS = [
 
 
 def test_exact_min_bins_runs_without_fraction_area_or_call_lattice(monkeypatch):
+    # the oracle never enters the profit knapsack, whose body builds a
+    # lattice of its own on each call
     def banned(*args, **kwargs):
         raise AssertionError("Fraction work on a memo miss")
 
-    monkeypatch.setattr(knapsack, "_lattice", banned)
+    monkeypatch.setattr(knapsack, "_knapsack", banned)
     instance = Instance([Item(i, w, h) for i, (w, h) in enumerate(LATTICE_GOLDEN_ITEMS)])
     count, packing = exact_min_bins(instance)
     assert count == 2

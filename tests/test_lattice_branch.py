@@ -8,18 +8,20 @@ layout, or raise the same exception type with the same text."""
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 from rectbin.classify import delta_threshold
 from rectbin.errors import GuessFailed, InstanceTooLarge, RectbinError
 from rectbin.fileio import serialize_packing
 from rectbin.geometry import Instance, Item, Packing
-from rectbin.knapsack import max_area_pack
+from rectbin.knapsack import ProfitItem, max_area_pack, max_profit_pack
 from rectbin.opt1 import pack_opt1, pack_small_height
 from rectbin.steinberg import pack_no_wide_half_area, steinberg_condition, steinberg_pack
 from support import (
     benchmark_pool_sample,
     reference_max_area_pack,
+    reference_max_profit_pack,
     reference_pack_no_wide_half_area,
     reference_pack_small_height,
     reference_steinberg_condition,
@@ -170,6 +172,54 @@ def test_max_area_pack_matches_the_fraction_reference_at_the_region_sides():
             lambda: reference_max_area_pack(items, a, 1, EPS, exact_limit=limit)), (items, a)
         kinds.add(got[0] if len(got) == 2 else (len(got[0]) == len(items), got[-1]))
     assert kinds == {(True, True), (False, True), (False, False), "InstanceTooLarge"}, kinds
+
+
+PROFIT_BOOSTS = (1, 1, Fraction(3, 2), Fraction(7, 3), 41)
+
+
+def test_knapsack_entry_points_match_the_references():
+    # max_profit_pack and max_area_pack, one body on one lattice, against
+    # the references of the two bodies they had before: below and past
+    # the exact limit, with twins, regions at an item's side, sets that no
+    # item fits, bad regions and eps, and the greedy's refusal.  Within
+    # the limit a draw has at most 7 items: the branch and bound can take
+    # seconds on 9 large ones
+    rng = random.Random(2501)
+    seen = Counter()
+    for trial in range(1200):
+        den = rng.choice((3, 5, 8, 64, 1000))
+        limit = rng.choice([6, 8, 10])
+        sides = []
+        for _ in range(rng.randint(0, 7) if rng.random() < 0.6 else rng.randint(limit + 1, 14)):
+            if sides and rng.random() < 0.3:
+                sides.append(sides[-1])  # a twin
+            else:
+                sides.append(tuple(side(rng, den, hi=rng.choice([Fraction(1, 2), Fraction(1)]))
+                                   for _ in range(2)))
+        items = items_of(sides)
+        if items and rng.random() < 0.3:
+            a = rng.choice(items).width
+        else:
+            a = rng.choice([Fraction(rng.randint(1, 8), 8), Fraction(0), Fraction(9, 8)]
+                           if rng.random() < 0.05 else [Fraction(rng.randint(1, 8), 8)])
+        b = rng.choice([Fraction(1), Fraction(1), Fraction(rng.randint(1, 8), 8)])
+        eps = rng.choice([EPS, EPS, Fraction(1, 10), Fraction(0)] if rng.random() < 0.05
+                         else [EPS, Fraction(1, 10)])
+        if trial % 2:
+            got = knapsack_outcome(lambda: max_area_pack(items, a, b, eps, limit))
+            want = knapsack_outcome(lambda: reference_max_area_pack(items, a, b, eps, limit))
+        else:
+            pitems = [ProfitItem(it, it.volume * rng.choice(PROFIT_BOOSTS)) for it in items]
+            got = knapsack_outcome(lambda: max_profit_pack(pitems, a, b, eps, limit))
+            want = knapsack_outcome(lambda: reference_max_profit_pack(pitems, a, b, eps, limit))
+        assert got == want, (trial, sides, a, b, eps, limit)
+        seen["past the limit"] += len(items) > limit
+        seen["twins"] += len(set(sides)) < len(sides)
+        seen["region at a side"] += any(w == a for w, _ in sides)
+        seen["nothing fits"] += bool(items) and all(w > a or h > b for w, h in sides)
+        seen[got[0] if len(got) == 2 else ("exact" if got[-1] else "greedy")] += 1
+    # 38 bad regions or eps, 154 sets that nothing fits, 247 refusals
+    assert min(seen.values()) >= 30 and len(seen) == 8, seen
 
 
 # -- the single-bin branch ------------------------------------------------------
