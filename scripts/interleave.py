@@ -51,15 +51,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from corpus import build_corpus  # noqa: E402
 from run import WORKLOADS, tail  # noqa: E402
-
-
-class DeadlineExceeded(BaseException):
-    """Raised inside a solve by the interval timer; not an Exception, so no
-    handler in the solver can swallow it."""
-
-
-def _on_alarm(signum, frame):
-    raise DeadlineExceeded()
+from worker import DeadlineExceeded, _on_alarm  # noqa: E402
 
 
 def load_tree(tree, name):

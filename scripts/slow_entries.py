@@ -23,13 +23,15 @@ solve as `solves` (pool index, status, seconds).  With a generous cap,
 pool, including entries that a benchmark run completes on one side only.
 
 With --searches it also times every exact region search of the loop, each
-call of `knapsack._search_lattice` that returns, and adds to the summary
-the call count (`searches`), the count and seconds of the calls that find
-no layout (`none`, `none_s`) and the seconds of those that find one
-(`fit_s`).  Before the summary it lists the 5 slowest calls that found no
-layout, slowest first, as `search INDEX AxB:WxH,... MS`: the pool index,
-the region and the boxes on the search's integer lattice, in search order,
-and the milliseconds taken.
+call of `knapsack._search_lattice`, and adds to the summary the call count
+(`searches`), the count and seconds of the calls that find no layout
+(`none`, `none_s`), the seconds of those that find one (`fit_s`) and the
+count and seconds of those that the cap interrupts (`cut`, `cut_s`).
+Before the summary it lists the 5 slowest calls that found no layout,
+slowest first, as `search INDEX AxB:WxH,... MS`: the pool index, the
+region and the boxes on the search's integer lattice, in search order, and
+the milliseconds taken; then every call that the cap interrupted, the same
+way as `cut INDEX AxB:WxH,... MS`.
 
 With --profile N it runs the loop under cProfile and, before the summary,
 lists the N functions with the most own time (time in the function itself,
@@ -89,13 +91,20 @@ def timed_solves(entries, cap):
 @contextlib.contextmanager
 def recorded_searches(calls):
     """Within the block, knapsack._search_lattice appends (sides, a, b,
-    seconds, found) to calls for each call that returns."""
+    seconds, outcome) to calls for each call: outcome is "fit" or "none"
+    for a call that returns, and "cut" for one that the interval timer
+    interrupts."""
     search = knapsack._search_lattice
 
     def timed(sides, a, b):
         start = time.perf_counter()
-        placed = search(sides, a, b)
-        calls.append((tuple(sides), a, b, time.perf_counter() - start, placed is not None))
+        try:
+            placed = search(sides, a, b)
+        except worker.DeadlineExceeded:
+            calls.append((tuple(sides), a, b, time.perf_counter() - start, "cut"))
+            raise
+        calls.append((tuple(sides), a, b, time.perf_counter() - start,
+                      "none" if placed is None else "fit"))
         return placed
 
     knapsack._search_lattice = timed
@@ -107,13 +116,17 @@ def recorded_searches(calls):
 
 def search_report(searches):
     """The summary fields and the listed lines for searches, given as
-    (pool index, sides, a, b, seconds, found) per call."""
-    none = sorted((s for s in searches if not s[5]), key=lambda s: -s[4])
+    (pool index, sides, a, b, seconds, outcome) per call."""
+    none = sorted((s for s in searches if s[5] == "none"), key=lambda s: -s[4])
+    cut = [s for s in searches if s[5] == "cut"]
     fields = (f" searches {len(searches)} none {len(none)} "
               f"none_s {sum(s[4] for s in none):.3f} "
-              f"fit_s {sum(s[4] for s in searches if s[5]):.3f}")
-    lines = [f"search {index} {a}x{b}:{','.join(f'{w}x{h}' for w, h in sides)} "
-             f"{seconds * 1000:.3f}" for index, sides, a, b, seconds, _ in none[:5]]
+              f"fit_s {sum(s[4] for s in searches if s[5] == 'fit'):.3f} "
+              f"cut {len(cut)} cut_s {sum(s[4] for s in cut):.3f}")
+    lines = [f"{label} {index} {a}x{b}:{','.join(f'{w}x{h}' for w, h in sides)} "
+             f"{seconds * 1000:.3f}"
+             for label, listed in (("search", none[:5]), ("cut", cut))
+             for index, sides, a, b, seconds, _ in listed]
     return fields, lines
 
 

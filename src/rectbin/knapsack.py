@@ -81,24 +81,19 @@ corner of the region left, which narrows past it.  The first layout is
 the lex-least (_extended), a column fits at the corner when the set fits
 (the items left of it slide past it), and no other item meets its x
 range, so the rest lies as its own first layout; a row likewise, upward.
-Once the search has backtracked, it checks forward: after each placement
-every later item shape must keep a feasible normal position, or the
-placement is dropped.  A shape's first feasible position only moves later
-as boxes are added, so each shape carries its first spot down the
-recursion and its scan resumes there.
 
-While two or more items are left, a placement that the forward check
-accepts must also pass a wasted-space check (Korf 2003; Huang & Korf
-2013).  The free area is cut into horizontal strips at every placed box's
-bottom and top edge, and each maximal free run of a strip is a gap.  A
-later box meets a strip only inside one gap at least as wide as the box.
-Walking the gaps from the narrowest, each takes what is left of the area
-of the later boxes no wider than it; gap area left uncovered is lost.
-When more is lost than the slack, the region's area less the area of all
-the items, the placement is dropped.  The same pass runs on vertical
-strips with heights when the horizontal one did not prune.  The slack is
-one int on the lattice.  The forward check and the waste check only
-remove subtrees without a solution, so the first layout is unchanged.
+While two or more items are left, each placement must pass a
+wasted-space check (Korf 2003; Huang & Korf 2013); the search has no
+other pruning.  The free area is cut into horizontal strips at every
+placed box's bottom and top edge, and each maximal free run of a strip is
+a gap.  A later box meets a strip only inside one gap at least as wide as
+the box.  Walking the gaps from the narrowest, each takes what is left of
+the area of the later boxes no wider than it; gap area left uncovered is
+lost.  When more is lost than the slack, the region's area less the area
+of all the items, the placement is dropped.  The same pass runs on
+vertical strips with heights when the horizontal one did not prune.  The
+slack is one int on the lattice.  The waste check only removes subtrees
+without a solution, so the first layout is unchanged.
 
 Every exact region search goes through the memo: exact_pack_single_region
 with a memo of its own, and the oracle and the constant-OPT branch, which
@@ -126,7 +121,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLarge
-from .geometry import ONE, ZERO, BinLayout, Placement, lattice, scalar, scaled
+from .geometry import ONE, ZERO, BinLayout, Instance, Placement, lattice, scalar, scaled
 
 
 @dataclass(frozen=True)
@@ -316,7 +311,9 @@ def _best_effort(items, sides, profits, a, b, d):
 def _knapsack(items, profits, a, b, eps, exact_limit):
     """The body of max_profit_pack and max_area_pack, on one lattice of
     spacing 1/d for the region and every item side (module docstring):
-    the items with their profits, Fractions, or None for their areas."""
+    the items with their profits, Fractions, or None for their areas.
+    Two items with one id get Instance's ValueError: the layout would
+    hold one of them and the profit count both."""
     n = len(items)
     a, b, eps = scalar(a), scalar(b), scalar(eps)
     d = lattice(items, a, b)
@@ -325,6 +322,7 @@ def _knapsack(items, profits, a, b, eps, exact_limit):
         raise ValueError(f"region {a} x {b} outside (0,1] x (0,1]")
     if eps.numerator <= 0:
         raise ValueError("eps must be positive")
+    Instance(items)  # refuses duplicate ids
     sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
     if profits is None:
         q = d * d
@@ -435,27 +433,6 @@ def _refuted(sides, a, b):
     return _clique(sides, a, b) or _clique([(h, w) for w, h in sides], b, a)
 
 
-def _first_spots(shapes, prior, box, xs, ys, placed, a, b):
-    """{shape: its first feasible normal position}, given placed (which
-    ends with box), or None when some shape has none left.
-
-    prior maps each shape to its first position before box was placed, or
-    is None when unknown.  Placing a box only removes positions, so a prior
-    spot clear of box is still first, and otherwise the scan resumes just
-    past it."""
-    left, bottom, right, top = box
-    spots = {}
-    for w, h in shapes:
-        spot = prior[w, h] if prior else None
-        if spot is None or (spot[0] < right and left < spot[0] + w
-                            and spot[1] < top and bottom < spot[1] + h):
-            spot = next(_feasible_positions(w, h, xs, ys, placed, a, b, spot), None)
-            if spot is None:
-                return None
-        spots[w, h] = spot
-    return spots
-
-
 def _wasted(placed, a, b, later, slack):
     """True when more than slack of the free area of region (a, b) is out
     of reach of the later boxes, given as (width, area) sorted by width:
@@ -509,11 +486,10 @@ def _search_lattice(sides, a, b):
     A set that _refuted refutes, by a column or row cut or by a clique,
     gets None without a search.  Each leading column or row (_past) goes
     to the corner of the region left, which narrows past it, and the rest
-    is searched there, under its own area bound.  Once the search has
-    backtracked, a placement that leaves some later box shape no feasible
-    position is dropped (forward checking), and so is one that wastes more
-    free area than the boxes leave spare (_wasted).  Both prune only
-    subtrees without a solution, so the first solution is unchanged.
+    is searched there, under its own area bound.  A placement that wastes
+    more free area than the boxes leave spare (_wasted) is dropped, which
+    prunes only subtrees without a solution, so the first solution is
+    unchanged.
     """
     if _refuted(sides, a, b):
         return None
@@ -533,39 +509,26 @@ def _search_lattice(sides, a, b):
 
     def wasted(i):
         # across strips, then (transposed) down columns; with one box left
-        # the forward check has already found it a spot
+        # that box's own scan decides
         later = sides[i + 1:]
         return len(later) > 1 and (
             _wasted(placed, a, b, sorted((w, w * h) for w, h in later), slack)
             or _wasted([(y, x, top, r) for x, y, r, top in placed], b, a,
                        sorted((h, w * h) for w, h in later), slack))
 
-    backtracked = False
-
-    def rec(i, last_pos, spots):
-        nonlocal backtracked
+    def rec(i, last_pos):
         if i == len(sides):
             return True
         w, h = sides[i]
         floor = last_pos if i > 0 and sides[i - 1] == sides[i] else None
         for x, y in _feasible_positions(w, h, xs, ys, placed, a, b, floor):
-            box = (x, y, x + w, y + h)
-            placed.append(box)
-            if not backtracked:
-                if rec(i + 1, (x, y), None):
-                    return True
-                backtracked = True
-            else:
-                # the distinct shapes of the later boxes, largest (likeliest
-                # to be shut out) first
-                ahead = dict.fromkeys(sides[i + 1:])
-                after = _first_spots(ahead, spots, box, xs, ys, placed, a, b)
-                if after is not None and not wasted(i) and rec(i + 1, (x, y), after):
-                    return True
+            placed.append((x, y, x + w, y + h))
+            if not wasted(i) and rec(i + 1, (x, y)):
+                return True
             placed.pop()
         return False
 
-    if not rec(0, None, None):
+    if not rec(0, None):
         return None
     return peeled + [(x + x0, y + y0, r + x0, t + y0) for x, y, r, t in placed]
 

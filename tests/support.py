@@ -321,7 +321,7 @@ def reference_lattice(items, a, b):
 
 
 def unpruned_region_search(items, a, b, max_placements):
-    """The exact region packer without refutations or forward checking:
+    """The exact region packer without refutations or pruning:
     the same item order, lattice, normal positions and identical-item
     floor, so it returns the same first layout as
     knapsack.exact_pack_single_region, as [(item id, x, y)], or None.
@@ -761,6 +761,28 @@ def reference_pack_no_wide_half_area(items):
     return _ref_pack_wide_anchored(items, Fraction(1), Fraction(1))
 
 
+def reference_suffix_frontiers(volumes, profits, cap):
+    """frontiers[i] = (vols, gains): the Pareto frontier of (volume, profit)
+    over the subsets of items i.. whose volume is at most cap, both lists
+    strictly increasing, so that gains[bisect_right(vols, v) - 1] is the
+    largest profit of such a subset within volume v."""
+    vols, gains = [0], [0]
+    frontiers = [(vols, gains)]
+    for v, p in zip(reversed(volumes), reversed(profits)):
+        points = list(zip(vols, gains))
+        points += [(fv + v, fp + p) for fv, fp in points if fv + v <= cap]
+        # by volume, the richest first: a point stays only when it is
+        # richer than every point of no larger volume
+        vols, gains = [], []
+        for fv, fp in sorted(points, key=lambda t: (t[0], -t[1])):
+            if not gains or fp > gains[-1]:
+                vols.append(fv)
+                gains.append(fp)
+        frontiers.append((vols, gains))
+    frontiers.reverse()
+    return frontiers
+
+
 def reference_solve_exact(pitems, a, b):
     """knapsack._solve_exact as it was, on ProfitItems and a Fraction
     region: the order key (-volume, id), the lattice of the call's items
@@ -769,7 +791,7 @@ def reference_solve_exact(pitems, a, b):
     the plain position scan.  Returns (profit, selected items,
     placements) of the first leaf of maximum profit."""
     from rectbin.geometry import Placement
-    from rectbin.knapsack import _axis_positions, _suffix_frontiers
+    from rectbin.knapsack import _axis_positions
 
     order = sorted(pitems, key=lambda pi: (-pi.item.volume, pi.item.id))
     d, a_d, b_d, sides = reference_lattice([pi.item for pi in order], a, b)
@@ -779,7 +801,7 @@ def reference_solve_exact(pitems, a, b):
     profits = [pi.profit.numerator * (q // pi.profit.denominator) for pi in order]
     volumes = [w * h for w, h in sides]
     area = a_d * b_d
-    frontiers = _suffix_frontiers(volumes, profits, area)
+    frontiers = reference_suffix_frontiers(volumes, profits, area)
     best = {"profit": -1, "sel": [], "pl": []}
     placed = []
     chosen = []

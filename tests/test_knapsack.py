@@ -82,6 +82,16 @@ def test_profit_rejects_ratio_below_one():
         ProfitItem(it, Fraction(1, 8))
 
 
+def test_knapsack_rejects_duplicate_ids():
+    # one id for two items would leave one of them out of the layout and
+    # still count its profit
+    items = [Item(0, Fraction(1, 2), Fraction(1, 2)), Item(0, Fraction(1, 4), Fraction(1, 4))]
+    with pytest.raises(ValueError, match="duplicate item id 0"):
+        max_area_pack(items, 1, 1, Fraction(1, 100))
+    with pytest.raises(ValueError, match="duplicate item id 0"):
+        max_profit_pack([ProfitItem(it, it.volume) for it in items], 1, 1, Fraction(1, 100))
+
+
 def test_exact_matches_brute_force():
     rng = random.Random(42)
     for trial in range(120):
@@ -274,18 +284,9 @@ def test_exact_pack_agrees_with_naive_search():
     assert 100 < fits < 500
 
 
-def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
-    # forward checking and the refutations only drop subtrees without a
+def test_pruned_search_returns_the_unpruned_layout():
+    # the refutations and the waste check only drop subtrees without a
     # solution, so the first layout is the one the plain search finds
-    checks = []
-    first_spots = knapsack._first_spots
-
-    def counted(*args):
-        spots = first_spots(*args)
-        checks.append(spots is None)
-        return spots
-
-    monkeypatch.setattr(knapsack, "_first_spots", counted)
     rng = random.Random(5)
 
     def side(limit):
@@ -295,9 +296,9 @@ def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
                 return s
         return rand_frac(rng, limit / 20, limit * Fraction(3, 5), rng.choice([3, 5, 7, 64, 1000]))
 
-    # 1000 sets, since the cut and the clique refute many sets before the
-    # forward check sees them
-    compared = fits = full = checked_sets = 0
+    # 1000 sets, since the cut and the clique refute many sets before any
+    # search
+    compared = fits = full = 0
     while compared < 1000:
         a, b = rng.choice(BOUNDARY_REGIONS), rng.choice(BOUNDARY_REGIONS)
         items = []
@@ -312,16 +313,13 @@ def test_pruned_search_returns_the_unpruned_layout(monkeypatch):
             expected = unpruned_region_search(items, a, b, max_placements=1000)
         except SearchBudgetExceeded:
             continue
-        before = len(checks)
         layout = exact_pack_single_region(items, a, b)
         got = None if layout is None else [(p.item_id, p.x, p.y) for p in layout.placements]
         assert got == expected, (items, a, b)
         compared += 1
         fits += layout is not None
         full += any(it.width == a or it.height == b for it in items)
-        checked_sets += len(checks) > before
     assert 300 < fits < 700 and full > 300
-    assert checked_sets > 50 and sum(checks) > 1000  # sets forward checked, placements dropped
 
 
 def guillotine_tiling(rng, a, b, n):

@@ -106,6 +106,35 @@ def test_searches_lists_the_slowest_that_find_no_layout(monkeypatch, capsys):
     assert capsys.readouterr().out.split()[-2] == "slowest_1pct_share"
 
 
+def test_searches_lists_the_searches_the_cap_cuts(monkeypatch, capsys):
+    slow_entries = load_script()
+
+    def waits(sides, a, b):
+        # sleeps until the interval timer interrupts it, however fast the
+        # machine
+        time.sleep(30)
+        raise AssertionError("the interval timer did not fire")
+
+    monkeypatch.setattr(knapsack, "_search_lattice", waits)
+    pool = [
+        {"pool_index": 3, "kind": "oracle", "source": "fit",
+         "text": "items 3\n0 1/4 3/4\n1 1 1/4\n2 3/4 1/2\n"},
+        {"pool_index": 0, "kind": "oracle", "source": "quick", "text": "items 1\n0 1/2 1/2\n"},
+    ]
+    monkeypatch.setattr(slow_entries, "build_corpus", lambda workload, seed, size: pool)
+    assert slow_entries.main(["oracle", "--cap", "0.3", "--searches"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("3 'fit' deadline ")
+    fields = lines[1].split()
+    assert fields[:3] == ["cut", "3", "4x4:3x2,4x1,1x3"]
+    assert float(fields[3]) >= 250  # the cut search ran until the cap
+    summary = lines[2].split()
+    assert summary[:4] == ["entries", "2", "listed", "1"]
+    assert summary[10:16] == ["searches", "1", "none", "0", "none_s", "0.000"]
+    assert summary[18:20] == ["cut", "1"] and summary[20] == "cut_s"
+    assert float(summary[21]) >= 0.25
+
+
 def test_profile_lists_the_functions_with_the_most_own_time(monkeypatch, capsys):
     slow_entries = load_script()
     pool = [
