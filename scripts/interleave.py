@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 scripts/interleave.py OTHER_TREE WORKLOAD [--rounds R] [--limit N]
+    python3 scripts/interleave.py OTHER_TREE WORKLOAD [--rounds R] [--limit N] [--by-branch]
 
 OTHER_TREE is another checkout of this repository (a parent commit made
 with `git archive`, say); WORKLOAD is one of the benchmark's workloads
@@ -33,6 +33,14 @@ that passes the deadline in some rounds is still compared.  An output is
 the serialized packing with the branch and the guarantee (the oracle's
 answer and packing), or the error raised; the script exits 1 when any
 entry's outputs differ, listing the first pool indices, and 0 otherwise.
+
+With --by-branch it then prints one line per branch of this tree's
+outputs, in name order: the branch, its entry count, the median solve
+time of each tree over those entries (this_p50_ms, other_p50_ms) and
+their ratio.  The branch is pack_auto's provenance (opt1, const2, shelf,
+...), the answer of the oracle for oracle entries (none when it found
+none), `missed` for an entry this tree never completed and `error` for
+one that raised.
 """
 
 import argparse
@@ -115,12 +123,26 @@ def side_line(label, totals, phases):
             f"solve_us {solve_us:.1f} serialize_us {serialize_us:.1f}"), p50, tail_ms
 
 
+def branch_of(output):
+    """The branch of one tree's output of an entry (module docstring)."""
+    if output is None:
+        return "missed"
+    if isinstance(output, str):
+        return "error"
+    result = output[0]
+    if isinstance(result, tuple):
+        return result[0]
+    return "none" if result is None else str(result)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", metavar="OTHER_TREE", help="the checkout to compare with")
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--rounds", type=int, default=3, help="solves per entry and tree")
     parser.add_argument("--limit", type=int, help="solve only the first N pool entries")
+    parser.add_argument("--by-branch", action="store_true",
+                        help="also print the medians per branch of this tree's outputs")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -163,6 +185,15 @@ def main(argv=None) -> int:
     print(f"ratio p50 {p50 / other_p50:.3f} tail {tail_ms / other_tail:.3f}")
     print(f"entries {len(pool)} rounds {args.rounds} missed {missed} differing {len(differing)}"
           + (f" first {' '.join(map(str, differing[:5]))}" if differing else ""))
+    if args.by_branch:
+        groups = {}
+        for e, output in enumerate(outputs[0]):
+            groups.setdefault(branch_of(output), []).append(e)
+        for branch in sorted(groups):
+            this, other = (statistics.median(rows[e][3] for e in groups[branch]) * 1000
+                           for rows in best)
+            print(f"branch {branch} entries {len(groups[branch])} this_p50_ms {this:.3f} "
+                  f"other_p50_ms {other:.3f} ratio {this / other:.3f}")
     return 1 if differing else 0
 
 

@@ -10,17 +10,19 @@ build one Fraction: vol the unreduced products w * h of the item sides,
 the other two the sides, each over the least common multiple of their
 denominators.  The lower bound classifies and sums on an integer lattice
 of the item sides (lattice_bound): its own in lower_bound, the unit-bin
-memo's in the oracle; only its area term is the Fraction vol.  The delta
-search runs on the lattice of the item sides and 1/2, computed per call:
-candidates and stack are ints there, and the threshold test is
-cross-multiplied, so no Fraction is built until the delta it returns.
+memo's in the oracle; only its area term is the Fraction vol.  classify,
+the delta search and, when handed one, total_width and total_height read
+the item sides as ints from a Grid: the one pack_opt1 builds per call (on
+the lattice of the sides and 1/2), or one of their own.  The delta search's candidates and stack are ints there, and
+the threshold test is cross-multiplied, so no Fraction is built until the
+delta it returns.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import HALF, Instance, exact_sum, lattice, scaled
+from .geometry import HALF, Grid, Instance, exact_sum, lattice, scaled
 
 # fixed constant of the area guarantee
 XI = Fraction(3, 40)
@@ -38,12 +40,22 @@ def vol(items) -> Fraction:
     return Fraction(sum([a * b * (d // (p * q)) for a, p, b, q in sides]), d)
 
 
-def total_width(items) -> Fraction:
-    return exact_sum([it.width for it in items])
+def total_width(items, grid=None) -> Fraction:
+    """The total width of items; with grid, a Grid of the items, their int
+    widths added on its lattice."""
+    if grid is None:
+        return exact_sum([it.width for it in items])
+    sides = grid.sides
+    return Fraction(sum([sides[it.id][0] for it in items]), grid.d)
 
 
-def total_height(items) -> Fraction:
-    return exact_sum([it.height for it in items])
+def total_height(items, grid=None) -> Fraction:
+    """The total height of items; with grid, a Grid of the items, their
+    int heights added on its lattice."""
+    if grid is None:
+        return exact_sum([it.height for it in items])
+    sides = grid.sides
+    return Fraction(sum([sides[it.id][1] for it in items]), grid.d)
 
 
 def w_max(items) -> Fraction:
@@ -60,26 +72,28 @@ class ItemClasses:
     high: list  # h > 1/2 (bigs included)
     small: list  # w <= 1/2 and h <= 1/2
     big: list  # wide and high at once
-
-    @property
-    def high_only(self):
-        return [it for it in self.high if it.width <= HALF]
+    high_only: list  # high and not wide
 
 
-def classify(instance: Instance) -> ItemClasses:
-    wide, high, small, big = [], [], [], []
+def classify(instance: Instance, grid=None) -> ItemClasses:
+    """The classes of the instance's items, in item order, tested on the
+    ints of grid, a Grid of the items (Grid.of(items) when not given): an
+    item is wide when 2w > d and high when 2h > d."""
+    if grid is None:
+        grid = Grid.of(instance.items)
+    d, sides = grid.d, grid.sides
+    wide, high, small, big, high_only = [], [], [], [], []
     for it in instance.items:
-        is_wide = it.width > HALF
-        is_high = it.height > HALF
+        w, h = sides[it.id]
+        is_wide, is_high = 2 * w > d, 2 * h > d
         if is_wide:
             wide.append(it)
         if is_high:
             high.append(it)
-        if is_wide and is_high:
-            big.append(it)
-        if not is_wide and not is_high:
+            (big if is_wide else high_only).append(it)
+        elif not is_wide:
             small.append(it)
-    return ItemClasses(wide, high, small, big)
+    return ItemClasses(wide, high, small, big, high_only)
 
 
 def lower_bound(instance: Instance) -> int:
@@ -120,7 +134,7 @@ def _check_eps(eps):
         raise ValueError(f"eps must lie in (0, 1/200), got {eps}")
 
 
-def find_feasible_delta(instance: Instance, eps):
+def find_feasible_delta(instance: Instance, eps, grid=None):
     """Smallest candidate delta whose near-full stack fits under gamma.
 
     Candidates are 1 - w_i for items with w_i > 1/2 (kept when inside
@@ -129,17 +143,22 @@ def find_feasible_delta(instance: Instance, eps):
     checking.  Returns None when every candidate fails.  The search on
     the transposed instance is the height-axis one, w(H_delta) <= gamma.
 
-    The search runs on the lattice L of the item sides and 1/2: delta =
-    c / L, and the stack S / L.  The items enter the stack widest first as
-    c grows, and S / L <= (c/L - eps) / (1 + 2c/L) holds exactly when
-    S * (L + 2c) * q <= (c * q - p * L) * L for eps = p / q.
+    The search runs on the ints of grid, a Grid of the items on a lattice
+    L that holds 1/2 (Grid.of(items, 1/2) when not given): delta = c / L,
+    and the stack S / L.  The items enter the stack widest first as c
+    grows, and S / L <= (c/L - eps) / (1 + 2c/L) holds exactly when
+    S * (L + 2c) * q <= (c * q - p * L) * L for eps = p / q.  The sides
+    come from grid alone, so the height-axis search can pass
+    grid.transposed() with the instance as it is.
     """
     _check_eps(eps)
-    items = instance.items
-    L = lattice(items, HALF)
+    if grid is None:
+        grid = Grid.of(instance.items, HALF)
+    L = grid.d
+    if L % 2:
+        raise ValueError(f"the delta search needs a lattice that holds 1/2, got 1/{L}")
     p, q = eps.numerator, eps.denominator
-    pairs = sorted([(scaled(it.width, L), scaled(it.height, L)) for it in items],
-                   reverse=True)
+    pairs = sorted(grid.sides.values(), reverse=True)
     half = L // 2
     candidates = {half}
     for a, _ in pairs:

@@ -108,6 +108,7 @@ def parse_instance(text: str) -> Instance:
     if n < 0:
         raise ParseError(lineno, f"item count {n} is negative")
     items = []
+    seen = set()
     for _ in range(n):
         try:
             lineno, row = next(rows)
@@ -124,12 +125,12 @@ def parse_instance(text: str) -> Instance:
             items.append(Item(ident, w, h))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
+        if ident in seen:
+            raise ParseError(lineno, f"duplicate item id {ident}")
+        seen.add(ident)
     for lineno, row in rows:
         raise ParseError(lineno, f"trailing content {' '.join(row)!r}")
-    try:
-        return Instance(items)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    return Instance(items)
 
 
 def serialize_instance(instance: Instance) -> str:

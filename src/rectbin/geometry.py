@@ -30,6 +30,25 @@ def scaled(q: Fraction, d: int) -> int:
     return q.numerator * (d // q.denominator)
 
 
+@dataclass(frozen=True)
+class Grid:
+    """Item sides as ints on one lattice of spacing 1/d: sides maps each
+    item id to (width * d, height * d).  Grid.of(items, *values) takes d
+    from lattice(items, *values), and transposed() swaps every pair, which
+    gives the sides of the transposed items without building them."""
+
+    d: int
+    sides: dict
+
+    @classmethod
+    def of(cls, items, *values) -> "Grid":
+        d = lattice(items, *values)
+        return cls(d, {it.id: (scaled(it.width, d), scaled(it.height, d)) for it in items})
+
+    def transposed(self) -> "Grid":
+        return Grid(self.d, {i: (h, w) for i, (w, h) in self.sides.items()})
+
+
 def exact_sum(values) -> Fraction:
     """The sum of a list of Fractions, added as ints on the least common
     multiple of their denominators; Fraction(0) for an empty list."""

@@ -4,9 +4,12 @@ Placements are searched over normal positions: every candidate coordinate is
 a subset sum of item widths (respectively heights).  Any axis-parallel
 packing can be normalized by pushing items left and then down until each is
 blocked, which lands every corner on such a sum, so restricting the search
-to these positions loses nothing.  Every search here, the greedy too,
-scans its positions with _feasible_positions, in lex order (x, then y).
-Within a column the scan jumps past the tallest box in the way.  A column
+to these positions loses nothing.  The exact searches scan their
+positions with _feasible_positions, in lex order (x, then y).  The
+memo's extension step and the greedy look only at the corners of the
+boxes placed so far and take the first that fits, in the same lex order
+(_first_corner).  Within a column the scan jumps past the tallest box in
+the way.  A column
 that the scan finds wholly blocked is skipped together with every later
 column left of the smallest right edge of its boxes: each of those boxes
 still overlaps the new box's x range there, so it blocks the same ys (the
@@ -29,8 +32,10 @@ values; a subset's own lattice divides its item set's.  A placed box is
 the tuple (left, bottom, right, top).
 
 max_profit_pack and max_area_pack share one body (_knapsack), which builds
-one lattice per call, of the region and every item side.  On it the body
-checks the region, keeps the items that fit the region alone, and hands
+one lattice per call, of the region and every item side, or reads the
+lattice and sides of a UnitBinMemo of the region that the caller hands
+in (max_profit_pack takes one; the constant-OPT branch hands it the
+solve's).  On it the body checks the region, keeps the items that fit the region alone, and hands
 them with their sides to the searches below.  Profits are ints over one
 denominator q: max_area_pack's are the lattice areas w * h over d^2, and
 max_profit_pack's are scaled by the least common multiple of their
@@ -48,7 +53,8 @@ solve.  It is never looser than the ratio bound min(remaining profit,
 best ratio * free area), and any valid bound leaves the first leaf of
 maximum profit unchanged.  Before the search, the whole set is handed to
 the region packer below (exact_pack_single_region, with the memo and
-lattice of its own), whose area bound turns away a set too large.  Its
+lattice of its own, or unit_bin_layout on the memo handed in), whose area
+bound turns away a set too large.  Its
 first layout, when there is one, is the search's first leaf with every
 item included, which is then the answer, at the sum of the int profits
 over q: both place the items in the same order at the same normal
@@ -98,6 +104,9 @@ without a solution, so the first layout is unchanged.
 Every exact region search goes through the memo: exact_pack_single_region
 with a memo of its own, and the oracle and the constant-OPT branch, which
 grow each part one item at a time, with one unit-bin memo per solve.  The
+constant-OPT branch's knapsack probes on that memo too; its set is the
+first part plus tiny items, which come last in search order, so the
+probe extends the part's entry.  The
 memo is keyed by int masks: bit k stands for the k-th item in search
 order, so a key's last item is its highest bit and the set less it is the
 key with that bit cleared.  A miss tests the area bound (the lattice
@@ -297,9 +306,7 @@ def _best_effort(items, sides, profits, a, b, d):
     achieved = 0
     for k in order:
         w, h = sides[k]
-        xs = sorted({0} | {right for _, _, right, _ in placed})
-        ys = sorted({0} | {top for _, _, _, top in placed})
-        spot = next(_feasible_positions(w, h, xs, ys, placed, a, b), None)
+        spot = _first_corner(w, h, placed, a, b)
         if spot is not None:
             x, y = spot
             placed.append((x, y, x + w, y + h))
@@ -308,22 +315,31 @@ def _best_effort(items, sides, profits, a, b, d):
     return achieved, chosen
 
 
-def _knapsack(items, profits, a, b, eps, exact_limit):
+def _knapsack(items, profits, a, b, eps, exact_limit, cache=None):
     """The body of max_profit_pack and max_area_pack, on one lattice of
     spacing 1/d for the region and every item side (module docstring):
     the items with their profits, Fractions, or None for their areas.
-    Two items with one id get Instance's ValueError: the layout would
-    hold one of them and the profit count both."""
+    With cache, a UnitBinMemo of region (a, b) that holds the items, the
+    lattice and the sides are the memo's, and the fit-all probe looks the
+    items up in it.  Two items with one id get Instance's ValueError: the
+    layout would hold one of them and the profit count both."""
     n = len(items)
     a, b, eps = scalar(a), scalar(b), scalar(eps)
-    d = lattice(items, a, b)
-    a_d, b_d = scaled(a, d), scaled(b, d)
+    if cache is None:
+        d = lattice(items, a, b)
+        a_d, b_d = scaled(a, d), scaled(b, d)
+        sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
+    elif (a, b) == cache.region:
+        d, a_d, b_d = cache.d, cache.a, cache.b
+        sides = [cache.sides[it.id] for it in items]
+    else:
+        raise ValueError(f"region {a} x {b} is not the memo's {cache.region[0]} x "
+                         f"{cache.region[1]}")
     if not (0 < a_d <= d and 0 < b_d <= d):
         raise ValueError(f"region {a} x {b} outside (0,1] x (0,1]")
     if eps.numerator <= 0:
         raise ValueError("eps must be positive")
     Instance(items)  # refuses duplicate ids
-    sides = [(scaled(it.width, d), scaled(it.height, d)) for it in items]
     if profits is None:
         q = d * d
         profits = [w * h for w, h in sides]
@@ -333,7 +349,10 @@ def _knapsack(items, profits, a, b, eps, exact_limit):
     usable = [k for k, (w, h) in enumerate(sides) if w <= a_d and h <= b_d]
     items, sides, profits = ([seq[k] for k in usable] for seq in (items, sides, profits))
     if n <= exact_limit:
-        layout = exact_pack_single_region(items, a, b, exact_limit)
+        if cache is None:
+            layout = exact_pack_single_region(items, a, b, exact_limit)
+        else:
+            layout = unit_bin_layout(items, cache, exact_limit)
         if layout is not None:
             # the layout places the items in search order
             by_id = {it.id: it for it in items}
@@ -357,13 +376,15 @@ def _knapsack(items, profits, a, b, eps, exact_limit):
     return KnapsackResult([it for it, _, _ in placed], layout, achieved, False)
 
 
-def max_profit_pack(pitems, a, b, eps, exact_limit=10) -> KnapsackResult:
+def max_profit_pack(pitems, a, b, eps, exact_limit=10, cache=None) -> KnapsackResult:
     """The most profitable set of the items that fits region (a, b), with
     its layout: exact within exact_limit items, else the greedy's set when
     it meets the (1 - eps) * OPT - eps contract (InstanceTooLarge when
-    not)."""
+    not).  cache, when given, is a UnitBinMemo of region (a, b) that holds
+    every item, and the call reads its lattice and memo (_knapsack); the
+    result is the same."""
     return _knapsack([pi.item for pi in pitems], [pi.profit for pi in pitems], a, b, eps,
-                     exact_limit)
+                     exact_limit, cache)
 
 
 def max_area_pack(items, a, b, eps, exact_limit=10) -> KnapsackResult:
@@ -584,12 +605,12 @@ def _members(key, values):
     return out
 
 
-def _extended(boxes, base, last, cache):
-    """The memo value of the set base, a key of cache, plus the item of
-    bit last, where boxes is base's first layout and last comes after all
-    of base's items in search order: last at its first feasible position
-    among the corners of base's boxes (0 and right edges across, 0 and
-    tops up), or None when it finds none.
+def _extended(boxes, last, cache):
+    """The memo value of a set of cache, a UnitBinMemo, plus the item of
+    bit last, where boxes is the set's first layout and last comes after
+    all of its items in search order: last at its first feasible position
+    among the corners of the boxes (_first_corner), or None when it finds
+    none.
 
     Why the result is the set's first layout.  Compacting any layout down
     and left moves every box no later in lex order and lands each box on
@@ -601,20 +622,40 @@ def _extended(boxes, base, last, cache):
     with L whenever L leaves the last item a spot: the smaller part of any
     layout of the set is no earlier than its compacted form, which is no
     earlier than L.  The item's first feasible position there is a corner
-    of L, since sliding it down and left lands it on one no later.  Under a
-    twin's floor too: were that corner below the floor, the twin could move
-    to it, which would give a layout of the smaller set earlier than L."""
-    shapes = cache.shapes
-    w, h = shapes[last]
-    twin = base and shapes[base.bit_length() - 1] == (w, h)
-    floor = boxes[-1][:2] if twin else None
-    xs = sorted({0, *(right for _, _, right, _ in boxes)})
-    ys = sorted({0, *(top for _, _, _, top in boxes)})
-    spot = next(_feasible_positions(w, h, xs, ys, boxes, cache.a, cache.b, floor), None)
+    of L, since sliding it down and left lands it on one no later.  A twin
+    needs no floor here: were that corner before the floor, the position of
+    the twin before it, that twin could move to it, which would give a
+    layout of the smaller set earlier than L."""
+    w, h = cache.shapes[last]
+    spot = _first_corner(w, h, boxes, cache.a, cache.b)
     if spot is None:
         return None
     x, y = spot
     return boxes + ((x, y, x + w, y + h),)
+
+
+def _first_corner(w, h, boxes, a, b):
+    """The first position (lex order, x then y) among the corners of boxes,
+    0 and right edges across, 0 and tops up, where a w x h box fits region
+    (a, b) clear of every box, or None: next(_feasible_positions(...))
+    over those corners, without the generator's column jumps, which pay
+    off only on long candidate lists."""
+    ys = sorted({0, *[top for _, _, _, top in boxes]})
+    for x in sorted({0, *[right for _, _, right, _ in boxes]}):
+        right = x + w
+        if right > a:
+            break
+        column = [(bottom, top) for left, bottom, r, top in boxes if left < right and x < r]
+        for y in ys:
+            up = y + h
+            if up > b:
+                break
+            for bottom, top in column:
+                if y < top and bottom < up:
+                    break
+            else:
+                return x, y
+    return None
 
 
 def _unit_bin_entry(key, cache, limit):
@@ -631,7 +672,7 @@ def _unit_bin_entry(key, cache, limit):
         base = key ^ (1 << last)
         boxes = _unit_bin_entry(base, cache, limit)
         if boxes is not None:
-            entry = _extended(boxes, base, last, cache)
+            entry = _extended(boxes, last, cache)
             if entry is None:
                 placed = _search_lattice(_members(key, cache.shapes), cache.a, cache.b)
                 if placed is not None:

@@ -9,9 +9,14 @@ guess that a later check is sure to fail; that check's GuessFailed would end
 the guess anyway, so no output changes.
 Packings are returned unvalidated: `cli.pack_auto` validates the one it
 emits.  A returned packing's `path` names its branch.
-pack_small_height decides its cutoffs, sums and refusals on ints, on the
-lattice of the item sides and delta; the other branches compute on
-Fractions.
+pack_opt1 puts the item sides on one lattice per call, that of the sides
+and 1/2 (a Grid), and hands it on: the delta search on each axis (the
+height axis reads the same Grid transposed), pack_small_height's cutoffs,
+sums and refusals, the wide/high dispatch, and the classes, sums and
+refusals of pack_large_w (with pack_wide_high's) and pack_small_w all
+read its ints.  The transposed instance is built only for a branch on the height
+axis.  The layouts of pack_wide_high, pack_large_w, pack_small_w and
+pack_stack_plus_small still compute on Fractions.
 """
 
 from fractions import Fraction
@@ -33,9 +38,9 @@ from .errors import (
 from .geometry import (
     HALF,
     BinLayout,
+    Grid,
     Instance,
     Packing,
-    lattice,
     scalar,
     scaled,
     transpose_instance,
@@ -47,7 +52,7 @@ from .knapsack import max_area_pack
 from .steinberg import steinberg_pack
 
 
-def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing:
+def pack_small_height(instance: Instance, delta, eps, exact_limit=10, grid=None) -> Packing:
     """Two bins when the wide items above the width cutoff have a low stack.
 
     Bin 1 carries the near-full-height items plus a max-area selection of the
@@ -57,21 +62,26 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     2(vol(pool) - region_w) - 1 > stack, more than half of 1 x (1 - y) is left
     for the area packer; its ConditionViolated is raised before the knapsack.
 
-    The tests and sums run on the lattice L of the item sides and delta:
-    delta = c / L, and for eps = p / q the threshold gamma = (delta - eps) /
-    (1 + 2 delta) is g / (q (L + 2c)) with g = cq - pL, so each test on
-    gamma is cross-multiplied.  Fractions are built for the placements and
-    for the regions handed to the knapsack and the area packer.
+    The tests and sums run on the ints of grid, a Grid of the items on a
+    lattice L that holds delta (Grid.of(items, delta) when not given):
+    delta = c / L, and for eps = p / q the threshold gamma = (delta - eps)
+    / (1 + 2 delta) is g / (q (L + 2c)) with g = cq - pL, so each test on
+    gamma is cross-multiplied.  Both refusals come before any placement.
+    Fractions are built for the placements and for the regions handed to
+    the knapsack and the area packer.
     """
     delta, eps = scalar(delta), scalar(eps)
     items = instance.items
-    L = lattice(items, delta)
+    if grid is None:
+        grid = Grid.of(items, delta)
+    L, sides = grid.d, grid.sides
+    if L % delta.denominator:
+        raise ValueError(f"delta {delta} is not on the lattice 1/{L}")
     c, p, q = scaled(delta, L), eps.numerator, eps.denominator
     if not (p * L < c * q and 2 * c <= L):
         raise PreconditionViolated(f"delta {delta} outside (eps, 1/2]")
     # gamma * L = g / den on the lattice
     g, den = (c * q - p * L) * L, q * (L + 2 * c)
-    sides = {it.id: (scaled(it.width, L), scaled(it.height, L)) for it in items}
     stack = sum([h for w, h in sides.values() if w > L - c])
     if stack * den > g:
         raise PreconditionViolated("stack of cutoff-wide items exceeds the threshold")
@@ -82,17 +92,17 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
     tall_w = sum([sides[it.id][0] for it in tall])
     if tall_w > L:
         raise GuessFailed("near-full-height items wider than the bin together")
-    bin1 = BinLayout(1, 1)
-    x = bin1.row(tall, 0, 0)
     tall_ids = {it.id for it in tall}
     pool = [it for it in items if it.id not in tall_ids]
-
-    selected_ids = set()
     region_w = L - tall_w
     # 2(vol(pool) - region_w) - 1 > stack, times L^2
     area = sum([w * h for w, h in (sides[it.id] for it in pool)])
     if 2 * area - 2 * region_w * L - L * L > stack * L:
         raise ConditionViolated("pool area exceeds what bin 1 and bin 2's area condition hold")
+
+    bin1 = BinLayout(1, 1)
+    x = bin1.row(tall, 0, 0)
+    selected_ids = set()
     if region_w > 0 and pool:
         picked = max_area_pack(pool, Fraction(region_w, L), 1, eps, exact_limit=exact_limit)
         bin1.merge(picked.layout, x, 0)
@@ -114,7 +124,7 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing
 MAX_ENUMERATION = 16
 
 
-def pack_wide_high(wide, high, eps):
+def pack_wide_high(wide, high, eps, grid=None):
     """One bin holding all wide items plus a high subset of guaranteed width.
 
     Candidate subsets of the not-thin high items are tried in decreasing
@@ -122,18 +132,27 @@ def pack_wide_high(wide, high, eps):
     Returns (layout, chosen_high) with w(chosen) > w(high)/2 - eps.  A wide
     stack taller than the bin fails validation with every subset, so it raises
     GuessFailed before the enumeration (InstanceTooLarge still comes first).
+    Both refusals and the thin test w < eps = p / q (wq < pd) read the int
+    sides of grid, a Grid of the items (Grid.of(wide + high) when not
+    given), and come before the Fraction work on the subsets.
     """
     eps = scalar(eps)
     wide = list(wide)
     high = list(high)
-    bound = total_width(high) / 2 - eps
-    substantial = [it for it in high if it.width >= eps]
-    thin = sorted((it for it in high if it.width < eps), key=lambda it: (-it.height, it.id))
-    thin_w = total_width(thin)
+    if grid is None:
+        grid = Grid.of(wide + high)
+    d, sides = grid.d, grid.sides
+    p, q = eps.numerator, eps.denominator
+    substantial, thin = [], []
+    for it in high:
+        (thin if sides[it.id][0] * q < p * d else substantial).append(it)
     if len(substantial) > MAX_ENUMERATION:
         raise InstanceTooLarge(f"{len(substantial)} candidate high items to enumerate")
-    if total_height(wide) > 1:
+    if total_height(wide, grid) > 1:
         raise GuessFailed("wide stack taller than the bin")
+    bound = total_width(high) / 2 - eps
+    thin.sort(key=lambda it: (-it.height, it.id))
+    thin_w = total_width(thin)
 
     candidates = []
     for mask in range(1 << len(substantial)):
@@ -166,16 +185,21 @@ def pack_wide_high(wide, high, eps):
     raise GuessFailed("no high subset wide enough fits with the wide stack")
 
 
-def pack_large_w(instance: Instance, eps) -> Packing:
-    """Two bins when both the wide stack and the high row exceed half."""
+def pack_large_w(instance: Instance, eps, grid=None) -> Packing:
+    """Two bins when both the wide stack and the high row exceed half.
+
+    The classes, their sums and pack_wide_high's refusals read the int
+    sides of grid, a Grid of the items (Grid.of(items) when not given)."""
     eps = scalar(eps)
-    classes = classify(instance)
-    hw = total_height(classes.wide)
-    wh = total_width(classes.high)
+    if grid is None:
+        grid = Grid.of(instance.items)
+    classes = classify(instance, grid)
+    hw = total_height(classes.wide, grid)
+    wh = total_width(classes.high, grid)
     if not (hw >= wh > HALF):  # implies both classes are present
         raise ConditionViolated(f"needs h(W) >= w(H) > 1/2, got {hw}, {wh}")
 
-    bin1, chosen = pack_wide_high(classes.wide, classes.high_only, eps)
+    bin1, chosen = pack_wide_high(classes.wide, classes.high_only, eps, grid)
     chosen_ids = {it.id for it in chosen}
     leftover = sorted((it for it in classes.high_only if it.id not in chosen_ids),
                       key=lambda it: (-it.height, it.id))
@@ -225,19 +249,23 @@ def _stack_omega(stacked):
     return HALF
 
 
-def pack_small_w(instance: Instance, eps) -> Packing:
+def pack_small_w(instance: Instance, eps, grid=None) -> Packing:
     """Two bins when the high row is at most half the bin wide.
 
     Bin 1 keeps the wide stack and receives corner items chosen by one of
     three volume cases, named `case1`..`case3` on the packing's path; bin 2
-    is the high stack plus the remaining smalls.
+    is the high stack plus the remaining smalls.  The classes and their
+    sums read the int sides of grid, a Grid of the items (Grid.of(items)
+    when not given).
     """
     eps = scalar(eps)
-    classes = classify(instance)
+    if grid is None:
+        grid = Grid.of(instance.items)
+    classes = classify(instance, grid)
     if not classes.wide or not classes.high:
         raise ConditionViolated("needs both wide and high items")
-    hw = total_height(classes.wide)
-    wh = total_width(classes.high)
+    hw = total_height(classes.wide, grid)
+    wh = total_width(classes.high, grid)
     if hw < wh or wh > HALF:
         raise ConditionViolated(f"needs h(W) >= w(H) and w(H) <= 1/2, got {hw}, {wh}")
     if hw > 1:
@@ -355,38 +383,45 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
     if not instance.items:
         return Packing([])
     limit_hit = None
+    # one lattice for the call: the item sides and 1/2, which holds every
+    # delta the searches return
+    grid = Grid.of(instance.items, HALF)
+    across = grid.transposed()
+    flipped = None  # the transposed instance, built for a height-axis branch
 
-    delta = find_feasible_delta(instance, eps)
+    delta = find_feasible_delta(instance, eps, grid)
     if delta is not None:
         try:
-            packing = pack_small_height(instance, delta, eps, exact_limit=exact_limit)
+            packing = pack_small_height(instance, delta, eps, exact_limit, grid)
             return packing.under("delta_width")
         except GuessFailed:
             pass
         except InstanceTooLarge as exc:
             limit_hit = exc
-    flipped = transpose_instance(instance)
-    delta = find_feasible_delta(flipped, eps)
+    delta = find_feasible_delta(instance, eps, across)
     if delta is not None:
+        flipped = transpose_instance(instance)
         try:
-            packing = pack_small_height(flipped, delta, eps, exact_limit=exact_limit)
+            packing = pack_small_height(flipped, delta, eps, exact_limit, across)
             return transpose_packing(packing).under("delta_height")
         except GuessFailed:
             pass
         except InstanceTooLarge as exc:
             limit_hit = exc
 
-    classes = classify(instance)
-    work = instance
-    flip = total_height(classes.wide) < total_width(classes.high)
+    # the branch for whichever of h(W) and w(H) dominates, on the axis
+    # where h(W) >= w(H); its w(H) is then the smaller of the two
+    classes = classify(instance, grid)
+    hw, wh = total_height(classes.wide, grid), total_width(classes.high, grid)
+    flip = hw < wh
+    work, on = instance, grid
     if flip:
-        work = flipped
-        classes = classify(work)
+        work, on = flipped or transpose_instance(instance), across
     try:
-        if total_width(classes.high) > HALF:
-            packing = pack_large_w(work, eps).under("large_w")
+        if min(hw, wh) > HALF:
+            packing = pack_large_w(work, eps, on).under("large_w")
         else:
-            packing = pack_small_w(work, eps).under("small_w")
+            packing = pack_small_w(work, eps, on).under("small_w")
     except (GuessFailed, InstanceTooLarge):
         # a skipped cutoff branch might have worked with higher limits, so
         # the limit report takes precedence over a plain failure

@@ -11,6 +11,10 @@ a plain PreconditionViolated is a caller bug.  Packings are unvalidated:
 `cli.pack_auto` validates the one it emits.  The returned packing's `path`
 names the case (`case1`..`case4`), then the subcase and whether the roles
 were flipped.
+One UnitBinMemo per solve serves every exact layout of the guesses: the
+split of large from tiny items is an int test on its lattice, the
+assignments grow their parts through it, and the profit knapsack of each
+guess reads its lattice and probes through it.
 """
 
 from dataclasses import dataclass, field
@@ -125,6 +129,18 @@ def enumerate_large_assignments(large, ell, enumeration_limit=12, cache=None):
                                     enumeration_limit, labeled=1)
 
 
+def _split_large(items, cache, eps):
+    """(large, tiny): the items of area above eps and the others, each in
+    item order, tested on the lattice of cache, a UnitBinMemo that holds
+    them: w * h * q > p * d^2 for eps = p / q."""
+    bound, q, sides = eps.numerator * cache.d ** 2, eps.denominator, cache.sides
+    large, tiny = [], []
+    for it in items:
+        w, h = sides[it.id]
+        (large if w * h * q > bound else tiny).append(it)
+    return large, tiny
+
+
 _volume = attrgetter("volume")
 _width = attrgetter("width")
 
@@ -219,12 +235,15 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     ctx.assignment = tuple(tuple(part) for part in assignment)
     if len(ctx.assignment) != ell:
         raise PreconditionViolated(f"assignment has {len(ctx.assignment)} parts, wanted {ell}")
-    tiny = [it for it in instance.items if it.volume <= eps]
+    tiny = _split_large(instance.items, ctx.cache, eps)[1]
 
     boosted = Fraction(1, 1) / eps + 1
     pitems = [ProfitItem(it, it.volume * boosted) for it in ctx.assignment[0]]
     pitems += [ProfitItem(it, it.volume) for it in tiny]
-    result = max_profit_pack(pitems, 1, 1, eps * eps / (1 + 2 * eps), exact_limit)
+    # on the memo: the probe extends the first part's entry by the tinies,
+    # which come after every large item in its search order
+    result = max_profit_pack(pitems, 1, 1, eps * eps / (1 + 2 * eps), exact_limit,
+                             cache=ctx.cache)
     packed_ids = {it.id for it in result.selected}
     if not all(it.id in packed_ids for it in ctx.assignment[0]):
         raise GuessFailed("profit bin dropped an assigned large item")
@@ -538,8 +557,8 @@ def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12):
     if not instance.items:
         return Packing([])
     eps = const_eps(k)
-    large = [it for it in instance.items if it.volume > eps]
     cache = UnitBinMemo(instance.items)
+    large = _split_large(instance.items, cache, eps)[0]
     thr = HALF - eps
     limit_hits = 0
     last_error = None

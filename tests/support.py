@@ -270,6 +270,23 @@ def benchmark_pool_sample(workload, size, step):
     return [(e["pool_index"], parse_instance(e["text"])) for e in entries[::step]]
 
 
+def outcome(run):
+    """What run() gives, as comparable text: the serialized packing (a
+    layout as a one-bin packing) with its path and region, or the
+    exception's type and text."""
+    from rectbin.errors import RectbinError
+    from rectbin.fileio import serialize_packing
+    from rectbin.geometry import Packing
+
+    try:
+        result = run()
+    except (RectbinError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, Packing):
+        return "packing", result.path, serialize_packing(result)
+    return "layout", result.width, result.height, serialize_packing(Packing([result]))
+
+
 def memo_ids(memo, key):
     """The item ids of key, an int key of the UnitBinMemo memo, in search
     order."""
@@ -931,3 +948,139 @@ def reference_pack_small_height(instance, delta, eps, exact_limit=10):
     if rest:
         bin2.merge(reference_steinberg_pack(rest, 1, 1 - y), 0, y)
     return Packing([bin1, bin2])
+
+
+# ---------------------------------------------------------------------------
+# pack_opt1's dispatch, pack_large_w's refusals and the constant branch's
+# knapsack as they were before one lattice served each pack_opt1 call and
+# the solve's unit-bin memo served run_steps_1_to_4: references for them
+
+@dataclass
+class ReferenceClasses:
+    wide: list
+    high: list
+    small: list
+    big: list
+    high_only: list
+
+
+def reference_classify(items):
+    """classify.classify on Fraction comparisons with 1/2."""
+    half = Fraction(1, 2)
+    wide = [it for it in items if it.width > half]
+    high = [it for it in items if it.height > half]
+    return ReferenceClasses(
+        wide, high, [it for it in items if it.width <= half and it.height <= half],
+        [it for it in wide if it.height > half], [it for it in high if it.width <= half])
+
+
+def reference_pack_large_w(instance, eps):
+    """opt1.pack_large_w's refusals on Fractions, in their order: the
+    classes (reference_classify) and h(W) >= w(H) > 1/2, then
+    pack_wide_high's two, more than MAX_ENUMERATION high items of width at
+    least eps and a wide stack taller than the bin; past them,
+    opt1.pack_large_w builds the bins."""
+    from rectbin.errors import ConditionViolated, GuessFailed, InstanceTooLarge
+    from rectbin.opt1 import MAX_ENUMERATION, pack_large_w
+
+    eps = Fraction(eps)
+    classes = reference_classify(instance.items)
+    hw = reference_total_height(classes.wide)
+    wh = reference_total_width(classes.high)
+    if not (hw >= wh > Fraction(1, 2)):
+        raise ConditionViolated(f"needs h(W) >= w(H) > 1/2, got {hw}, {wh}")
+    substantial = [it for it in classes.high_only if it.width >= eps]
+    if len(substantial) > MAX_ENUMERATION:
+        raise InstanceTooLarge(f"{len(substantial)} candidate high items to enumerate")
+    if hw > 1:
+        raise GuessFailed("wide stack taller than the bin")
+    return pack_large_w(instance, eps)
+
+
+def reference_pack_small_w(instance, eps):
+    """opt1.pack_small_w's refusals on Fractions, in their order; past
+    them, opt1.pack_small_w builds the bins."""
+    from rectbin.errors import ConditionViolated, GuessFailed
+    from rectbin.opt1 import pack_small_w
+
+    classes = reference_classify(instance.items)
+    if not classes.wide or not classes.high:
+        raise ConditionViolated("needs both wide and high items")
+    hw = reference_total_height(classes.wide)
+    wh = reference_total_width(classes.high)
+    if hw < wh or wh > Fraction(1, 2):
+        raise ConditionViolated(f"needs h(W) >= w(H) and w(H) <= 1/2, got {hw}, {wh}")
+    if hw > 1:
+        raise GuessFailed("wide stack taller than the bin")
+    return pack_small_w(instance, eps)
+
+
+def reference_pack_opt1(instance, eps, exact_limit=10):
+    """opt1.pack_opt1's dispatch as it was: the delta search on the
+    instance and on transpose_instance (reference_feasible_delta), the
+    Fraction classes and sums, and the references of the branches."""
+    from rectbin.errors import GuessFailed, InstanceTooLarge
+    from rectbin.geometry import Packing, transpose_instance, transpose_packing
+
+    eps = Fraction(eps)
+    if not instance.items:
+        return Packing([])
+    limit_hit = None
+    delta = reference_feasible_delta(instance.items, eps)
+    if delta is not None:
+        try:
+            packing = reference_pack_small_height(instance, delta, eps, exact_limit)
+            return packing.under("delta_width")
+        except GuessFailed:
+            pass
+        except InstanceTooLarge as exc:
+            limit_hit = exc
+    flipped = transpose_instance(instance)
+    delta = reference_feasible_delta(flipped.items, eps)
+    if delta is not None:
+        try:
+            packing = reference_pack_small_height(flipped, delta, eps, exact_limit)
+            return transpose_packing(packing).under("delta_height")
+        except GuessFailed:
+            pass
+        except InstanceTooLarge as exc:
+            limit_hit = exc
+    classes = reference_classify(instance.items)
+    work = instance
+    flip = reference_total_height(classes.wide) < reference_total_width(classes.high)
+    if flip:
+        work = flipped
+        classes = reference_classify(work.items)
+    try:
+        if reference_total_width(classes.high) > Fraction(1, 2):
+            packing = reference_pack_large_w(work, eps).under("large_w")
+        else:
+            packing = reference_pack_small_w(work, eps).under("small_w")
+    except (GuessFailed, InstanceTooLarge):
+        if limit_hit is not None:
+            raise limit_hit
+        raise
+    return transpose_packing(packing) if flip else packing
+
+
+def reference_const_knapsack(instance, first_part, k=3, exact_limit=10):
+    """The knapsack of optconst.run_steps_1_to_4 as it was: the tiny items
+    by Fraction volume (at most eps), the first part's items at their area
+    times 1/eps + 1 and the tinies at their area, and max_profit_pack on
+    the unit bin with the lattice of the call and the fit-all probe on a
+    fresh memo (exact_pack_single_region).  Raises GuessFailed as the step
+    does when the bin drops an item of the part."""
+    from rectbin.errors import GuessFailed
+    from rectbin.knapsack import ProfitItem, max_profit_pack
+    from rectbin.optconst import const_eps
+
+    eps = const_eps(k)
+    tiny = [it for it in instance.items if it.volume <= eps]
+    boosted = Fraction(1, 1) / eps + 1
+    pitems = [ProfitItem(it, it.volume * boosted) for it in first_part]
+    pitems += [ProfitItem(it, it.volume) for it in tiny]
+    result = max_profit_pack(pitems, 1, 1, eps * eps / (1 + 2 * eps), exact_limit)
+    packed = {it.id for it in result.selected}
+    if not all(it.id in packed for it in first_part):
+        raise GuessFailed("profit bin dropped an assigned large item")
+    return result

@@ -61,6 +61,7 @@ class TestInstanceFormat:
         ("items 1\n0 1/2 0.x\n", 2),
         ("items 1\n0 2 1/2\n", 2),
         ("items 1\n0 1/2 1/2\n1 1/2 1/2\n", 3),
+        ("items 2\n0 1/2 1/2\n00 1/2 1/2\n", 3),
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as info:

@@ -28,6 +28,25 @@ def test_the_repository_against_itself_matches():
     assert summary == "entries 20 rounds 1 missed 0 differing 0"
 
 
+def test_by_branch_splits_the_entries_by_this_tree_s_branch():
+    proc = run(ROOT, "two_bin", "--limit", 12, "--rounds", 1, "--by-branch")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[3] == "entries 12 rounds 1 missed 0 differing 0"
+    branches = [line.split() for line in lines[4:]]
+    assert branches and [words[1] for words in branches] == sorted(words[1] for words in branches)
+    for words in branches:
+        assert words[0] == "branch" and words[1] in ("opt1", "const2", "shelf")
+        assert words[2::2] == ["entries", "this_p50_ms", "other_p50_ms", "ratio"]
+        assert int(words[3]) > 0 and all(float(value) > 0 for value in words[5::2])
+    assert sum(int(words[3]) for words in branches) == 12
+    assert "const2" in [words[1] for words in branches]
+    proc = run(ROOT, "oracle", "--limit", 5, "--rounds", 1, "--by-branch")
+    assert proc.returncode == 0, proc.stderr
+    answers = [line.split()[1] for line in proc.stdout.splitlines()[4:]]
+    assert answers and all(answer.isdigit() for answer in answers)
+
+
 def test_differing_outputs_exit_1(tmp_path):
     # the other tree appends a mark to every serialized packing
     shutil.copytree(ROOT / "src" / "rectbin", tmp_path / "src" / "rectbin",

@@ -14,12 +14,13 @@ from fractions import Fraction
 from rectbin.classify import delta_threshold
 from rectbin.errors import GuessFailed, InstanceTooLarge, RectbinError
 from rectbin.fileio import serialize_packing
-from rectbin.geometry import Instance, Item, Packing
+from rectbin.geometry import Instance, Item
 from rectbin.knapsack import ProfitItem, max_area_pack, max_profit_pack
 from rectbin.opt1 import pack_opt1, pack_small_height
 from rectbin.steinberg import pack_no_wide_half_area, steinberg_condition, steinberg_pack
 from support import (
     benchmark_pool_sample,
+    outcome,
     reference_max_area_pack,
     reference_max_profit_pack,
     reference_pack_no_wide_half_area,
@@ -31,19 +32,6 @@ from support import (
 DENOMINATORS = (3, 7, 1000, 65536)
 EPSILONS = (Fraction(1, 256), Fraction(1, 1000), Fraction(3, 7000))
 EPS = Fraction(1, 256)
-
-
-def outcome(run):
-    """What run() gives, as comparable text: the serialized packing (a
-    layout as a one-bin packing) with its path and region, or the
-    exception's type and text."""
-    try:
-        result = run()
-    except (RectbinError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-    if isinstance(result, Packing):
-        return "packing", result.path, serialize_packing(result)
-    return "layout", result.width, result.height, serialize_packing(Packing([result]))
 
 
 def knapsack_outcome(run):
