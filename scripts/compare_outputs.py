@@ -9,7 +9,10 @@ Both files are `.perfbench_out/outputs-<workload>-<seed>.json`, written by
 digests are keyed by pool index, so runs with different seeds compare too.
 Only the pool indices that both runs completed are compared.  Prints the
 matched, mismatched and one-side-only counts and the first mismatched
-indices; exits 1 when any digest differs, 0 otherwise.  If stdout closes
+indices; exits 1 when any digest differs, 0 otherwise.  When both files
+name a `workload` (the `--outputs` files do) and the names differ, their
+pool indices stand for different entries: it prints one line to stderr
+and exits 2 without comparing.  If stdout closes
 early (`... | head -1`), it ends with exit 1 and no traceback.
 
 When both files carry a `solves` list, it also prints the per-entry
@@ -59,6 +62,11 @@ def main(argv=None) -> int:
         print("usage: compare_outputs.py PARENT.json CHANGE.json", file=sys.stderr)
         return 2
     parent_run, change_run = load(args[0]), load(args[1])
+    workloads = parent_run.get("workload"), change_run.get("workload")
+    if None not in workloads and workloads[0] != workloads[1]:
+        print(f"compare_outputs.py: the files are of different workloads, {workloads[0]} "
+              f"and {workloads[1]}", file=sys.stderr)
+        return 2
     parent, change = parent_run["per_entry_sha256"], change_run["per_entry_sha256"]
     both = sorted(parent.keys() & change.keys(), key=int)
     mismatched = [index for index in both if parent[index] != change[index]]

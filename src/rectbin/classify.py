@@ -8,21 +8,21 @@ threshold gamma = (delta - eps) / (1 + 2 delta) never exceeds 1/4.
 The sums (vol, total_width, total_height) add ints on one lattice and
 build one Fraction: vol the unreduced products w * h of the item sides,
 the other two the sides, each over the least common multiple of their
-denominators.  The lower bound classifies and sums on an integer lattice
-of the item sides (lattice_bound): its own in lower_bound, the unit-bin
-memo's in the oracle; only its area term is the Fraction vol.  classify,
-the delta search and, when handed one, total_width and total_height read
-the item sides as ints from a Grid: the one pack_opt1 builds per call (on
-the lattice of the sides and 1/2), or one of their own.  The delta search's candidates and stack are ints there, and
-the threshold test is cross-multiplied, so no Fraction is built until the
-delta it returns.
+denominators.  classify, lower_bound and the delta search read the item
+sides as ints from a Grid: the instance's own (instance.grid, on the
+lattice of the sides and 1/2), which classify also sums into h(W) and
+w(H); the delta search takes the Grid it searches, so that the
+height-axis search reads the same Grid transposed.  Only the lower
+bound's area term is the Fraction vol.  The delta search's candidates
+and stack are ints there, and the threshold test is cross-multiplied, so
+no Fraction is built until the delta it returns.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import HALF, Grid, Instance, exact_sum, lattice, scaled
+from .geometry import HALF, Grid, Instance, exact_sum
 
 # fixed constant of the area guarantee
 XI = Fraction(3, 40)
@@ -40,22 +40,12 @@ def vol(items) -> Fraction:
     return Fraction(sum([a * b * (d // (p * q)) for a, p, b, q in sides]), d)
 
 
-def total_width(items, grid=None) -> Fraction:
-    """The total width of items; with grid, a Grid of the items, their int
-    widths added on its lattice."""
-    if grid is None:
-        return exact_sum([it.width for it in items])
-    sides = grid.sides
-    return Fraction(sum([sides[it.id][0] for it in items]), grid.d)
+def total_width(items) -> Fraction:
+    return exact_sum([it.width for it in items])
 
 
-def total_height(items, grid=None) -> Fraction:
-    """The total height of items; with grid, a Grid of the items, their
-    int heights added on its lattice."""
-    if grid is None:
-        return exact_sum([it.height for it in items])
-    sides = grid.sides
-    return Fraction(sum([sides[it.id][1] for it in items]), grid.d)
+def total_height(items) -> Fraction:
+    return exact_sum([it.height for it in items])
 
 
 def w_max(items) -> Fraction:
@@ -73,47 +63,43 @@ class ItemClasses:
     small: list  # w <= 1/2 and h <= 1/2
     big: list  # wide and high at once
     high_only: list  # high and not wide
+    wide_height: Fraction  # h(W), the total height of the wide items
+    high_width: Fraction  # w(H), the total width of the high items
 
 
-def classify(instance: Instance, grid=None) -> ItemClasses:
-    """The classes of the instance's items, in item order, tested on the
-    ints of grid, a Grid of the items (Grid.of(items) when not given): an
-    item is wide when 2w > d and high when 2h > d."""
-    if grid is None:
-        grid = Grid.of(instance.items)
+def classify(instance: Instance) -> ItemClasses:
+    """The classes of the instance's items, in item order, and h(W) and
+    w(H), tested and summed on the ints of instance.grid: an item is wide
+    when 2w > d and high when 2h > d."""
+    grid = instance.grid
     d, sides = grid.d, grid.sides
     wide, high, small, big, high_only = [], [], [], [], []
+    wide_h = high_w = 0
     for it in instance.items:
         w, h = sides[it.id]
         is_wide, is_high = 2 * w > d, 2 * h > d
         if is_wide:
             wide.append(it)
+            wide_h += h
         if is_high:
             high.append(it)
+            high_w += w
             (big if is_wide else high_only).append(it)
         elif not is_wide:
             small.append(it)
-    return ItemClasses(wide, high, small, big, high_only)
+    return ItemClasses(wide, high, small, big, high_only, Fraction(wide_h, d), Fraction(high_w, d))
 
 
 def lower_bound(instance: Instance) -> int:
     """Bins that every packing of the instance needs: the ceiling of the
     largest of the total area, h(W) (wide items cross the vertical
     midline, so they stack), w(H) (likewise side by side) and the number
-    of big items (no two share a bin).  Computed by lattice_bound on the
-    lattice of the item sides."""
-    items = instance.items
-    d = lattice(items)
-    return lattice_bound(items, d, [(scaled(it.width, d), scaled(it.height, d)) for it in items])
-
-
-def lattice_bound(items, d, sides) -> int:
-    """lower_bound of items, given their (width, height) sides as ints on
-    a lattice of spacing 1/d: an item is wide when 2w > d and high when
-    2h > d, and h(W) and w(H) are the ceilings of their int sums over d.
-    The area term is the ceiling of vol(items)."""
+    of big items (no two share a bin).  The classes and h(W) and w(H) are
+    ints on instance.grid; only the area term is the Fraction vol."""
+    grid = instance.grid
+    d = grid.d
     wide = high = big = 0
-    for w, h in sides:
+    for w, h in grid.sides.values():
         is_wide, is_high = 2 * w > d, 2 * h > d
         if is_wide:
             wide += h
@@ -122,7 +108,7 @@ def lattice_bound(items, d, sides) -> int:
             big += is_wide
     # the area stays a vol call: perfbench's oracle.exact_min_bins.cache_size
     # counts the vol calls made under exact_min_bins
-    return max(math.ceil(vol(items)), -(-wide // d), -(-high // d), big)
+    return max(math.ceil(vol(instance.items)), -(-wide // d), -(-high // d), big)
 
 
 def delta_threshold(delta: Fraction, eps: Fraction) -> Fraction:
@@ -134,29 +120,26 @@ def _check_eps(eps):
         raise ValueError(f"eps must lie in (0, 1/200), got {eps}")
 
 
-def find_feasible_delta(instance: Instance, eps, grid=None):
+def find_feasible_delta(grid: Grid, eps):
     """Smallest candidate delta whose near-full stack fits under gamma.
 
     Candidates are 1 - w_i for items with w_i > 1/2 (kept when inside
     (eps, 1/2)) plus 1/2 itself; the stack height h(W_delta) is a step
     function that only changes at those points, so nothing else needs
     checking.  Returns None when every candidate fails.  The search on
-    the transposed instance is the height-axis one, w(H_delta) <= gamma.
+    the transposed sides is the height-axis one, w(H_delta) <= gamma.
 
-    The search runs on the ints of grid, a Grid of the items on a lattice
-    L that holds 1/2 (Grid.of(items, 1/2) when not given): delta = c / L,
-    and the stack S / L.  The items enter the stack widest first as c
-    grows, and S / L <= (c/L - eps) / (1 + 2c/L) holds exactly when
-    S * (L + 2c) * q <= (c * q - p * L) * L for eps = p / q.  The sides
-    come from grid alone, so the height-axis search can pass
-    grid.transposed() with the instance as it is.
+    The search reads only grid, a Grid of the items, and runs on its
+    ints, widened to a lattice L that holds 1/2 (instance.grid holds it
+    already): delta = c / L, and the stack S / L.  The items enter the
+    stack widest first as c grows, and S / L <= (c/L - eps) / (1 + 2c/L)
+    holds exactly when S * (L + 2c) * q <= (c * q - p * L) * L for eps =
+    p / q.  The height-axis search takes grid.transposed(), with no
+    transposed instance built.
     """
     _check_eps(eps)
-    if grid is None:
-        grid = Grid.of(instance.items, HALF)
+    grid = grid.holding(HALF)
     L = grid.d
-    if L % 2:
-        raise ValueError(f"the delta search needs a lattice that holds 1/2, got 1/{L}")
     p, q = eps.numerator, eps.denominator
     pairs = sorted(grid.sides.values(), reverse=True)
     half = L // 2

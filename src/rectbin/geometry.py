@@ -34,8 +34,9 @@ def scaled(q: Fraction, d: int) -> int:
 class Grid:
     """Item sides as ints on one lattice of spacing 1/d: sides maps each
     item id to (width * d, height * d).  Grid.of(items, *values) takes d
-    from lattice(items, *values), and transposed() swaps every pair, which
-    gives the sides of the transposed items without building them."""
+    from lattice(items, *values), holding(*values) widens the grid to hold
+    values too, and transposed() swaps every pair, which gives the sides of
+    the transposed items without building them."""
 
     d: int
     sides: dict
@@ -44,6 +45,15 @@ class Grid:
     def of(cls, items, *values) -> "Grid":
         d = lattice(items, *values)
         return cls(d, {it.id: (scaled(it.width, d), scaled(it.height, d)) for it in items})
+
+    def holding(self, *values) -> "Grid":
+        """self if its lattice holds values, else the grid on the least multiple of d that does."""
+        d = self.d
+        for q in values:
+            if d % q.denominator:
+                m = math.lcm(d, *[q.denominator for q in values]) // d
+                return Grid(d * m, {i: (w * m, h * m) for i, (w, h) in self.sides.items()})
+        return self
 
     def transposed(self) -> "Grid":
         return Grid(self.d, {i: (h, w) for i, (w, h) in self.sides.items()})
@@ -187,9 +197,23 @@ class Packing:
         return out
 
 
+class _GridOnce:
+    """Instance.grid, computed on first read and stored on the instance,
+    which hides this descriptor from then on: cached_property, no lock."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        grid = instance.grid = Grid.of(instance.items, HALF)
+        return grid
+
+
 @dataclass
 class Instance:
+    """The items to pack.  grid (not a field): the Grid of their sides and 1/2."""
+
     items: list
+    grid = _GridOnce()
 
     def __post_init__(self):
         seen = set()
@@ -285,7 +309,10 @@ def validate_packing(packing: Packing, instance: Instance) -> ValidationReport:
 
 
 def transpose_instance(instance: Instance) -> Instance:
-    return Instance([it.transposed() for it in instance.items])
+    out = Instance([it.transposed() for it in instance.items])
+    if "grid" in vars(instance):  # computed: pass it on
+        out.grid = instance.grid.transposed()
+    return out
 
 
 def transpose_layout(layout: BinLayout) -> BinLayout:

@@ -21,8 +21,9 @@ perfbench's deadline test needs it to stay slow on one input.
 Both exact searches run on an integer lattice: every side times a common
 multiple d of the denominators, with each coordinate x turned back into
 Fraction(x, d) for a layout that is found.  The region memo (UnitBinMemo)
-holds one lattice per item set and region, built once per solve for the
-unit bin, or once per exact_pack_single_region call, and a memo miss
+builds no lattice: it reads a Grid of its item set, the instance's own
+(instance.grid) for the unit bin of a solve, or the Grid of the items and
+region of an exact_pack_single_region call, and a memo miss
 tests the area bound, then extends a smaller layout or orders the items
 and searches on it, all with no Fraction arithmetic.  Multiplying by a
 positive constant keeps every sum and comparison as it was, so the
@@ -103,10 +104,10 @@ without a solution, so the first layout is unchanged.
 
 Every exact region search goes through the memo: exact_pack_single_region
 with a memo of its own, and the oracle and the constant-OPT branch, which
-grow each part one item at a time, with one unit-bin memo per solve.  The
-constant-OPT branch's knapsack probes on that memo too; its set is the
-first part plus tiny items, which come last in search order, so the
-probe extends the part's entry.  The
+grow each part one item at a time, with one unit-bin memo per solve, on
+the instance's grid.  The constant-OPT branch's knapsack probes on that
+memo too; its set is the first part plus tiny items, which come last in
+search order, so the probe extends the part's entry.  The
 memo is keyed by int masks: bit k stands for the k-th item in search
 order, so a key's last item is its highest bit and the set less it is the
 key with that bit cleared.  A miss tests the area bound (the lattice
@@ -120,8 +121,7 @@ the search run.  The memo keeps lattice boxes in search order, and the ids
 they belong to are the key's bits; unit_bin_layout builds a Fraction
 BinLayout for each call, one Fraction per distinct coordinate, and
 canonical_partitions keeps one key per part and only asks whether a part
-fits.  The oracle also takes its item order (order) and its lower bound's
-sides from its memo.
+fits.  The oracle also takes its item order (order) from its memo.
 """
 
 import math
@@ -130,7 +130,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLarge
-from .geometry import ONE, ZERO, BinLayout, Instance, Placement, lattice, scalar, scaled
+from .geometry import ONE, ZERO, BinLayout, Grid, Instance, Placement, lattice, scalar, scaled
 
 
 @dataclass(frozen=True)
@@ -492,11 +492,11 @@ def exact_pack_single_region(items, a, b, exact_limit=10):
 
     Complete search over normal positions with identical-item symmetry
     breaking; deterministic first solution.  The items go through a fresh
-    UnitBinMemo of this call's items and region, so the lattice, the area
+    UnitBinMemo on the Grid of this call's items and region, so the area
     bound, the exact limit, the search order and the layout are the memo's.
     """
     items = list(items)
-    return unit_bin_layout(items, UnitBinMemo(items, a, b), exact_limit)
+    return unit_bin_layout(items, UnitBinMemo(Grid.of(items, a, b), a, b), exact_limit)
 
 
 def _search_lattice(sides, a, b):
@@ -556,30 +556,30 @@ def _search_lattice(sides, a, b):
 
 class UnitBinMemo(dict):
     """{key: None when the key's item set does not fit the region, else
-    its boxes} for one item set and region (a, b), the unit bin unless
-    given.  A key is an int: bit k stands for order[k], the k-th item id in
-    search order, and key(ids) builds the key of a set of ids.  The memo
-    also carries their lattice: d, the least common multiple of the
-    denominators of every side and of a and b, the region (a, b) as
-    Fractions, a and b as the ints a * d and b * d, sides, the (width * d,
-    height * d) ints of each item id, and order, the ids in search order,
-    (-w * h, id); then bit, each id's 1 << k, and shapes and areas, the
-    sides and their products w * h in that order.  boxes[j] is the lattice
-    box (left, bottom, right, top) of the set's j-th item in search order,
-    its j-th lowest set bit, and every stored layout is its set's first
-    layout.  A subset's own lattice divides d, and scaling its boxes and
+    its boxes} for the item set of grid, a Grid, and region (a, b), the
+    unit bin unless given.  A key is an int: bit k stands for order[k], the
+    k-th item id in search order, and key(ids) builds the key of a set of
+    ids.  The memo reads its lattice from grid, widened to hold a and b
+    (Grid.holding), and builds none: d, its spacing, the region (a, b) as
+    Fractions, a and b as the ints a * d and b * d, sides, the grid's
+    (width * d, height * d) ints of each item id, and order, the ids in
+    search order, (-w * h, id); then bit, each id's 1 << k, and shapes and
+    areas, the sides and their products w * h in that order.  boxes[j] is
+    the lattice box (left, bottom, right, top) of the set's j-th item in
+    search order, its j-th lowest set bit, and every stored layout is its
+    set's first layout.  A subset's own lattice divides d, and scaling its boxes and
     the region by one positive int keeps every sum, comparison and visit
     order, so the search on this lattice finds the subset's first layout.
     The empty set, key 0, is stored from the start, with the empty layout,
     so every miss has a prefix to extend."""
 
-    def __init__(self, items, a=ONE, b=ONE):
+    def __init__(self, grid, a=ONE, b=ONE):
         super().__init__({0: ()})
         a, b = self.region = scalar(a), scalar(b)
-        self.d = lattice(items, a, b)
-        self.a, self.b = scaled(a, self.d), scaled(b, self.d)
-        sides = self.sides = {it.id: (scaled(it.width, self.d), scaled(it.height, self.d))
-                              for it in items}
+        grid = grid.holding(a, b)
+        d = self.d = grid.d
+        self.a, self.b = scaled(a, d), scaled(b, d)
+        sides = self.sides = grid.sides
         ranks = sorted([(-w * h, i) for i, (w, h) in sides.items()])
         self.order = [i for _, i in ranks]
         self.bit = {i: 1 << k for k, i in enumerate(self.order)}

@@ -9,14 +9,15 @@ guess that a later check is sure to fail; that check's GuessFailed would end
 the guess anyway, so no output changes.
 Packings are returned unvalidated: `cli.pack_auto` validates the one it
 emits.  A returned packing's `path` names its branch.
-pack_opt1 puts the item sides on one lattice per call, that of the sides
-and 1/2 (a Grid), and hands it on: the delta search on each axis (the
-height axis reads the same Grid transposed), pack_small_height's cutoffs,
-sums and refusals, the wide/high dispatch, and the classes, sums and
-refusals of pack_large_w (with pack_wide_high's) and pack_small_w all
-read its ints.  The transposed instance is built only for a branch on the height
-axis.  The layouts of pack_wide_high, pack_large_w, pack_small_w and
-pack_stack_plus_small still compute on Fractions.
+Every branch reads the item sides as ints from the instance's lattice,
+instance.grid (that of the sides and 1/2): the delta search on each axis
+(the height axis reads the same Grid transposed), pack_small_height's
+cutoffs, sums and refusals, the wide/high dispatch, and the classes, sums
+and refusals of pack_large_w (with pack_wide_high's) and pack_small_w.
+The transposed instance is built only for a branch on the height axis,
+and inherits the grid transposed.  The layouts of pack_wide_high,
+pack_large_w, pack_small_w and pack_stack_plus_small still compute on
+Fractions.
 """
 
 from fractions import Fraction
@@ -38,7 +39,6 @@ from .errors import (
 from .geometry import (
     HALF,
     BinLayout,
-    Grid,
     Instance,
     Packing,
     scalar,
@@ -52,7 +52,7 @@ from .knapsack import max_area_pack
 from .steinberg import steinberg_pack
 
 
-def pack_small_height(instance: Instance, delta, eps, exact_limit=10, grid=None) -> Packing:
+def pack_small_height(instance: Instance, delta, eps, exact_limit=10) -> Packing:
     """Two bins when the wide items above the width cutoff have a low stack.
 
     Bin 1 carries the near-full-height items plus a max-area selection of the
@@ -62,8 +62,8 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10, grid=None)
     2(vol(pool) - region_w) - 1 > stack, more than half of 1 x (1 - y) is left
     for the area packer; its ConditionViolated is raised before the knapsack.
 
-    The tests and sums run on the ints of grid, a Grid of the items on a
-    lattice L that holds delta (Grid.of(items, delta) when not given):
+    The tests and sums run on the ints of instance.grid, widened to a
+    lattice L that holds delta (the delta search's deltas are on it):
     delta = c / L, and for eps = p / q the threshold gamma = (delta - eps)
     / (1 + 2 delta) is g / (q (L + 2c)) with g = cq - pL, so each test on
     gamma is cross-multiplied.  Both refusals come before any placement.
@@ -72,11 +72,8 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10, grid=None)
     """
     delta, eps = scalar(delta), scalar(eps)
     items = instance.items
-    if grid is None:
-        grid = Grid.of(items, delta)
+    grid = instance.grid.holding(delta)
     L, sides = grid.d, grid.sides
-    if L % delta.denominator:
-        raise ValueError(f"delta {delta} is not on the lattice 1/{L}")
     c, p, q = scaled(delta, L), eps.numerator, eps.denominator
     if not (p * L < c * q and 2 * c <= L):
         raise PreconditionViolated(f"delta {delta} outside (eps, 1/2]")
@@ -124,7 +121,7 @@ def pack_small_height(instance: Instance, delta, eps, exact_limit=10, grid=None)
 MAX_ENUMERATION = 16
 
 
-def pack_wide_high(wide, high, eps, grid=None):
+def pack_wide_high(wide, high, eps, grid):
     """One bin holding all wide items plus a high subset of guaranteed width.
 
     Candidate subsets of the not-thin high items are tried in decreasing
@@ -133,14 +130,12 @@ def pack_wide_high(wide, high, eps, grid=None):
     stack taller than the bin fails validation with every subset, so it raises
     GuessFailed before the enumeration (InstanceTooLarge still comes first).
     Both refusals and the thin test w < eps = p / q (wq < pd) read the int
-    sides of grid, a Grid of the items (Grid.of(wide + high) when not
-    given), and come before the Fraction work on the subsets.
+    sides of grid, a Grid that holds the items, and come before the
+    Fraction work on the subsets.
     """
     eps = scalar(eps)
     wide = list(wide)
     high = list(high)
-    if grid is None:
-        grid = Grid.of(wide + high)
     d, sides = grid.d, grid.sides
     p, q = eps.numerator, eps.denominator
     substantial, thin = [], []
@@ -148,7 +143,7 @@ def pack_wide_high(wide, high, eps, grid=None):
         (thin if sides[it.id][0] * q < p * d else substantial).append(it)
     if len(substantial) > MAX_ENUMERATION:
         raise InstanceTooLarge(f"{len(substantial)} candidate high items to enumerate")
-    if total_height(wide, grid) > 1:
+    if sum([sides[it.id][1] for it in wide]) > d:
         raise GuessFailed("wide stack taller than the bin")
     bound = total_width(high) / 2 - eps
     thin.sort(key=lambda it: (-it.height, it.id))
@@ -185,21 +180,18 @@ def pack_wide_high(wide, high, eps, grid=None):
     raise GuessFailed("no high subset wide enough fits with the wide stack")
 
 
-def pack_large_w(instance: Instance, eps, grid=None) -> Packing:
+def pack_large_w(instance: Instance, eps) -> Packing:
     """Two bins when both the wide stack and the high row exceed half.
 
     The classes, their sums and pack_wide_high's refusals read the int
-    sides of grid, a Grid of the items (Grid.of(items) when not given)."""
+    sides of instance.grid."""
     eps = scalar(eps)
-    if grid is None:
-        grid = Grid.of(instance.items)
-    classes = classify(instance, grid)
-    hw = total_height(classes.wide, grid)
-    wh = total_width(classes.high, grid)
+    classes = classify(instance)
+    hw, wh = classes.wide_height, classes.high_width
     if not (hw >= wh > HALF):  # implies both classes are present
         raise ConditionViolated(f"needs h(W) >= w(H) > 1/2, got {hw}, {wh}")
 
-    bin1, chosen = pack_wide_high(classes.wide, classes.high_only, eps, grid)
+    bin1, chosen = pack_wide_high(classes.wide, classes.high_only, eps, instance.grid)
     chosen_ids = {it.id for it in chosen}
     leftover = sorted((it for it in classes.high_only if it.id not in chosen_ids),
                       key=lambda it: (-it.height, it.id))
@@ -249,23 +241,19 @@ def _stack_omega(stacked):
     return HALF
 
 
-def pack_small_w(instance: Instance, eps, grid=None) -> Packing:
+def pack_small_w(instance: Instance, eps) -> Packing:
     """Two bins when the high row is at most half the bin wide.
 
     Bin 1 keeps the wide stack and receives corner items chosen by one of
     three volume cases, named `case1`..`case3` on the packing's path; bin 2
     is the high stack plus the remaining smalls.  The classes and their
-    sums read the int sides of grid, a Grid of the items (Grid.of(items)
-    when not given).
+    sums read the int sides of instance.grid.
     """
     eps = scalar(eps)
-    if grid is None:
-        grid = Grid.of(instance.items)
-    classes = classify(instance, grid)
+    classes = classify(instance)
     if not classes.wide or not classes.high:
         raise ConditionViolated("needs both wide and high items")
-    hw = total_height(classes.wide, grid)
-    wh = total_width(classes.high, grid)
+    hw, wh = classes.wide_height, classes.high_width
     if hw < wh or wh > HALF:
         raise ConditionViolated(f"needs h(W) >= w(H) and w(H) <= 1/2, got {hw}, {wh}")
     if hw > 1:
@@ -383,26 +371,24 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
     if not instance.items:
         return Packing([])
     limit_hit = None
-    # one lattice for the call: the item sides and 1/2, which holds every
-    # delta the searches return
-    grid = Grid.of(instance.items, HALF)
-    across = grid.transposed()
+    # the instance's lattice holds 1/2, and so every delta the searches return
+    grid = instance.grid
     flipped = None  # the transposed instance, built for a height-axis branch
 
-    delta = find_feasible_delta(instance, eps, grid)
+    delta = find_feasible_delta(grid, eps)
     if delta is not None:
         try:
-            packing = pack_small_height(instance, delta, eps, exact_limit, grid)
+            packing = pack_small_height(instance, delta, eps, exact_limit)
             return packing.under("delta_width")
         except GuessFailed:
             pass
         except InstanceTooLarge as exc:
             limit_hit = exc
-    delta = find_feasible_delta(instance, eps, across)
+    delta = find_feasible_delta(grid.transposed(), eps)
     if delta is not None:
         flipped = transpose_instance(instance)
         try:
-            packing = pack_small_height(flipped, delta, eps, exact_limit, across)
+            packing = pack_small_height(flipped, delta, eps, exact_limit)
             return transpose_packing(packing).under("delta_height")
         except GuessFailed:
             pass
@@ -411,17 +397,17 @@ def pack_opt1(instance: Instance, eps, exact_limit=10) -> Packing:
 
     # the branch for whichever of h(W) and w(H) dominates, on the axis
     # where h(W) >= w(H); its w(H) is then the smaller of the two
-    classes = classify(instance, grid)
-    hw, wh = total_height(classes.wide, grid), total_width(classes.high, grid)
+    classes = classify(instance)
+    hw, wh = classes.wide_height, classes.high_width
     flip = hw < wh
-    work, on = instance, grid
+    work = instance
     if flip:
-        work, on = flipped or transpose_instance(instance), across
+        work = flipped or transpose_instance(instance)
     try:
         if min(hw, wh) > HALF:
-            packing = pack_large_w(work, eps, on).under("large_w")
+            packing = pack_large_w(work, eps).under("large_w")
         else:
-            packing = pack_small_w(work, eps, on).under("small_w")
+            packing = pack_small_w(work, eps).under("small_w")
     except (GuessFailed, InstanceTooLarge):
         # a skipped cutoff branch might have worked with higher limits, so
         # the limit report takes precedence over a plain failure

@@ -11,7 +11,8 @@ a plain PreconditionViolated is a caller bug.  Packings are unvalidated:
 `cli.pack_auto` validates the one it emits.  The returned packing's `path`
 names the case (`case1`..`case4`), then the subcase and whether the roles
 were flipped.
-One UnitBinMemo per solve serves every exact layout of the guesses: the
+One UnitBinMemo per solve, on the instance's lattice (instance.grid, the
+one pack_opt1 reads), serves every exact layout of the guesses: the
 split of large from tiny items is an int test on its lattice, the
 assignments grow their parts through it, and the profit knapsack of each
 guess reads its lattice and probes through it.
@@ -33,6 +34,7 @@ from .geometry import (
     ONE,
     ZERO,
     BinLayout,
+    Grid,
     Instance,
     Packing,
     transpose_instance,
@@ -125,8 +127,8 @@ def enumerate_large_assignments(large, ell, enumeration_limit=12, cache=None):
         )
     if ell < 1:
         raise ValueError("ell must be positive")
-    yield from canonical_partitions(items, ell, UnitBinMemo(items) if cache is None else cache,
-                                    enumeration_limit, labeled=1)
+    cache = UnitBinMemo(Grid.of(items)) if cache is None else cache
+    yield from canonical_partitions(items, ell, cache, enumeration_limit, labeled=1)
 
 
 def _split_large(items, cache, eps):
@@ -229,7 +231,7 @@ def run_steps_1_to_4(instance, ell, assignment, k=3, *, exact_limit=10,
     wide-side bins.
     """
     ctx = ConstContext(k=k, ell=ell, limit=exact_limit,
-                       cache=UnitBinMemo(instance.items) if cache is None else cache)
+                       cache=UnitBinMemo(instance.grid) if cache is None else cache)
     eps = ctx.eps
     ctx.instance = instance
     ctx.assignment = tuple(tuple(part) for part in assignment)
@@ -524,7 +526,7 @@ def _flip_roles(ctx):
         raise GuessFailed("spare bin unexpectedly occupied before the flip")
     flipped = ConstContext(k=ctx.k, ell=ell, limit=ctx.limit)
     flipped.instance = transpose_instance(ctx.instance)
-    flipped.cache = UnitBinMemo(flipped.instance.items)  # the same ids with swapped sides
+    flipped.cache = UnitBinMemo(flipped.instance.grid)  # the same ids with swapped sides
     by_id = {it.id: it for it in flipped.instance.items}
     flipped.assignment = tuple(
         tuple(by_id[it.id] for it in part) for part in ctx.assignment
@@ -557,7 +559,7 @@ def pack_opt_const(instance, ell, k=3, *, exact_limit=10, enumeration_limit=12):
     if not instance.items:
         return Packing([])
     eps = const_eps(k)
-    cache = UnitBinMemo(instance.items)
+    cache = UnitBinMemo(instance.grid)
     large = _split_large(instance.items, cache, eps)[0]
     thr = HALF - eps
     limit_hits = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .classify import classify, lattice_bound, lower_bound, total_height, total_width
+from .classify import classify, lower_bound, total_height, total_width
 from .errors import InstanceTooLarge
 from .geometry import HALF, BinLayout, Instance, Item, Packing, validate_packing
 from .knapsack import UnitBinMemo, canonical_partitions, unit_bin_layout
@@ -121,22 +121,21 @@ def exact_min_bins(instance: Instance, max_bins=4, oracle_limit=8):
 
     Partition search over canonical assignments, starting at the
     classify.lower_bound count; per-subset feasibility via the exact
-    single-region packer, cached across the whole search on one integer
-    lattice of the instance.  The solve reads that lattice, the unit-bin
-    memo's, for everything but the area term of the bound: the items go
-    in the memo's search order (cache.order, which is (-volume, id)), and
-    the bound is classify.lattice_bound on the memo's sides.
+    single-region packer, cached across the whole search on the
+    instance's lattice (instance.grid).  The solve reads that lattice for
+    everything but the area term of the bound: the unit-bin memo is built
+    on it, the items go in the memo's search order (cache.order, which is
+    (-volume, id)), and classify.lower_bound reads the same grid.
     """
     items = instance.items
     if len(items) > oracle_limit:
         raise InstanceTooLarge(f"{len(items)} items exceed the oracle limit {oracle_limit}")
     if not items:
         return 0, Packing([])
-    cache = UnitBinMemo(items)
+    cache = UnitBinMemo(instance.grid)
     by_id = {it.id: it for it in items}
     items = [by_id[i] for i in cache.order]
-    start = lattice_bound(items, cache.d, cache.sides.values())
-    for b in range(start, max_bins + 1):
+    for b in range(lower_bound(instance), max_bins + 1):
         split = next(canonical_partitions(items, b, cache, oracle_limit), None)
         if split is not None:
             return b, Packing([unit_bin_layout(part, cache, oracle_limit)

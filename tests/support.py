@@ -601,9 +601,9 @@ def area_guarantee_check(instance, eps) -> bool:
     from rectbin.errors import PreconditionViolated
     from rectbin.geometry import transpose_instance
 
-    if find_feasible_delta(instance, eps) is not None:
+    if find_feasible_delta(instance.grid, eps) is not None:
         raise PreconditionViolated("width-axis delta search succeeds; area bound not applicable")
-    if find_feasible_delta(transpose_instance(instance), eps) is not None:
+    if find_feasible_delta(transpose_instance(instance).grid, eps) is not None:
         raise PreconditionViolated("height-axis delta search succeeds; area bound not applicable")
     classes = classify(instance)
     union = [it for it in instance.items if it.width > Fraction(1, 2) or it.height > Fraction(1, 2)]

@@ -18,6 +18,7 @@ from rectbin.errors import GuessFailed, InstanceTooLarge
 from rectbin.fileio import parse_packing, serialize_instance, serialize_packing
 from rectbin.geometry import (
     BinLayout,
+    Grid,
     Instance,
     Item,
     Placement,
@@ -356,7 +357,7 @@ def test_criterion_06_chosen_width_guarantee(capfd):
                 w = Fraction(rng.randint(1, 28), 64)
             high.append(Item(100 + j, w, Fraction(rng.randint(33, 64), 64)))
         try:
-            layout, chosen = pack_wide_high(wide, high, EPS)
+            layout, chosen = pack_wide_high(wide, high, EPS, Grid.of(wide + high))
         except (GuessFailed, InstanceTooLarge):
             continue
         successes += 1
@@ -378,9 +379,9 @@ def test_criterion_07_area_invariant(capfd):
     scan = _opt1_corpus(plant_seeds=40, gen_count=75)
     both_fail = violations = 0
     for inst, wit in scan:
-        if find_feasible_delta(inst, EPS) is not None:
+        if find_feasible_delta(inst.grid, EPS) is not None:
             continue
-        if find_feasible_delta(transpose_instance(inst), EPS) is not None:
+        if find_feasible_delta(transpose_instance(inst).grid, EPS) is not None:
             continue
         if not certify_opt(inst, 1, wit):
             continue
@@ -399,7 +400,7 @@ def test_criterion_07_area_invariant(capfd):
     for s in range(80):
         inst, wit = plant_delta_height(1000 + s)
         assert certify_opt(inst, 1, wit)
-        assert find_feasible_delta(inst, EPS) is None
+        assert find_feasible_delta(inst.grid, EPS) is None
         if not total_height(classify(inst).wide) > Fraction(1, 4) - EPS / 2:
             violations += 1
         width_fail += 1

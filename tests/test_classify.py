@@ -11,7 +11,6 @@ from rectbin.classify import (
     delta_threshold,
     find_feasible_delta,
     h_max,
-    lattice_bound,
     lower_bound,
     total_height,
     total_width,
@@ -20,7 +19,6 @@ from rectbin.classify import (
 )
 from rectbin.errors import PreconditionViolated
 from rectbin.geometry import Instance, exact_sum, transpose_instance
-from rectbin.knapsack import UnitBinMemo
 from rectbin.oracle import GeneratorSpec, gen_instance
 from support import (
     area_guarantee_check,
@@ -88,17 +86,17 @@ def test_delta_threshold_known_value():
 
 def test_delta_no_wide_items():
     inst = make_instance([(Fraction(1, 4), Fraction(1, 4))])
-    assert find_feasible_delta(inst, EPS) == Fraction(1, 2)
+    assert find_feasible_delta(inst.grid, EPS) == Fraction(1, 2)
 
 
 def test_delta_single_wide_item():
     inst = make_instance([(Fraction(9, 10), Fraction(1, 2))])
-    assert find_feasible_delta(inst, EPS) == Fraction(1, 10)
+    assert find_feasible_delta(inst.grid, EPS) == Fraction(1, 10)
 
 
 def test_delta_smallest_candidate_wins():
     inst = make_instance([(Fraction(95, 100), Fraction(1, 2))])
-    assert find_feasible_delta(inst, EPS) == Fraction(1, 20)
+    assert find_feasible_delta(inst.grid, EPS) == Fraction(1, 20)
 
 
 def test_delta_not_found():
@@ -106,18 +104,18 @@ def test_delta_not_found():
     # so the item sits in W_delta at every remaining candidate and the
     # height-1/2 stack beats gamma <= 1/4 everywhere
     inst = make_instance([(Fraction(255, 256), Fraction(1, 2))])
-    assert find_feasible_delta(inst, EPS) is None
+    assert find_feasible_delta(inst.grid, EPS) is None
     # same shape short enough to clear the 1/2 threshold stays feasible
     inst2 = make_instance([(Fraction(255, 256), Fraction(1, 5))])
-    assert find_feasible_delta(inst2, EPS) == Fraction(1, 2)
+    assert find_feasible_delta(inst2.grid, EPS) == Fraction(1, 2)
 
 
 def test_delta_eps_range_enforced():
     inst = make_instance([(Fraction(1, 4), Fraction(1, 4))])
     with pytest.raises(ValueError):
-        find_feasible_delta(inst, Fraction(1, 200))
+        find_feasible_delta(inst.grid, Fraction(1, 200))
     with pytest.raises(ValueError):
-        find_feasible_delta(inst, Fraction(0))
+        find_feasible_delta(inst.grid, Fraction(0))
 
 
 def test_delta_sets_membership_strict():
@@ -153,7 +151,7 @@ def test_delta_search_agrees_with_step_scan(dims):
             <= (d - EPS) / (1 + 2 * d)
         ]
         expected = feasible[0] if feasible else None
-        assert find_feasible_delta(searched, EPS) == expected
+        assert find_feasible_delta(searched.grid, EPS) == expected
 
 
 DENOMINATORS = (2, 3, 5, 7, 64, 1000, 8000, 65536, 999983)
@@ -182,7 +180,7 @@ def test_delta_search_matches_the_fraction_reference():
         eps = Fraction(rng.randint(1, m - 1), 200 * m)  # in (0, 1/200)
         inst = _boundary_instance(rng, eps)
         for axis, searched in (("width", inst), ("height", transpose_instance(inst))):
-            delta = find_feasible_delta(searched, eps)
+            delta = find_feasible_delta(searched.grid, eps)
             assert delta == reference_feasible_delta(inst.items, eps, axis)
             found += delta is not None and delta != Fraction(1, 2)
     assert found > 500  # a cutoff below 1/2, not just the fallback, is found often
@@ -198,9 +196,9 @@ def test_delta_search_accepts_a_stack_exactly_at_gamma():
                 continue
             dims = [(w, Fraction(1, 2)), (Fraction(1), delta_threshold(delta, eps))]
             inst = make_instance(dims)
-            assert find_feasible_delta(inst, eps) == delta
+            assert find_feasible_delta(inst.grid, eps) == delta
             flipped = make_instance([(h, w_) for w_, h in dims])
-            assert find_feasible_delta(transpose_instance(flipped), eps) == delta
+            assert find_feasible_delta(transpose_instance(flipped).grid, eps) == delta
             assert reference_feasible_delta(inst.items, eps) == delta
 
 
@@ -238,8 +236,8 @@ def test_area_guarantee_on_tall_wide_stacks():
         (Fraction(1, 2), Fraction(127, 128)),
     ]
     inst = make_instance(dims)
-    assert find_feasible_delta(inst, EPS) is None
-    assert find_feasible_delta(transpose_instance(inst), EPS) is None
+    assert find_feasible_delta(inst.grid, EPS) is None
+    assert find_feasible_delta(transpose_instance(inst).grid, EPS) is None
     classes = classify(inst)
     assert area_guarantee_check(inst, EPS)
     lhs = vol(classes.wide + [it for it in classes.high if it not in classes.wide])
@@ -294,10 +292,7 @@ BOUND_BOUNDARIES = [
 @pytest.mark.parametrize("dims", BOUND_BOUNDARIES)
 def test_lattice_bound_matches_the_fraction_formula_at_class_boundaries(dims):
     items = make_instance(dims).items
-    cache = UnitBinMemo(items)
-    want = reference_lower_bound(items)
-    assert lower_bound(Instance(items)) == want
-    assert lattice_bound(items, cache.d, cache.sides.values()) == want
+    assert lower_bound(Instance(items)) == reference_lower_bound(items)
 
 
 @pytest.mark.parametrize("dims", BOUND_BOUNDARIES + [[], [(F(999, 1000), F(1, 1000))]])
@@ -315,14 +310,11 @@ def test_vol_equals_the_sum_of_the_area_products_on_the_oracle_pool():
 
 
 def test_lattice_bound_matches_the_fraction_formula_on_the_oracle_pool():
-    # the oracle's start bin count on its memo's lattice, and lower_bound
-    # on the item sides' own, against the Fraction sums
+    # the oracle's start bin count, lower_bound on the instance's lattice,
+    # against the Fraction sums
     starts = set()
     for instance in oracle_pool_sample(step=5):
-        items = instance.items
-        cache = UnitBinMemo(items)
-        want = reference_lower_bound(items)
+        want = reference_lower_bound(instance.items)
         assert lower_bound(instance) == want
-        assert lattice_bound(items, cache.d, cache.sides.values()) == want
         starts.add(want)
     assert starts == {1, 2, 3}

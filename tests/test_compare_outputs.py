@@ -19,11 +19,13 @@ def compare():
     return module.main
 
 
-def outputs(tmp_path, name, digests, solves=None):
+def outputs(tmp_path, name, digests, solves=None, workload=None):
     path = tmp_path / name
     run = {"digest_entries": len(digests), "per_entry_sha256": digests}
     if solves is not None:
         run["solves"] = solves
+    if workload is not None:
+        run["workload"] = workload
     path.write_text(json.dumps(run))
     return str(path)
 
@@ -62,6 +64,27 @@ def test_wrong_argument_count_exits_2(compare, tmp_path, capsys, count):
     assert compare(args) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage: compare_outputs.py")
+
+
+def test_files_of_different_workloads_exit_2_without_comparing(compare, tmp_path, capsys):
+    parent = outputs(tmp_path, "parent.json", DIGESTS, workload="one_bin")
+    change = outputs(tmp_path, "change.json", {**DIGESTS, "10": "dd"}, workload="oracle")
+    assert compare([parent, change]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "compare_outputs.py: the files are of different workloads, one_bin and oracle"]
+
+
+def test_one_workload_or_a_file_without_one_compares(compare, tmp_path, capsys):
+    # perfbench's outputs-*.json files name no workload
+    named = outputs(tmp_path, "named.json", DIGESTS, workload="two_bin")
+    same = outputs(tmp_path, "same.json", dict(DIGESTS), workload="two_bin")
+    unnamed = outputs(tmp_path, "unnamed.json", dict(DIGESTS))
+    for pair in ([named, same], [named, unnamed], [unnamed, named]):
+        assert compare(pair) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "matched 3 mismatched 0 only_parent 0 only_change 0"]
 
 
 # (pool index, status, seconds) per solve, as perfbench/run.py writes them

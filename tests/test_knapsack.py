@@ -9,7 +9,7 @@ from rectbin import knapsack
 from rectbin.classify import vol
 from rectbin.config import MAX_LIMIT
 from rectbin.errors import InstanceTooLarge
-from rectbin.geometry import BinLayout, Instance, Item, validate_bin, validate_packing
+from rectbin.geometry import BinLayout, Grid, Instance, Item, validate_bin, validate_packing
 from rectbin.knapsack import (
     KnapsackResult,
     ProfitItem,
@@ -593,7 +593,7 @@ def test_fit_all_returns_the_items_in_order_key_order(monkeypatch):
             rng.shuffle(items)
             pis = [ProfitItem(it, it.volume * rng.choice([1, 2])) for it in items]
             usable = {pi.item.id: pi.item for pi in pis if pi.item.width <= F(3, 4)}
-            sides = UnitBinMemo(usable.values(), F(3, 4), 1).sides
+            sides = UnitBinMemo(Grid.of(usable.values()), F(3, 4), 1).sides
             order = sorted(sides, key=lambda i: (-sides[i][0] * sides[i][1], i))
             res = max_profit_pack(pis, F(3, 4), 1, F(1, 100))
             assert res.selected == [usable[i] for i in order]
@@ -848,7 +848,7 @@ def test_unit_bin_layout_refutes_a_superset_of_a_refuted_set(monkeypatch):
 
     crowd = [Item(i, Fraction(3, 5), Fraction(3, 5)) for i in range(2)]
     extra = Item(2, Fraction(1, 8), Fraction(1, 8))
-    cache = UnitBinMemo(crowd + [extra])
+    cache = UnitBinMemo(Grid.of(crowd + [extra]))
     cache[cache.key({0, 1})] = None
     monkeypatch.setattr(knapsack, "_search_lattice", no_search)
     assert unit_bin_layout(crowd + [extra], cache, 6) is None
@@ -862,7 +862,7 @@ def test_unit_bin_layout_refutes_a_superset_of_a_refuted_set(monkeypatch):
 def test_a_miss_memoizes_every_prefix_of_its_key():
     items = [Item(0, Fraction(1, 4), Fraction(1, 2)), Item(1, Fraction(1, 2), Fraction(1, 2)),
              Item(2, Fraction(1, 8), Fraction(1, 8)), Item(3, Fraction(1, 3), Fraction(1, 4))]
-    memo = UnitBinMemo(items)
+    memo = UnitBinMemo(Grid.of(items))
     assert unit_bin_layout(items, memo, 6) is not None
     order = [1, 0, 3, 2]  # search order: area descending, then id
     assert set(memo) == {memo.key(order[:size]) for size in range(len(order) + 1)}
@@ -878,7 +878,7 @@ def test_memo_keys_are_bit_masks_in_search_order():
     items = [Item(7, Fraction(1, 2), Fraction(1, 4)), Item(2, Fraction(1, 4), Fraction(1, 2)),
              Item(5, Fraction(1, 3), Fraction(1, 3)), Item(4, Fraction(1, 2), Fraction(1, 4)),
              Item(0, Fraction(1), Fraction(1, 7)), Item(3, Fraction(1, 8), Fraction(1))]
-    memo = UnitBinMemo(items)
+    memo = UnitBinMemo(Grid.of(items))
     assert memo.order == [0, 2, 3, 4, 7, 5]
     assert [memo.bit[i] for i in memo.order] == [1, 2, 4, 8, 16, 32]
     assert memo.shapes == [memo.sides[i] for i in memo.order]
@@ -900,7 +900,7 @@ def test_a_set_whose_prefix_is_refuted_is_not_searched(monkeypatch):
 
     crowd = [Item(i, Fraction(3, 5), Fraction(3, 5)) for i in range(2)]
     extras = [Item(2, Fraction(1, 8), Fraction(1, 8)), Item(3, Fraction(1, 9), Fraction(1, 9))]
-    memo = UnitBinMemo(crowd + extras)
+    memo = UnitBinMemo(Grid.of(crowd + extras))
     assert unit_bin_layout(crowd, memo, 6) is None  # refuted by a search
     monkeypatch.setattr(knapsack, "_search_lattice", no_search)
     # neither {0, 1, 2, 3} nor any set one item smaller is memoized; the
@@ -923,7 +923,7 @@ def test_unit_bin_memo_matches_the_region_packer():
                     for _ in range(2))
             items.append(Item(i, w, h))
         for group in (items, [it.transposed() for it in items]):
-            memo = UnitBinMemo(group)
+            memo = UnitBinMemo(Grid.of(group))
             for size in range(1, len(group) + 1):
                 for subset in itertools.combinations(group, size):
                     expected = exact_pack_single_region(subset, 1, 1)
@@ -938,7 +938,7 @@ def test_unit_bin_memo_matches_the_region_packer():
                            rand_frac(rng, Fraction(1, 100), Fraction(3, 4), rng.choice([3, 7, 64, 1000]))
                            for _ in range(2)))
                  for i in range(6)]
-        memo = UnitBinMemo(items, a, b)
+        memo = UnitBinMemo(Grid.of(items), a, b)
         for size in range(1, len(items) + 1):
             for subset in itertools.combinations(items, size):
                 expected = exact_pack_single_region(subset, a, b)
@@ -988,7 +988,7 @@ def test_canonical_partitions_match_brute_force():
             items.append(Item(i, rand_frac(rng, Fraction(1, 8), 1, den),
                               rand_frac(rng, Fraction(1, 8), 1, den)))
         rng.shuffle(items)  # splits follow the caller's order, not the ids
-        cache = UnitBinMemo(items)
+        cache = UnitBinMemo(Grid.of(items))
         for labeled in (0, 1):
             for bins in (1, 2, 3):
                 got = [tuple(tuple(it.id for it in part) for part in split)
@@ -1067,7 +1067,7 @@ def test_memo_growth_matches_the_region_packer(monkeypatch):
     extended = searched = 0
     for trial in range(150):
         items = growth_set(rng)
-        memo = UnitBinMemo(items)
+        memo = UnitBinMemo(Grid.of(items))
         shuffled = rng.sample(items, len(items))
         for order in (sorted(items, key=lambda it: (-it.volume, it.id)), shuffled):
             for size in range(1, len(order) + 1):
@@ -1103,7 +1103,7 @@ def test_memo_extends_every_layout_that_starts_the_next(monkeypatch):
     steps = 0
     for trial in range(400):
         items = growth_set(rng)
-        memo = UnitBinMemo(items)
+        memo = UnitBinMemo(Grid.of(items))
         order = sorted(items, key=lambda it: (-it.volume, it.id))
         for size in range(1, len(order) + 1):
             subset = order[:size]

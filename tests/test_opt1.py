@@ -24,6 +24,7 @@ from rectbin.errors import (
 from rectbin.fileio import serialize_instance, serialize_packing
 from rectbin.geometry import (
     BinLayout,
+    Grid,
     Instance,
     Item,
     Placement,
@@ -103,7 +104,7 @@ class TestSmallHeight:
 class TestWideHigh:
     def test_empty_high(self):
         wide = items_of([("3/5", "1/10"), ("11/20", "1/5")])
-        layout, chosen = pack_wide_high(wide, [], EPS)
+        layout, chosen = pack_wide_high(wide, [], EPS, Grid.of(wide))
         assert chosen == []
         assert validate_bin(layout, {it.id: it for it in wide}).ok
 
@@ -113,14 +114,14 @@ class TestWideHigh:
                 Item(11, Fraction(1, 10), Fraction(3, 5))]
         combined = exact_pack_single_region(wide + high, 1, 1)
         assert combined is not None
-        layout, chosen = pack_wide_high(wide, high, EPS)
+        layout, chosen = pack_wide_high(wide, high, EPS, Grid.of(wide + high))
         assert total_width(chosen) == Fraction(1, 5)
         assert total_width(chosen) > total_width(high) / 2 - EPS
 
     def test_thin_high_items_greedy(self):
         wide = items_of([("3/5", "1/4")])
         thin = [Item(20 + i, Fraction(1, 512), Fraction(3, 5)) for i in range(6)]
-        layout, chosen = pack_wide_high(wide, thin, EPS)
+        layout, chosen = pack_wide_high(wide, thin, EPS, Grid.of(wide + thin))
         assert total_width(chosen) > total_width(thin) / 2 - EPS
         assert chosen, "greedy pass should have inserted thin items"
 
@@ -133,7 +134,7 @@ class TestWideHigh:
             highs = [Item(10 + j, Fraction(rng.randint(2, 20), 100), Fraction(rng.randint(51, 90), 100))
                      for j in range(rng.randint(1, 4))]
             try:
-                layout, chosen = pack_wide_high(wides, highs, EPS)
+                layout, chosen = pack_wide_high(wides, highs, EPS, Grid.of(wides + highs))
             except GuessFailed:
                 continue
             successes += 1
@@ -144,8 +145,8 @@ class TestWideHigh:
     def test_deterministic(self):
         wide = items_of([("11/20", "1/5")])
         high = [Item(5, Fraction(1, 5), Fraction(3, 5)), Item(6, Fraction(1, 8), Fraction(7, 10))]
-        a = pack_wide_high(wide, high, EPS)
-        b = pack_wide_high(wide, high, EPS)
+        a = pack_wide_high(wide, high, EPS, Grid.of(wide + high))
+        b = pack_wide_high(wide, high, EPS, Grid.of(wide + high))
         assert a[0].placements == b[0].placements and a[1] == b[1]
 
 
@@ -421,7 +422,7 @@ class TestRefusedGuesses:
         checked = 0
         try:
             for inst in refusal_inputs():
-                delta = find_feasible_delta(inst, EPS)
+                delta = find_feasible_delta(inst.grid, EPS)
                 if delta is None:
                     continue
                 try:
@@ -462,19 +463,19 @@ class TestRefusedGuesses:
         monkeypatch.setattr(rectbin.opt1, "max_area_pack", _reached)
         inst, _ = gen_instance(GeneratorSpec(727396, 11, 2, "shrink"))
         with pytest.raises(ConditionViolated):
-            pack_small_height(inst, find_feasible_delta(inst, EPS), EPS)
+            pack_small_height(inst, find_feasible_delta(inst.grid, EPS), EPS)
 
     def test_wide_high_refuses_a_tall_stack_unvalidated(self, monkeypatch):
         validated = calls_of(monkeypatch, "validate_bin")
         wide = [Item(i, Fraction(3, 5), Fraction(3, 10)) for i in range(4)]  # 6/5 tall
         high = [Item(10 + j, Fraction(1, 20), Fraction(3, 5)) for j in range(8)]
         with pytest.raises(GuessFailed):
-            pack_wide_high(wide, high, EPS)
+            pack_wide_high(wide, high, EPS, Grid.of(wide + high))
         assert validated == []
         # the size limit is still reported first
         high = [Item(10 + j, Fraction(1, 20), Fraction(3, 5)) for j in range(17)]
         with pytest.raises(InstanceTooLarge):
-            pack_wide_high(wide, high, EPS)
+            pack_wide_high(wide, high, EPS, Grid.of(wide + high))
 
     def test_no_layout_is_validated_beside_a_stack_taller_than_the_bin(self, monkeypatch):
         # OPT >= 3, a wide stack 3 bins tall: each of the 33,538 layouts

@@ -13,6 +13,7 @@ from rectbin.errors import GuessFailed, InstanceTooLarge, PackingStuck, Precondi
 from rectbin.fileio import serialize_packing
 from rectbin.geometry import (
     BinLayout,
+    Grid,
     Instance,
     Item,
     Packing,
@@ -342,7 +343,7 @@ class TestCaseRouting:
 
 def bare_ctx(items, first, k=3, ell=2):
     """Context with the profit bin prebuilt, for driving handlers directly."""
-    ctx = ConstContext(k=k, ell=ell, cache=UnitBinMemo(items))
+    ctx = ConstContext(k=k, ell=ell, cache=UnitBinMemo(Grid.of(items)))
     ctx.instance = Instance(items)
     layout = BinLayout(1, 1)
     layout.row(first, 0, 0)

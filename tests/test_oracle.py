@@ -9,7 +9,7 @@ from rectbin import oracle
 from rectbin.classify import classify, find_feasible_delta, total_height, total_width
 from rectbin.errors import InstanceTooLarge
 from rectbin.fileio import serialize_instance, serialize_packing
-from rectbin.geometry import Instance, Item, transpose_instance, validate_packing
+from rectbin.geometry import Grid, Instance, Item, transpose_instance, validate_packing
 from rectbin.knapsack import UnitBinMemo
 from rectbin.oracle import (
     GeneratorSpec,
@@ -176,7 +176,7 @@ def test_memo_rank_orders_items_by_volume_then_id():
             Item(4, F(1, 2), F(1, 4)), Item(9, F(1, 2), F(1, 4)), Item(0, F(1, 3), F(1, 3)),
             Item(3, F(1), F(1, 7)), Item(1, F(1, 7), F(1))]
     for items in [ties, *(inst.items for inst in oracle_pool_sample(step=5))]:
-        cache = UnitBinMemo(items)
+        cache = UnitBinMemo(Grid.of(items))
         assert cache.order == [it.id for it in sorted(items, key=lambda it: (-it.volume, it.id))]
 
 
@@ -190,7 +190,7 @@ def test_plant_delta_width():
     for seed in range(30):
         inst, wit = plant_delta_width(seed)
         assert validate_packing(wit, inst).ok
-        delta = find_feasible_delta(inst, EPS)
+        delta = find_feasible_delta(inst.grid, EPS)
         assert delta is not None
         # the near-full item sits above the chosen cutoff
         assert any(it.width > 1 - delta for it in inst.items)
@@ -200,8 +200,8 @@ def test_plant_delta_height():
     for seed in range(30):
         inst, wit = plant_delta_height(seed)
         assert validate_packing(wit, inst).ok
-        assert find_feasible_delta(inst, EPS) is None
-        assert find_feasible_delta(transpose_instance(inst), EPS) is not None
+        assert find_feasible_delta(inst.grid, EPS) is None
+        assert find_feasible_delta(transpose_instance(inst).grid, EPS) is not None
 
 
 def test_plant_large_w():

@@ -14,7 +14,7 @@ from fractions import Fraction
 import rectbin.knapsack
 from rectbin.errors import GuessFailed, InstanceTooLarge, RectbinError
 from rectbin.fileio import serialize_packing
-from rectbin.geometry import Instance, Item, Packing, transpose_instance
+from rectbin.geometry import Grid, Instance, Item, Packing, transpose_instance
 from rectbin.knapsack import (
     ProfitItem,
     UnitBinMemo,
@@ -190,7 +190,7 @@ def test_the_const_knapsack_on_the_solve_memo_matches_a_fresh_memo():
     seen = Counter()
     for _ in range(100):
         instance = const_draw(rng)
-        memo = UnitBinMemo(instance.items)
+        memo = UnitBinMemo(Grid.of(instance.items))
         large = [it for it in instance.items if it.volume > EPS]
         limit = rng.choice([4, 7])
         for count, assignment in enumerate(enumerate_large_assignments(large, 2, 12, memo)):
@@ -209,7 +209,7 @@ def test_max_profit_pack_on_a_memo_matches_the_call_lattice():
     rng = random.Random(2804)
     for _ in range(100):
         instance = const_draw(rng)
-        memo = UnitBinMemo(instance.items)
+        memo = UnitBinMemo(Grid.of(instance.items))
         pitems = [ProfitItem(it, it.volume * rng.choice([1, 2, 1083])) for it in instance.items]
         limit = rng.choice([3, 6])
         on_memo = step_knapsack(lambda: max_profit_pack(pitems, 1, 1, EPS, limit, cache=memo))
@@ -220,7 +220,7 @@ def test_max_profit_pack_refuses_a_region_that_is_not_the_memo_s():
     instance = Instance([Item(0, HALF, HALF)])
     try:
         max_profit_pack([ProfitItem(instance.items[0], Fraction(1, 4))], HALF, 1, EPS,
-                        cache=UnitBinMemo(instance.items))
+                        cache=UnitBinMemo(Grid.of(instance.items)))
     except ValueError as exc:
         assert str(exc) == "region 1/2 x 1 is not the memo's 1 x 1"
     else:
@@ -230,7 +230,7 @@ def test_max_profit_pack_refuses_a_region_that_is_not_the_memo_s():
 def test_run_steps_on_the_solve_memo_builds_no_memo(monkeypatch):
     index, instance = benchmark_pool_sample("two_bin", 400, 1)[2]
     assert len(instance.items) <= 10  # the knapsack's fit-all probe runs
-    memo = UnitBinMemo(instance.items)
+    memo = UnitBinMemo(Grid.of(instance.items))
     large = [it for it in instance.items if it.volume > EPS]
     assignment = next(enumerate_large_assignments(large, 2, 12, memo))
     built = []
